@@ -16,6 +16,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateSimplex,
     GenerationFailed,
+    InvalidDocument,
     MissingNeighborData,
     MissingNeighborResidual,
     NotColorSeparated,
@@ -64,13 +65,10 @@ from .independence import (
 )
 from .diffusion import (
     VARIANTS,
-    AgentState,
     ExperimentConfig,
     MeasurementModel,
-    Message,
     MsdResult,
     VariantSpec,
-    agent_states,
     atc_round,
     combination_weights,
     coupling_matrix,

@@ -98,7 +98,7 @@ def cmd_complex_inspect(args) -> int:
     lap = simplicial.hodge_laplacians(inc)
     rank_b1 = int(np.linalg.matrix_rank(inc.b1.astype(float))) if sc.num_edges else 0
     rank_b2 = int(np.linalg.matrix_rank(inc.b2.astype(float))) if sc.num_triangles else 0
-    hdim = simplicial.harmonic_dimension(inc)
+    hdim = sc.num_edges - rank_b1 - rank_b2  # rank-nullity, see harmonic_dimension
     l1 = lap.l1_down + lap.l1_up
     spec_l0 = np.linalg.eigvalsh(lap.l0) if sc.num_vertices else np.zeros(0)
     spec_l1 = np.linalg.eigvalsh(l1) if sc.num_edges else np.zeros(0)

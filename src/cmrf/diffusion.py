@@ -41,6 +41,7 @@ and averaged over independent runs.
 from __future__ import annotations
 
 import concurrent.futures
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -51,6 +52,7 @@ from .errors import DimensionMismatch, MissingNeighborData, MissingNeighborResid
 from .model import (
     EdgePrecision,
     SgmParams,
+    _coupling_parts,
     build_precision,
     covariance_cholesky,
     draw_params,
@@ -69,8 +71,6 @@ __all__ = [
     "VARIANTS",
     "get_variant",
     "MeasurementModel",
-    "Message",
-    "AgentState",
     "ExperimentConfig",
     "MsdResult",
     "generate_round",
@@ -79,7 +79,6 @@ __all__ = [
     "coupling_matrix",
     "combination_weights",
     "atc_round",
-    "agent_states",
     "step_sizes",
     "run_experiment",
     "write_csv",
@@ -213,22 +212,6 @@ def local_loss_terms(
     return phi_h, float(phi_d), float(phi_u)
 
 
-def _coupling_row(
-    edge: int, spec: VariantSpec, params: SgmParams, inc: IncidencePair
-) -> np.ndarray:
-    """Row ``edge`` of the variant's coupling matrix, built locally."""
-    ne = inc.b1.shape[1]
-    row = np.zeros(ne)
-    row[edge] = params.k
-    if spec.uses_lower_term:
-        b1 = inc.b1.astype(float)
-        row -= (b1[:, edge] * params.d_v) @ b1
-    if spec.uses_upper_term:
-        b2 = inc.b2.astype(float)
-        row -= (b2[edge] * params.d_t) @ b2.T
-    return row
-
-
 def local_gradient(
     edge: int,
     variant: str | VariantSpec,
@@ -258,7 +241,13 @@ def local_gradient(
     theta_e = np.asarray(theta_e, dtype=float)
     r_e = float(y_e - u_e @ theta_e)
 
-    row = _coupling_row(edge, spec, params, inc)
+    a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
+    row = np.zeros(inc.b1.shape[1])
+    row[edge] = params.k
+    if spec.uses_lower_term:
+        row -= a_d[edge]
+    if spec.uses_upper_term:
+        row -= a_u[edge]
     weighted = row[edge] * r_e
     for other in np.flatnonzero(row):
         if other == edge:
@@ -343,58 +332,6 @@ def atc_round(
     return psi
 
 
-@dataclass(frozen=True)
-class Message:
-    """What one agent sends its line-graph neighbors during a round."""
-
-    residual: float
-    regressor: np.ndarray
-    psi: np.ndarray
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """Per-agent view of a round: own estimate plus received messages."""
-
-    edge_index: int
-    theta_hat: np.ndarray
-    inbox: dict[int, Message]
-
-
-def agent_states(
-    theta: np.ndarray,
-    regressors: np.ndarray,
-    observations: np.ndarray,
-    coupling: np.ndarray,
-    adjacency: np.ndarray,
-    step_size: float,
-) -> list[AgentState]:
-    """Expand one distributed round into per-agent states with inboxes.
-
-    Inboxes contain exactly one message per line-graph neighbor, holding
-    that neighbor's pre-adapt residual, its regressor, and the
-    intermediate estimate psi it computed this round.  Useful to check
-    that every quantity the round consumed was locally available.
-    """
-    residual = observations - np.einsum("em,em->e", regressors, theta)
-    weighted = coupling @ residual
-    psi = theta + step_size * weighted[:, None] * regressors
-    agents = []
-    for e in range(theta.shape[0]):
-        inbox = {
-            int(j): Message(
-                residual=float(residual[j]),
-                regressor=regressors[j].copy(),
-                psi=psi[j].copy(),
-            )
-            for j in np.flatnonzero(adjacency[e])
-        }
-        agents.append(
-            AgentState(edge_index=e, theta_hat=theta[e].copy(), inbox=inbox)
-        )
-    return agents
-
-
 _DEFAULT_VARIANTS = (
     "atc_cmrf",
     "atc_lgmrf",
@@ -439,6 +376,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "variants", tuple(self.variants))
+        for name in ("num_runs", "num_iterations", "steady_state_window", "num_workers"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.combine_rule not in ("uniform", "metropolis"):
             raise ValueError(f"unknown combination rule: {self.combine_rule!r}")
         object.__setattr__(

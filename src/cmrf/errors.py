@@ -22,6 +22,10 @@ class DegenerateSimplex(CmrfError):
     """A simplex repeats a vertex (zero-length edge, flat triangle)."""
 
 
+class InvalidDocument(CmrfError):
+    """A JSON document lacks a required key or holds a value of the wrong type."""
+
+
 class GenerationFailed(CmrfError):
     """Random complex generation exhausted its retry budget."""
 

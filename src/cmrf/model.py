@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .simplicial import IncidencePair, SimplicialComplex2, incidence, load_complex
+from .simplicial import _is_list_of, _is_number, _read_document, _shared_face_pairs
 
 __all__ = [
     "SgmParams",
@@ -65,6 +66,14 @@ _PD_RTOL = 1e-9
 _CANCEL_RTOL = 1e-12
 
 
+def _coefficients(values) -> np.ndarray:
+    """Coupling coefficients as a float array; NaN, inf and negatives are refused."""
+    d = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(d) & (d >= 0)):
+        raise ValueError("coupling coefficients must be finite and nonnegative")
+    return d
+
+
 @dataclass(frozen=True)
 class SgmParams:
     """Coefficients (k, d_v, d_t) of a structured edge-signal model.
@@ -78,10 +87,8 @@ class SgmParams:
     d_t: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "d_v", np.asarray(self.d_v, dtype=float))
-        object.__setattr__(self, "d_t", np.asarray(self.d_t, dtype=float))
-        if np.any(self.d_v < 0) or np.any(self.d_t < 0):
-            raise ValueError("coupling coefficients must be nonnegative")
+        object.__setattr__(self, "d_v", _coefficients(self.d_v))
+        object.__setattr__(self, "d_t", _coefficients(self.d_t))
         if not np.isfinite(self.k) or self.k <= 0:
             raise ValueError("k must be positive and finite")
 
@@ -156,9 +163,7 @@ def min_valid_k(
     Returns lambda_max(a_d + a_u) + margin, the threshold above which all
     three precision matrices are positive definite.
     """
-    d_v = np.asarray(d_v, dtype=float)
-    d_t = np.asarray(d_t, dtype=float)
-    a_d, a_u = _coupling_parts(inc, d_v, d_t)
+    a_d, a_u = _coupling_parts(inc, _coefficients(d_v), _coefficients(d_t))
     lam_max = float(np.linalg.eigvalsh(a_d + a_u)[-1])
     return lam_max + margin
 
@@ -239,26 +244,12 @@ def build_cmrf(inc: IncidencePair, params: SgmParams) -> CmrfGraph:
     omega do not remove links.
     """
     _check_params(inc, params)
-    ne = inc.b1.shape[1]
-
-    lower = set()
-    for u in np.flatnonzero(params.d_v):
-        incident = np.flatnonzero(inc.b1[u])
-        for a in range(len(incident)):
-            for b in range(a + 1, len(incident)):
-                lower.add((int(incident[a]), int(incident[b])))
-
-    upper = set()
-    for t in np.flatnonzero(params.d_t):
-        members = np.flatnonzero(inc.b2[:, t])
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                upper.add((int(members[a]), int(members[b])))
-
+    lower = _shared_face_pairs(inc.b1, params.d_v != 0)
+    upper = _shared_face_pairs(inc.b2.T, params.d_t != 0)
     return CmrfGraph(
-        num_nodes=ne,
-        lower_links=frozenset(lower),
-        upper_links=frozenset(upper),
+        num_nodes=inc.b1.shape[1],
+        lower_links=frozenset(map(tuple, lower.tolist())),
+        upper_links=frozenset(map(tuple, upper.tolist())),
     )
 
 
@@ -312,6 +303,8 @@ def draw_params(
     probability, which thins the colored graph.  k comes from
     :func:`min_valid_k` with the given margin.
     """
+    if not 0.0 <= sparsity <= 1.0:
+        raise ValueError(f"sparsity must lie in [0, 1], got {sparsity}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     nv = inc.b1.shape[0]
     nt = inc.b2.shape[1]
@@ -344,7 +337,12 @@ def save_model(
 def load_model(path: str | Path) -> tuple[SimplicialComplex2, SgmParams]:
     """Read a model document and the complex it references."""
     path = Path(path)
-    doc = json.loads(path.read_text())
+    doc = _read_document(path, {
+        "k": (_is_number, "a number"),
+        "d_v": (_is_list_of(_is_number), "a list of numbers"),
+        "d_t": (_is_list_of(_is_number), "a list of numbers"),
+        "complex_file": (lambda x: isinstance(x, str), "a string"),
+    })
     ref = Path(doc["complex_file"])
     if not ref.is_absolute():
         ref = path.parent / ref

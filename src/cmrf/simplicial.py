@@ -44,6 +44,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateSimplex,
     GenerationFailed,
+    InvalidDocument,
 )
 
 __all__ = [
@@ -265,17 +266,27 @@ def harmonic_dimension(inc: IncidencePair) -> int:
     return int(num_edges - rank_b1 - rank_b2)
 
 
+def _shared_face_pairs(incmat: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Pairs of columns of ``incmat`` that share a kept row.
+
+    ``incmat`` has one row per face (vertex or triangle) and one column
+    per edge, ``keep`` is a boolean mask over the rows.  The pairs are
+    the off-diagonal support of |B|.T @ diag(keep) @ |B|, returned as an
+    (m, 2) array of index pairs i < j in lexicographic order.
+    """
+    member = (incmat[keep] != 0).astype(float)
+    return np.argwhere(np.triu(member.T @ member > 0, 1))
+
+
 def line_graph(sc: SimplicialComplex2) -> np.ndarray:
     """0/1 adjacency over edges; two edges are adjacent iff they share a vertex.
 
     The diagonal is zero.  This is the communication topology used by the
     distributed estimators in :mod:`cmrf.diffusion`.
     """
-    n = sc.num_edges
-    adj = np.zeros((n, n), dtype=np.int64)
-    for i, j in itertools.combinations(range(n), 2):
-        if set(sc.edges[i]) & set(sc.edges[j]):
-            adj[i, j] = adj[j, i] = 1
+    pairs = _shared_face_pairs(incidence(sc).b1, np.ones(sc.num_vertices, bool))
+    adj = np.zeros((sc.num_edges, sc.num_edges), dtype=np.int64)
+    adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = 1
     return adj
 
 
@@ -290,12 +301,13 @@ def _sample_er_graph(
 def _enumerate_3cliques(
     num_vertices: int, edges: list[tuple[int, int]]
 ) -> list[tuple[int, int, int]]:
-    eset = set(edges)
-    return [
-        (a, b, c)
-        for a, b, c in itertools.combinations(range(num_vertices), 3)
-        if (a, b) in eset and (a, c) in eset and (b, c) in eset
-    ]
+    """3-cliques (a, b, c) of a graph with edges a < b, in lexicographic order."""
+    upper = np.zeros((num_vertices, num_vertices), dtype=bool)
+    upper[tuple(np.array(edges, dtype=np.intp).reshape(-1, 2).T)] = True
+    # every edge (a, b) closes a clique with each c > b adjacent to both
+    ab = np.argwhere(upper)
+    pair, c = np.nonzero(upper[ab[:, 0]] & upper[ab[:, 1]])
+    return list(zip(ab[pair, 0].tolist(), ab[pair, 1].tolist(), c.tolist()))
 
 
 def random_2sc(
@@ -365,6 +377,39 @@ def random_2sc(
     )
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_list_of(ok, size: int | None = None):
+    return lambda x: (
+        isinstance(x, list)
+        and (size is None or len(x) == size)
+        and all(map(ok, x))
+    )
+
+
+def _read_document(path: str | Path, fields: dict, optional=()) -> dict:
+    """Load a JSON object and check each field against (predicate, description).
+
+    Raises InvalidDocument when the document is not an object, a key not
+    listed in ``optional`` is missing, or a value fails its predicate.
+    """
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise InvalidDocument(f"{path}: expected a JSON object")
+    for key, (ok, what) in fields.items():
+        if key not in doc and key not in optional:
+            raise InvalidDocument(f"{path}: missing key {key!r}")
+        if key in doc and not ok(doc[key]):
+            raise InvalidDocument(f"{path}: {key!r} must be {what}")
+    return doc
+
+
 def save_complex(sc: SimplicialComplex2, path: str | Path) -> None:
     """Write a complex to a JSON document."""
     doc = {
@@ -377,7 +422,11 @@ def save_complex(sc: SimplicialComplex2, path: str | Path) -> None:
 
 def load_complex(path: str | Path) -> SimplicialComplex2:
     """Read a complex from a JSON document written by :func:`save_complex`."""
-    doc = json.loads(Path(path).read_text())
+    doc = _read_document(path, {
+        "vertices": (_is_list_of(_is_int), "a list of integers"),
+        "edges": (_is_list_of(_is_list_of(_is_int, 2)), "a list of integer pairs"),
+        "triangles": (_is_list_of(_is_list_of(_is_int, 3)), "a list of integer triples"),
+    }, optional=("triangles",))
     return build_complex(
         doc["vertices"], doc["edges"], doc.get("triangles", ())
     )

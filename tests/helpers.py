@@ -5,10 +5,15 @@ enumeration of simple paths with backtracking, deliberately a different
 algorithm from the breadth-first search inside the package.  The
 gradient oracle evaluates central finite differences of the
 frozen-residual objective slice assembled from local_loss_terms, a
-different code path from the analytic coupling-row gradient.
+different code path from the analytic coupling-row gradient.  The
+link, line-graph and clique oracles enumerate pairs and triples of
+simplices directly instead of reading supports off incidence products.
+The per-agent view of an ATC round (agent_states) expands a vectorized
+round into the messages each agent receives, to test locality.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,3 +137,89 @@ def fd_local_gradient(
         minus[m] -= h
         grad[m] = (objective(plus) - objective(minus)) / (2.0 * h)
     return grad
+
+
+def lower_links_by_loops(sc, d_v):
+    """Pairs (i, j), i < j, of edges sharing a vertex u with d_v[u] != 0."""
+    coupled = {v for v, d in zip(sc.vertices, d_v) if d != 0}
+    return {
+        (i, j)
+        for (i, e), (j, f) in itertools.combinations(enumerate(sc.edges), 2)
+        if set(e) & set(f) & coupled
+    }
+
+
+def upper_links_by_loops(sc, d_t):
+    """Pairs (i, j), i < j, of edges sharing a triangle t with d_t[t] != 0."""
+    links = set()
+    for tri, d in zip(sc.triangles, d_t):
+        if d == 0:
+            continue
+        sides = sorted(sc.edge_index[s] for s in itertools.combinations(tri, 2))
+        links.update(itertools.combinations(sides, 2))
+    return links
+
+
+def line_graph_by_loops(sc):
+    """0/1 adjacency of edges that share a vertex, by pairwise comparison."""
+    n = sc.num_edges
+    adj = np.zeros((n, n), dtype=np.int64)
+    for i, j in itertools.combinations(range(n), 2):
+        if set(sc.edges[i]) & set(sc.edges[j]):
+            adj[i, j] = adj[j, i] = 1
+    return adj
+
+
+def cliques_by_combinations(num_vertices, edges):
+    """All 3-cliques (a, b, c), a < b < c, in lexicographic order."""
+    eset = set(edges)
+    return [
+        (a, b, c)
+        for a, b, c in itertools.combinations(range(num_vertices), 3)
+        if (a, b) in eset and (a, c) in eset and (b, c) in eset
+    ]
+
+
+@dataclass(frozen=True)
+class Message:
+    """What one agent sends its line-graph neighbors during a round."""
+
+    residual: float
+    regressor: np.ndarray
+    psi: np.ndarray
+
+
+@dataclass(frozen=True)
+class AgentState:
+    """Per-agent view of a round: own estimate plus received messages."""
+
+    edge_index: int
+    theta_hat: np.ndarray
+    inbox: dict
+
+
+def agent_states(theta, regressors, observations, coupling, adjacency, step_size):
+    """Expand one distributed round into per-agent states with inboxes.
+
+    Inboxes contain exactly one message per line-graph neighbor, holding
+    that neighbor's pre-adapt residual, its regressor, and the
+    intermediate estimate psi it computed this round.  Used to check
+    that every quantity the round consumed was locally available.
+    """
+    residual = observations - np.einsum("em,em->e", regressors, theta)
+    weighted = coupling @ residual
+    psi = theta + step_size * weighted[:, None] * regressors
+    agents = []
+    for e in range(theta.shape[0]):
+        inbox = {
+            int(j): Message(
+                residual=float(residual[j]),
+                regressor=regressors[j].copy(),
+                psi=psi[j].copy(),
+            )
+            for j in np.flatnonzero(adjacency[e])
+        }
+        agents.append(
+            AgentState(edge_index=e, theta_hat=theta[e].copy(), inbox=inbox)
+        )
+    return agents

@@ -237,6 +237,91 @@ class TestSimulateCommand:
         assert code == 2 and "seed" in err
 
 
+
+def write_edited(src, dst, edit):
+    """Copy a JSON document from src to dst after applying edit(doc)."""
+    doc = json.loads(src.read_text())
+    edit(doc)
+    dst.write_text(json.dumps(doc))
+    return dst
+
+
+class TestDocumentSchemas:
+    @pytest.mark.parametrize("edit, key", [
+        (lambda d: d.pop("edges"), "edges"),
+        (lambda d: d.pop("vertices"), "vertices"),
+        (lambda d: d.update(edges={"a": 1}), "edges"),
+        (lambda d: d.update(vertices=[1, "2", 3]), "vertices"),
+        (lambda d: d.update(edges=[[1, 2], [1, 3], [2, None]]), "edges"),
+        (lambda d: d.update(triangles=[[1, 2]]), "triangles"),
+    ], ids=["no-edges", "no-vertices", "edges-object", "string-vertex",
+            "null-endpoint", "short-triangle"])
+    def test_bad_complex_document(self, tmp_path, capsys, triangle_doc, edit, key):
+        bad = write_edited(triangle_doc, tmp_path / "bad.json", edit)
+        code, _, err = run_cli(capsys, "complex", "inspect", str(bad))
+        assert code == 2
+        assert err.startswith("error:") and repr(key) in err
+
+    def test_complex_document_must_be_an_object(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2, 3]")
+        code, _, err = run_cli(capsys, "complex", "inspect", str(bad))
+        assert code == 2 and "JSON object" in err
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda d: d.pop("d_t"), "d_t"),
+        (lambda d: d.pop("k"), "k"),
+        (lambda d: d.pop("complex_file"), "complex_file"),
+        (lambda d: d.update(k="8"), "k"),
+        (lambda d: d.update(d_v=3.0), "d_v"),
+        (lambda d: d.update(d_t=[1.0, None]), "d_t"),
+        (lambda d: d.update(complex_file=7), "complex_file"),
+    ], ids=["no-d_t", "no-k", "no-complex_file", "string-k", "scalar-d_v",
+            "null-d_t", "numeric-complex_file"])
+    def test_bad_model_document(self, tmp_path, capsys, clustered_model_doc, edit, key):
+        bad = write_edited(
+            clustered_model_doc, clustered_model_doc.parent / "bad.json", edit
+        )
+        for argv in (["model", "check"], ["verify", "--scan-singletons"]):
+            code, _, err = run_cli(capsys, *argv, str(bad))
+            assert code == 2
+            assert err.startswith("error:") and repr(key) in err
+
+
+SIM = ["simulate", "--seed", "1", "-o", "{out}"]
+BUILD = ["model", "build", "{complex}", "--seed", "1", "-o", "{out}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SIM + ["--runs", "1", "--iterations", "0"], "num_iterations"),
+    (SIM + ["--runs", "1", "--iterations", "2", "--steady-window", "0"],
+     "steady_state_window"),
+    (SIM + ["--runs", "0", "--iterations", "2"], "num_runs"),
+    (SIM + ["--runs", "1", "--iterations", "2", "--threads", "0"], "num_workers"),
+    (["--config", "{config}"] + SIM + ["--iterations", "2"], "num_runs"),
+    (BUILD + ["--sparsity", "1.5"], "sparsity"),
+    (BUILD + ["--sparsity", "-0.5"], "sparsity"),
+    (BUILD + ["--dv", "nan"], "finite"),
+    (BUILD + ["--dt", "inf"], "finite"),
+    (["model", "check", "{nan_model}"], "finite"),
+], ids=["iterations-0", "steady-window-0", "runs-0", "threads-0",
+        "config-runs-string", "sparsity-1.5", "sparsity-negative", "dv-nan",
+        "dt-inf", "model-with-nan"])
+def test_bad_numbers_exit_2(tmp_path, capsys, triangle_doc, argv, message):
+    nan_model = tmp_path / "nan_model.json"
+    nan_model.write_text(json.dumps({
+        "k": 8.0, "d_v": [float("nan"), 0.0, 0.0], "d_t": [1.0],
+        "complex_file": triangle_doc.name,
+    }))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"simulate": {"num_runs": "2"}}))
+    paths = {"out": tmp_path / "out", "complex": triangle_doc,
+             "nan_model": nan_model, "config": config}
+    code, _, err = run_cli(capsys, *[a.format(**paths) for a in argv])
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
 def test_module_entry_point_shows_subcommands():
     proc = subprocess.run(
         [sys.executable, "-m", "cmrf.cli", "--help"],

@@ -7,7 +7,6 @@ from cmrf import (
     MissingNeighborData,
     MissingNeighborResidual,
     VARIANTS,
-    agent_states,
     atc_round,
     build_complex,
     build_precision,
@@ -26,7 +25,7 @@ from cmrf import (
     write_csv,
 )
 
-from helpers import fd_local_gradient
+from helpers import agent_states, fd_local_gradient
 
 
 @pytest.fixture(scope="module")
