@@ -10,7 +10,7 @@ option (``--config settings.json``); explicit flags override file
 values.  Randomized subcommands require a seed, either as a flag or in
 the config file.  All subcommands accept ``--json`` for machine
 readable output.  Exit status is 0 when requested checks pass, 1 when a
-check fails, 2 on errors.
+check fails (for ``simulate``: a variant diverged), 2 on errors.
 """
 
 from __future__ import annotations
@@ -322,17 +322,25 @@ def cmd_simulate(args) -> int:
     result = diffusion.run_experiment(config)
     diffusion.write_csv(result, args.out)
 
+    diverged = set(result.diverged)
     payload = {
         "out": str(args.out),
         "num_runs": result.num_runs,
-        "steady_state_db": result.steady_state_db,
+        "steady_state_db": {
+            v: None if v in diverged else db
+            for v, db in result.steady_state_db.items()
+        },
+        "diverged": list(result.diverged),
     }
     lines = [f"wrote {args.out}", f"runs={result.num_runs}", ""]
     lines.append(f"{'variant':<18} steady-state MSD")
     for v in result.variants:
-        lines.append(f"{v:<18} {result.steady_state_db[v]:8.2f} dB")
+        if v in diverged:
+            lines.append(f"{v:<18} diverged")
+        else:
+            lines.append(f"{v:<18} {result.steady_state_db[v]:8.2f} dB")
     _emit(args, payload, lines)
-    return 0
+    return 1 if diverged else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

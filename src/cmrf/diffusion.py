@@ -41,6 +41,7 @@ and averaged over independent runs.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -158,10 +159,31 @@ def generate_round(
     variant lists.
     """
     ne, m = model.num_edges, model.dim
-    regressors = rng.standard_normal((ne, m)) * np.sqrt(model.regressor_variance)
-    noise = rng.standard_normal(ne) @ model._noise_chol.T
-    observations = regressors @ model.theta0 + noise
-    return regressors, observations
+    draws = rng.standard_normal((1, 1, ne * m + ne))
+    regressors, observations = _measure(
+        draws, ne, np.sqrt(model.regressor_variance),
+        model._noise_chol[None], model.theta0[None],
+    )
+    return regressors[0, 0], observations[0, 0]
+
+
+def _measure(draws, num_edges, scale, chol, theta0):
+    """Regressors and observations from blocks of standard normal draws.
+
+    ``draws`` has shape (g, B, E*m + E): per run and round, the E*m
+    regressor entries then the E noise entries, in the order one
+    generator produces them.  ``chol`` is (g, E, E) and ``theta0``
+    (g, m).  Returns regressors (g, B, E, m), a view that scales
+    ``draws`` in place, and observations (g, B, E).  Every product is
+    one matrix-vector product per (run, round), as for a single round.
+    """
+    g, b, width = draws.shape
+    split = width - num_edges
+    regressors = draws[..., :split]
+    regressors *= scale
+    regressors = regressors.reshape(g, b, num_edges, split // num_edges)
+    noise = draws[..., None, split:] @ chol[:, None].swapaxes(-1, -2)
+    return regressors, (regressors @ theta0[:, None, :, None])[..., 0] + noise[..., 0, :]
 
 
 def local_loss_terms(
@@ -318,18 +340,52 @@ def atc_round(
     if spec.is_centralized:
         if theta.ndim != 1:
             raise DimensionMismatch("centralized variant takes a single vector")
-        residual = observations - regressors @ theta
-        return theta + step_size * (regressors.T @ (coupling @ residual))
+        return _centralized_step(
+            theta[None], regressors[None], observations[None],
+            coupling[None], np.full((1, 1), step_size),
+        )[0]
     if theta.shape != regressors.shape:
         raise DimensionMismatch(
             f"theta shape {theta.shape} != regressors shape {regressors.shape}"
         )
-    residual = observations - np.einsum("em,em->e", regressors, theta)
-    weighted = coupling @ residual
-    psi = theta + step_size * weighted[:, None] * regressors
-    if spec.uses_combination:
-        return combine @ psi
+    return _atc_step(
+        theta[None, None], regressors[None], observations[None],
+        coupling[None, None], np.zeros((1, 1, 1)), np.full((1, 1, 1, 1), step_size),
+        combine, 1 if spec.uses_combination else 0,
+    )[0, 0]
+
+
+def _atc_step(theta, regressors, observations, couplings, k, steps, combine, num_combined):
+    """One adapt-then-combine round for a stack of runs and variants.
+
+    ``theta`` is (g, V, E, m) for g runs and V distributed variants,
+    ``regressors`` (g, E, m) and ``observations`` (g, E).  The first
+    ``couplings.shape[1]`` variants weigh residuals with their (g, ., E, E)
+    coupling matrix, the rest with k*I as the scalar ``k`` of shape
+    (g, 1, 1).  ``steps`` is (g, V, 1, 1).  The first ``num_combined``
+    variants are mixed by ``combine``, (E, E) or (g, 1, E, E).  Returns
+    the new (g, V, E, m) estimates.
+    """
+    residual = observations[:, None] - np.einsum("rem,rvem->rve", regressors, theta)
+    nm = couplings.shape[1]
+    weighted = np.empty_like(residual)
+    weighted[:, :nm] = (couplings @ residual[:, :nm, :, None])[..., 0]
+    weighted[:, nm:] = k * residual[:, nm:]
+    psi = theta + steps * weighted[..., None] * regressors[:, None]
+    if num_combined:
+        psi[:, :num_combined] = combine @ psi[:, :num_combined]
     return psi
+
+
+def _centralized_step(theta, regressors, observations, omega, steps):
+    """One centralized update for a stack of runs.
+
+    ``theta`` is (g, m), ``regressors`` (g, E, m), ``observations``
+    (g, E), ``omega`` (g, E, E) and ``steps`` (g, 1).
+    """
+    residual = observations - (regressors @ theta[..., None])[..., 0]
+    grad = regressors.swapaxes(-1, -2) @ (omega @ residual[..., None])
+    return theta + steps * grad[..., 0]
 
 
 _DEFAULT_VARIANTS = (
@@ -339,6 +395,18 @@ _DEFAULT_VARIANTS = (
     "standalone_lms",
     "centralized_cmrf",
 )
+
+
+def _check_int(name: str, value, low: int) -> None:
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -375,24 +443,60 @@ class ExperimentConfig:
     num_workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "variants", tuple(self.variants))
-        for name in ("num_runs", "num_iterations", "steady_state_window", "num_workers"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.combine_rule not in ("uniform", "metropolis"):
-            raise ValueError(f"unknown combination rule: {self.combine_rule!r}")
-        object.__setattr__(
-            self, "dv_bounds", tuple(float(x) for x in self.dv_bounds)
-        )
-        object.__setattr__(
-            self, "dt_bounds", tuple(float(x) for x in self.dt_bounds)
-        )
+        variants = self.variants
+        if not isinstance(variants, (list, tuple)) or not all(
+            isinstance(v, str) for v in variants
+        ):
+            raise ValueError(f"variants must be a list of names, got {variants!r}")
+        if not variants or len(set(variants)) != len(variants):
+            raise ValueError(
+                f"variants must name at least one variant, each once, got {variants!r}"
+            )
+        object.__setattr__(self, "variants", tuple(variants))
+        for v in self.variants:
+            get_variant(v)
+        for name in ("num_runs", "num_iterations", "steady_state_window",
+                     "num_workers", "num_vertices", "dim"):
+            _check_int(name, getattr(self, name), 1)
+        _check_int("seed", self.seed, 0)
+        _check_int("num_triangles", self.num_triangles, 0)
+        if self.num_edges is not None:
+            _check_int("num_edges", self.num_edges, 0)
+        if self.er_probability is not None:
+            _check_real("er_probability", self.er_probability)
+        for name in ("k_margin", "step_size"):
+            _check_real(name, getattr(self, name))
+        _check_real("regressor_variance", self.regressor_variance)
+        if self.regressor_variance <= 0:
+            raise ValueError("regressor_variance must be positive")
+        for name in ("dv_bounds", "dt_bounds"):
+            bounds = getattr(self, name)
+            if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+                raise ValueError(f"{name} must be a pair [low, high], got {bounds!r}")
+            for x in bounds:
+                _check_real(name, x)
+            object.__setattr__(self, name, tuple(float(x) for x in bounds))
+        if not isinstance(self.step_size_overrides, Mapping):
+            raise ValueError(
+                "step_size_overrides must map variant names to step sizes, "
+                f"got {self.step_size_overrides!r}"
+            )
+        for v, mu in self.step_size_overrides.items():
+            if not isinstance(v, str):
+                raise ValueError(f"step_size_overrides keys must be names, got {v!r}")
+            get_variant(v)
+            _check_real(f"step_size_overrides[{v!r}]", mu)
         object.__setattr__(
             self, "step_size_overrides", dict(self.step_size_overrides)
         )
-        for v in self.variants:
-            get_variant(v)
+        if self.combine_rule not in ("uniform", "metropolis"):
+            raise ValueError(f"unknown combination rule: {self.combine_rule!r}")
+        if self.complex_file is not None and not isinstance(self.complex_file, str):
+            raise ValueError(f"complex_file must be a path string, got {self.complex_file!r}")
+        if not isinstance(self.resample_complex, bool):
+            raise ValueError(
+                f"resample_complex must be true or false, got {self.resample_complex!r}"
+            )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -412,6 +516,7 @@ class MsdResult:
     msd_mean: dict[str, np.ndarray]
     msd_std: dict[str, np.ndarray]
     steady_state_db: dict[str, float]
+    diverged: tuple[str, ...] = ()
 
 
 def step_sizes(prec: EdgePrecision, config: ExperimentConfig) -> dict[str, float]:
@@ -450,14 +555,107 @@ def _sample_complex(
     )
 
 
-def _run_single(
+# Bytes that one batch of runs may hold besides the result curves: the
+# per-run matrices (twice, while they are stacked) and the block of
+# random draws.  One run at 120 edges or more fills it, so such runs go
+# through one at a time; memory does not grow with the number of
+# iterations, and each buffer stays small next to the resident size of
+# the process.
+_BATCH_BYTES = 1 << 20
+# Fewest rounds drawn per block of the random streams.
+_MIN_BLOCK = 16
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where each variant sits in the batched state.
+
+    ``order`` lists positions in ``config.variants``: distributed
+    variants first, the combining ones before standalone_lms and, among
+    them, the matrix-coupled ones before atc_plain; centralized last.
+    The first ``matrix`` distributed variants weigh residuals with their
+    coupling matrix, one per ``slots`` entry; the first ``combined``
+    ones combine (every matrix-coupled variant combines, so both sets
+    are prefixes).  ``central`` is the slot holding omega for the
+    centralized variant, None without it.
+    """
+
+    order: tuple[int, ...]
+    distributed: int
+    matrix: int
+    combined: int
+    slots: tuple[VariantSpec, ...]
+    central: int | None
+
+    @classmethod
+    def of(cls, variants: Sequence[str]) -> "_Layout":
+        specs = [get_variant(v) for v in variants]
+
+        def coupled(i):
+            return specs[i].uses_lower_term or specs[i].uses_upper_term
+
+        dist = sorted(
+            (i for i, sp in enumerate(specs) if not sp.is_centralized),
+            key=lambda i: (not specs[i].uses_combination, not coupled(i)),
+        )
+        central = [i for i, sp in enumerate(specs) if sp.is_centralized]
+        slots = [specs[i] for i in dist if coupled(i)]
+        full = [j for j, sp in enumerate(slots) if sp.uses_lower_term and sp.uses_upper_term]
+        if central and not full:
+            full = [len(slots)]
+            slots.append(specs[central[0]])
+        return cls(
+            order=tuple(dist + central),
+            distributed=len(dist),
+            matrix=sum(1 for i in dist if coupled(i)),
+            combined=sum(1 for i in dist if specs[i].uses_combination),
+            slots=tuple(slots),
+            central=full[0] if central else None,
+        )
+
+
+@dataclass(frozen=True)
+class _Run:
+    """One run after its set-up, its generator positioned for the stream.
+
+    ``mats`` stacks the run's (E, E) matrices: the noise Cholesky
+    factor, one coupling matrix per layout slot and, when the run drew
+    its own complex, its combination weights.
+    """
+
+    rng: np.random.Generator
+    theta0: np.ndarray
+    k: float
+    steps: dict[str, float]
+    mats: np.ndarray
+
+    @property
+    def num_edges(self) -> int:
+        return self.mats.shape[-1]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the run takes in a batch: its matrices, counted twice for
+        the stacked copy, and the shortest block of its random stream."""
+        return 2 * self.mats.nbytes + _MIN_BLOCK * _row_bytes(
+            self.num_edges, self.theta0.shape[0])
+
+
+def _row_bytes(num_edges: int, dim: int) -> int:
+    """Bytes per run and round of a block: draws, noise and observations."""
+    return 8 * (num_edges * dim + 3 * num_edges)
+
+
+def _setup_run(
     config: ExperimentConfig,
     sc: SimplicialComplex2 | None,
     run_seed: np.random.SeedSequence,
-) -> dict[str, np.ndarray]:
-    """One Monte Carlo run; returns the per-variant MSD trajectories."""
+    layout: _Layout,
+) -> _Run:
+    """Draw a run's complex (when resampled), coefficients and ground truth."""
     rng = np.random.default_rng(run_seed)
-    if sc is None:
+    own_complex = sc is None
+    if own_complex:
         sc = _sample_complex(config, rng)
     inc = incidence(sc)
     params = draw_params(
@@ -469,47 +667,138 @@ def _run_single(
     )
     prec = build_precision(inc, params)
     theta0 = rng.standard_normal(config.dim)
-    model = MeasurementModel(
-        theta0=theta0,
-        regressor_variance=config.regressor_variance,
-        noise=prec,
-    )
-    combine = combination_weights(line_graph(sc), config.combine_rule)
-    steps = step_sizes(prec, config)
-    couplings = {v: coupling_matrix(prec, v) for v in config.variants}
+    mats = [covariance_cholesky(prec)]
+    mats += [coupling_matrix(prec, spec) for spec in layout.slots]
+    if own_complex:
+        mats.append(combination_weights(line_graph(sc), config.combine_rule))
+    return _Run(rng=rng, theta0=theta0, k=prec.k,
+                steps=step_sizes(prec, config), mats=np.stack(mats))
 
-    ne = sc.num_edges
-    state: dict[str, np.ndarray] = {}
-    for v in config.variants:
-        if get_variant(v).is_centralized:
-            state[v] = np.zeros(config.dim)
-        else:
-            state[v] = np.zeros((ne, config.dim))
 
-    msd = {v: np.empty(config.num_iterations) for v in config.variants}
-    for t in range(config.num_iterations):
-        regressors, observations = generate_round(model, rng)
-        for v in config.variants:
-            state[v] = atc_round(
-                state[v], regressors, observations, couplings[v],
-                combine, steps[v], v,
-            )
-            err = state[v] - theta0
-            if err.ndim == 1:
-                msd[v][t] = float(err @ err)
-            else:
-                msd[v][t] = float(np.sum(err * err) / ne)
-    return msd
+def _simulate_group(
+    config: ExperimentConfig,
+    layout: _Layout,
+    runs: Sequence[_Run],
+    combine: np.ndarray | None,
+    out: np.ndarray,
+    cols: np.ndarray,
+) -> None:
+    """Advance runs that share an edge count; write their MSD curves.
+
+    Every round is a fixed handful of numpy calls whatever the number of
+    runs and variants.  Each product runs per (run, variant) slice with
+    the shapes of a single run, so the curves are bitwise those of
+    running one run and one variant at a time.  ``out[j, cols[i]]`` gets
+    the curve of variant ``config.variants[j]`` in run ``runs[i]``.
+    """
+    g, ne, m = len(runs), runs[0].num_edges, config.dim
+    nd, nm, nc = layout.distributed, layout.matrix, layout.combined
+    names = [config.variants[j] for j in layout.order]
+    # a lone run (large complexes) is used in place, without a copy
+    mats = runs[0].mats[None] if g == 1 else np.stack([r.mats for r in runs])
+    chol, couplings = mats[:, 0], mats[:, 1:1 + len(layout.slots)]
+    if combine is None:
+        combine = mats[:, -1:]
+    theta0 = np.stack([r.theta0 for r in runs])
+    steps = np.array([[r.steps[v] for v in names] for r in runs])
+    k = np.array([r.k for r in runs])[:, None, None]
+    dist_steps = steps[:, :nd, None, None]
+    dist_rows = np.array(layout.order[:nd], dtype=int)[:, None]
+    theta = np.zeros((g, nd, ne, m))
+    if layout.central is not None:
+        omega = couplings[:, layout.central]
+        central_steps = steps[:, nd:]
+        central_row = layout.order[nd]
+        theta_c = np.zeros((g, m))
+
+    spare = max(0, _BATCH_BYTES - sum(r.nbytes for r in runs))
+    block = min(config.num_iterations, _MIN_BLOCK + spare // (g * _row_bytes(ne, m)))
+    draws = np.empty((g, block, ne * m + ne))
+    scale = np.sqrt(config.regressor_variance)
+    for start in range(0, config.num_iterations, block):
+        stop = min(start + block, config.num_iterations)
+        buf = draws[:, :stop - start]
+        for i, r in enumerate(runs):
+            r.rng.standard_normal(out=buf[i])
+        regressors, observations = _measure(buf, ne, scale, chol, theta0)
+        for t in range(stop - start):
+            u, y = regressors[:, t], observations[:, t]
+            if nd:
+                theta = _atc_step(theta, u, y, couplings[:, :nm], k,
+                                  dist_steps, combine, nc)
+                err = theta - theta0[:, None, None]
+                msd = (err * err).reshape(g, nd, ne * m).sum(axis=-1) / ne
+                out[dist_rows, cols, start + t] = msd.T
+            if layout.central is not None:
+                theta_c = _centralized_step(theta_c, u, y, omega, central_steps)
+                err = theta_c - theta0
+                out[central_row, cols, start + t] = (err[:, None] @ err[..., None])[:, 0, 0]
+
+
+def _run_chunk(
+    config: ExperimentConfig,
+    sc: SimplicialComplex2 | None,
+    run_seeds: Sequence[np.random.SeedSequence],
+) -> np.ndarray:
+    """MSD curves (variants, runs, iterations) of consecutive runs.
+
+    Runs are set up one at a time in seed order and simulated in
+    batches whose matrices fit in the byte budget, grouped by edge
+    count within a batch.
+    """
+    layout = _Layout.of(config.variants)
+    combine = None
+    if sc is not None:
+        combine = combination_weights(line_graph(sc), config.combine_rule)
+    out = np.empty((len(config.variants), len(run_seeds), config.num_iterations))
+    batch: list[tuple[int, _Run]] = []
+    used = 0
+    for i, seed in enumerate(run_seeds):
+        batch.append((i, _setup_run(config, sc, seed, layout)))
+        used += batch[-1][1].nbytes
+        if used >= _BATCH_BYTES or i + 1 == len(run_seeds):
+            _simulate_batch(config, layout, batch, combine, out)
+            batch, used = [], 0
+    return out
+
+
+def _simulate_batch(
+    config: ExperimentConfig,
+    layout: _Layout,
+    batch: Sequence[tuple[int, _Run]],
+    combine: np.ndarray | None,
+    out: np.ndarray,
+) -> None:
+    """Simulate (index, run) pairs, grouped by edge count."""
+    groups: dict[int, list[tuple[int, _Run]]] = {}
+    for i, run in batch:
+        groups.setdefault(run.num_edges, []).append((i, run))
+    for members in groups.values():
+        cols = np.array([i for i, _ in members])
+        _simulate_group(config, layout, [r for _, r in members], combine, out, cols)
+
+
+def _diverged(curve: np.ndarray, window: int) -> bool:
+    """True when a mean MSD curve is not finite or ends above its start.
+
+    The slack of 1e-9 absorbs the rounding of the window mean, so that a
+    flat curve (step size 0) does not count as growing.
+    """
+    if not np.isfinite(curve).all():
+        return True
+    return bool(curve[-window:].mean() > curve[0] * (1.0 + 1e-9))
 
 
 def run_experiment(config: ExperimentConfig) -> MsdResult:
     """Run the Monte Carlo comparison described by ``config``.
 
     Returns mean and standard deviation of the MSD across runs for every
-    variant, plus the steady-state level in dB (the mean curve averaged
-    over the trailing ``steady_state_window`` iterations).  Results are
-    identical for a fixed seed whether runs execute serially or on a
-    process pool.
+    variant, the steady-state level in dB (the mean curve averaged over
+    the trailing ``steady_state_window`` iterations) and the variants
+    whose mean curve diverged: not finite, or a steady state above the
+    first iteration.  Results are bitwise identical for a fixed seed
+    whether runs execute serially or in contiguous chunks on a process
+    pool.
     """
     root = np.random.SeedSequence(config.seed)
     complex_seq, runs_seq = root.spawn(2)
@@ -522,38 +811,41 @@ def run_experiment(config: ExperimentConfig) -> MsdResult:
     else:
         sc = _sample_complex(config, np.random.default_rng(complex_seq))
 
-    per_run: list[dict[str, np.ndarray]] = [None] * config.num_runs
-    if config.num_workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.num_workers
-        ) as pool:
-            futures = {
-                pool.submit(_run_single, config, sc, run_seeds[i]): i
-                for i in range(config.num_runs)
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                per_run[futures[fut]] = fut.result()
-    else:
-        for i in range(config.num_runs):
-            per_run[i] = _run_single(config, sc, run_seeds[i])
+    # a diverging variant overflows; it is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        workers = min(config.num_workers, config.num_runs)
+        if workers > 1:
+            bounds = [config.num_runs * w // workers for w in range(workers + 1)]
+            msd = np.empty(
+                (len(config.variants), config.num_runs, config.num_iterations)
+            )
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                chunks = [
+                    pool.submit(_run_chunk, config, sc, run_seeds[a:b])
+                    for a, b in zip(bounds, bounds[1:])
+                ]
+                for a, b, chunk in zip(bounds, bounds[1:], chunks):
+                    msd[:, a:b] = chunk.result()
+        else:
+            msd = _run_chunk(config, sc, run_seeds)
 
-    window = min(config.steady_state_window, config.num_iterations)
-    msd_mean, msd_std, steady = {}, {}, {}
-    for v in config.variants:
-        stack = np.stack([r[v] for r in per_run])  # (runs, iterations)
-        msd_mean[v] = stack.mean(axis=0)
-        msd_std[v] = (
-            stack.std(axis=0, ddof=1)
-            if config.num_runs > 1
-            else np.zeros(config.num_iterations)
-        )
-        steady[v] = float(10.0 * np.log10(msd_mean[v][-window:].mean()))
+        window = min(config.steady_state_window, config.num_iterations)
+        msd_mean, msd_std, steady = {}, {}, {}
+        for v, stack in zip(config.variants, msd):  # stack: (runs, iterations)
+            msd_mean[v] = stack.mean(axis=0)
+            msd_std[v] = (
+                stack.std(axis=0, ddof=1)
+                if config.num_runs > 1
+                else np.zeros(config.num_iterations)
+            )
+            steady[v] = float(10.0 * np.log10(msd_mean[v][-window:].mean()))
     return MsdResult(
         variants=config.variants,
         num_runs=config.num_runs,
         msd_mean=msd_mean,
         msd_std=msd_std,
         steady_state_db=steady,
+        diverged=tuple(v for v in config.variants if _diverged(msd_mean[v], window)),
     )
 
 

@@ -9,7 +9,10 @@ different code path from the analytic coupling-row gradient.  The
 link, line-graph and clique oracles enumerate pairs and triples of
 simplices directly instead of reading supports off incidence products.
 The per-agent view of an ATC round (agent_states) expands a vectorized
-round into the messages each agent receives, to test locality.
+round into the messages each agent receives, to test locality.  The
+Monte Carlo oracle (msd_by_run_loop) runs the simulator one run, one
+variant and one iteration at a time with the ATC maths written out
+inline, against which the batched simulator must agree bit for bit.
 """
 
 import itertools
@@ -21,10 +24,17 @@ from cmrf import (
     CmrfGraph,
     build_precision,
     build_cmrf,
+    combination_weights,
     coupling_matrix,
+    covariance_cholesky,
     draw_params,
     get_variant,
+    incidence,
+    line_graph,
+    load_complex,
     local_loss_terms,
+    random_2sc,
+    step_sizes,
 )
 
 
@@ -223,3 +233,74 @@ def agent_states(theta, regressors, observations, coupling, adjacency, step_size
             AgentState(edge_index=e, theta_hat=theta[e].copy(), inbox=inbox)
         )
     return agents
+
+
+def _oracle_run(config, sc, run_seed):
+    """One Monte Carlo run, one (variant, iteration) step at a time."""
+    rng = np.random.default_rng(run_seed)
+    if sc is None:
+        sc = random_2sc(config.num_vertices, config.er_probability,
+                        config.num_triangles, rng, num_edges=config.num_edges)
+    inc = incidence(sc)
+    params = draw_params(inc, rng, dv_bounds=config.dv_bounds,
+                         dt_bounds=config.dt_bounds, margin=config.k_margin)
+    prec = build_precision(inc, params)
+    theta0 = rng.standard_normal(config.dim)
+    chol = covariance_cholesky(prec)
+    combine = combination_weights(line_graph(sc), config.combine_rule)
+    steps = step_sizes(prec, config)
+    couplings = {v: coupling_matrix(prec, v) for v in config.variants}
+
+    ne, m = sc.num_edges, config.dim
+    state = {
+        v: np.zeros(m) if get_variant(v).is_centralized else np.zeros((ne, m))
+        for v in config.variants
+    }
+    msd = {v: np.empty(config.num_iterations) for v in config.variants}
+    for t in range(config.num_iterations):
+        regressors = rng.standard_normal((ne, m)) * np.sqrt(config.regressor_variance)
+        noise = rng.standard_normal(ne) @ chol.T
+        observations = regressors @ theta0 + noise
+        for v in config.variants:
+            theta, coupling, mu = state[v], couplings[v], steps[v]
+            if get_variant(v).is_centralized:
+                residual = observations - regressors @ theta
+                theta = theta + mu * (regressors.T @ (coupling @ residual))
+                err = theta - theta0
+                msd[v][t] = float(err @ err)
+            else:
+                residual = observations - np.einsum("em,em->e", regressors, theta)
+                weighted = coupling @ residual
+                theta = theta + mu * weighted[:, None] * regressors
+                if get_variant(v).uses_combination:
+                    theta = combine @ theta
+                err = theta - theta0
+                msd[v][t] = float(np.sum(err * err) / ne)
+            state[v] = theta
+    return msd
+
+
+def msd_by_run_loop(config):
+    """(msd_mean, msd_std) of ``config`` from a serial per-run loop.
+
+    Follows the seed chain that run_experiment documents: the complex
+    comes from the first child of the root seed, run i from child i of
+    the second.
+    """
+    complex_seq, runs_seq = np.random.SeedSequence(config.seed).spawn(2)
+    if config.complex_file is not None:
+        sc = load_complex(config.complex_file)
+    elif config.resample_complex:
+        sc = None
+    else:
+        sc = random_2sc(config.num_vertices, config.er_probability,
+                        config.num_triangles, np.random.default_rng(complex_seq),
+                        num_edges=config.num_edges)
+    runs = [_oracle_run(config, sc, s) for s in runs_seq.spawn(config.num_runs)]
+    mean, std = {}, {}
+    for v in config.variants:
+        stack = np.stack([r[v] for r in runs])
+        mean[v] = stack.mean(axis=0)
+        std[v] = (stack.std(axis=0, ddof=1) if config.num_runs > 1
+                  else np.zeros(config.num_iterations))
+    return mean, std

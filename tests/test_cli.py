@@ -226,6 +226,7 @@ class TestSimulateCommand:
         doc = json.loads(text)
         assert doc["num_runs"] == 2  # flag beats file
         assert set(doc["steady_state_db"]) == {"atc_cmrf", "standalone_lms"}
+        assert doc["diverged"] == []
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 2 * 10
 
@@ -235,6 +236,34 @@ class TestSimulateCommand:
             "-o", str(tmp_path / "x.csv"),
         )
         assert code == 2 and "seed" in err
+
+    def test_diverging_run_is_a_failure(self, tmp_path, capsys):
+        out = tmp_path / "msd.csv"
+        code, text, _ = run_cli(
+            capsys, "simulate", "--seed", "1", "--runs", "1", "--iterations", "300",
+            "--step-size", "0.5", "-o", str(out),
+        )
+        assert code == 1
+        assert "dB" not in text
+        for v in ("atc_cmrf", "standalone_lms"):
+            assert any(line.split() == [v, "diverged"] for line in text.splitlines())
+        assert len(out.read_text().splitlines()) == 1 + 5 * 300
+
+    def test_one_diverging_variant_is_named(self, tmp_path, capsys):
+        # standalone_lms grows from about 10.8 dB to 132 dB at this step size
+        out = tmp_path / "msd.csv"
+        code, text, _ = run_cli(
+            capsys, "--json", "simulate", "--seed", "1", "--runs", "2",
+            "--iterations", "300", "--step-size", "0.05", "-o", str(out),
+        )
+        assert code == 1
+        doc = json.loads(text)
+        assert doc["diverged"] == ["standalone_lms"]
+        assert doc["steady_state_db"]["standalone_lms"] is None
+        finite = {v: db for v, db in doc["steady_state_db"].items() if db is not None}
+        assert set(finite) == {"atc_cmrf", "atc_lgmrf", "atc_plain", "centralized_cmrf"}
+        assert all(db < 0 for db in finite.values())
+        assert len(out.read_text().splitlines()) == 1 + 5 * 300
 
 
 
@@ -320,6 +349,44 @@ def test_bad_numbers_exit_2(tmp_path, capsys, triangle_doc, argv, message):
     code, _, err = run_cli(capsys, *[a.format(**paths) for a in argv])
     assert code == 2
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("step_size", "0.1", "step_size"),
+    ("step_size", float("nan"), "step_size"),
+    ("regressor_variance", float("inf"), "regressor_variance"),
+    ("regressor_variance", 0.0, "regressor_variance"),
+    ("k_margin", None, "k_margin"),
+    ("er_probability", "0.5", "er_probability"),
+    ("seed", "1", "seed"),
+    ("seed", -1, "seed"),
+    ("num_runs", True, "num_runs"),
+    ("dim", 2.5, "dim"),
+    ("num_edges", "21", "num_edges"),
+    ("dv_bounds", [0.2], "dv_bounds"),
+    ("dt_bounds", "0.2,5.0", "dt_bounds"),
+    ("dt_bounds", [0.2, "5"], "dt_bounds"),
+    ("variants", "atc_cmrf", "variants"),
+    ("variants", ["atc_cmrf", 3], "variants"),
+    ("variants", [], "variants"),
+    ("variants", ["atc_cmrf", "atc_cmrf"], "variants"),
+    ("resample_complex", "yes", "resample_complex"),
+    ("complex_file", 5, "complex_file"),
+    ("step_size_overrides", [1e-3], "step_size_overrides"),
+    ("step_size_overrides", {"atc_plain": "1e-3"}, "step_size_overrides"),
+    ("step_size_overrides", {"atc_typo": 1e-3}, "atc_typo"),
+    ("combine_rule", 5, "combination rule"),
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, field, value, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"simulate": {
+        "seed": 1, "num_runs": 1, "num_iterations": 3, field: value,
+    }}))
+    out = tmp_path / "msd.csv"
+    code, _, err = run_cli(capsys, "--config", str(config), "simulate", "-o", str(out))
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
 
 
 def test_module_entry_point_shows_subcommands():

@@ -330,6 +330,30 @@ class TestAtcRound:
             stacked = np.vstack([psi_own] + [m.psi for m in agent.inbox.values()])
             assert np.abs(stacked.mean(axis=0) - new[e]).max() < 1e-12
 
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_matches_written_out_maths(self, variant, bench_complex, bench_model):
+        _, prec = bench_model
+        ne = bench_complex.num_edges
+        rng = np.random.default_rng(15)
+        combine = combination_weights(line_graph(bench_complex))
+        coupling = coupling_matrix(prec, variant)
+        regressors = rng.standard_normal((ne, 10))
+        observations = rng.standard_normal(ne)
+        spec = get_variant(variant)
+        if spec.is_centralized:
+            theta = rng.standard_normal(10)
+            residual = observations - regressors @ theta
+            expected = theta + 3e-4 * (regressors.T @ (coupling @ residual))
+        else:
+            theta = rng.standard_normal((ne, 10))
+            residual = observations - np.einsum("em,em->e", regressors, theta)
+            expected = theta + 4e-3 * (coupling @ residual)[:, None] * regressors
+            if spec.uses_combination:
+                expected = combine @ expected
+        step = 3e-4 if spec.is_centralized else 4e-3
+        got = atc_round(theta, regressors, observations, coupling, combine, step, variant)
+        assert np.array_equal(got, expected)
+
 
 class TestStepSizes:
     def test_reference_variant_gets_configured_step(self, bench_model):
@@ -404,6 +428,7 @@ class TestExperiment:
             curve = result.msd_mean[v]
             assert np.allclose(curve, expected, rtol=1e-12)
             assert (result.msd_std[v] == 0).all()
+        assert result.diverged == ()
 
     def test_lower_only_couplings_make_cmrf_equal_lgmrf(self):
         config = ExperimentConfig(
