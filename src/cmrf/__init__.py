@@ -57,9 +57,11 @@ from .model import (
 from .independence import (
     IndependenceReport,
     SeparationQuery,
+    SingletonScan,
     color_separated_singleton_pairs,
     is_color_separated,
     is_graph_separated,
+    scan_singleton_pairs,
     verify_conditional_independence,
     verify_marginal_independence,
 )

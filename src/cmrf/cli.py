@@ -132,7 +132,7 @@ def cmd_model_build(args) -> int:
     sc = simplicial.load_complex(args.complex)
     inc = simplicial.incidence(sc)
 
-    d_v = d_t = None
+    d_v = d_t = k = None
     if args.dv is not None:
         d_v = _parse_coeffs(args.dv, sc.num_vertices, "--dv")
     if args.dt is not None:
@@ -150,10 +150,13 @@ def cmd_model_build(args) -> int:
             margin=args.margin,
             sparsity=args.sparsity,
         )
+        if d_v is None and d_t is None:
+            k = drawn.k  # draw_params took it from these coefficients
         d_v = drawn.d_v if d_v is None else d_v
         d_t = drawn.d_t if d_t is None else d_t
 
-    k = model.min_valid_k(inc, d_v, d_t, args.margin)
+    if k is None:
+        k = model.min_valid_k(inc, d_v, d_t, args.margin)
     params = model.SgmParams(k=k, d_v=d_v, d_t=d_t)
     prec = model.build_precision(inc, params)
     model.save_model(params, args.complex, args.out)
@@ -191,13 +194,15 @@ def cmd_model_check(args) -> int:
         "product_rule": (res.product_rule, 1e-10 * prec.k**2),
         "inverse_rule": (res.inverse_rule, 1e-10 * mean_var),
     }
-    lam_min = float(np.linalg.eigvalsh(prec.omega)[0])
+    spectrum = np.linalg.eigvalsh(prec.omega)
+    lam_min = float(spectrum[0])
     cancels = model.find_cancellations(inc, params)
     passed = all(r < tol for r, tol in checks.values())
     payload = {
         "passed": passed,
         "k": params.k,
         "smallest_eigenvalue": lam_min,
+        "condition_number": float(spectrum[-1]) / lam_min,
         "residuals": {k_: r for k_, (r, _) in checks.items()},
         "tolerances": {k_: tol for k_, (_, tol) in checks.items()},
         "cancellations": [list(p) for p in cancels],
@@ -220,27 +225,21 @@ def cmd_verify(args) -> int:
     graph = model.build_cmrf(inc, params)
 
     if args.scan_singletons:
-        pairs = independence.color_separated_singleton_pairs(graph)
-        reports = [
-            independence.verify_marginal_independence(prec, graph, [i], [j])
-            for i, j in pairs
-        ]
-        passed = all(r.passed for r in reports)
-        worst = max((r.residual for r in reports), default=0.0)
+        scan = independence.scan_singleton_pairs(prec, graph)
         payload = {
-            "passed": passed,
-            "num_pairs": len(pairs),
-            "pairs": [list(p) for p in pairs],
-            "max_residual": worst,
-            "tolerance": reports[0].tolerance if reports else None,
+            "passed": scan.passed,
+            "num_pairs": len(scan.pairs),
+            "pairs": [list(p) for p in scan.pairs],
+            "max_residual": scan.max_residual,
+            "tolerance": scan.tolerance,
         }
         lines = [
-            f"color-separated singleton pairs: {len(pairs)}",
-            f"max cross-covariance residual: {worst:.3e}",
-            "PASS" if passed else "FAIL",
+            f"color-separated singleton pairs: {len(scan.pairs)}",
+            f"max cross-covariance residual: {scan.max_residual:.3e}",
+            "PASS" if scan.passed else "FAIL",
         ]
         _emit(args, payload, lines)
-        return 0 if passed else 1
+        return 0 if scan.passed else 1
 
     if args.set_a is None or args.set_b is None:
         raise ValueError("verify requires --set-a and --set-b (or --scan-singletons)")

@@ -15,7 +15,10 @@ The verify_* functions check the implied statement numerically on the
 model covariance: zero cross-covariance for marginal independence, zero
 conditional cross-covariance (Schur complement) for conditional
 independence.  Tolerances scale with the mean marginal variance
-trace(cov)/num_edges.
+trace(cov)/num_edges.  Each verify_* call inverts omega once;
+scan_singleton_pairs checks every color-separated singleton pair of a
+model with one inversion and one gather, and keeps no covariance after
+it returns.
 """
 
 from __future__ import annotations
@@ -27,17 +30,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotColorSeparated, NotSeparated, OverlappingSets
+from .errors import DimensionMismatch, NotColorSeparated, NotSeparated, OverlappingSets
 from .model import CmrfGraph, EdgePrecision, covariance
 
 __all__ = [
     "SeparationQuery",
     "IndependenceReport",
+    "SingletonScan",
     "is_graph_separated",
     "is_color_separated",
     "verify_marginal_independence",
     "verify_conditional_independence",
     "color_separated_singleton_pairs",
+    "scan_singleton_pairs",
 ]
 
 # Residual tolerances, relative to trace(cov)/num_edges.
@@ -74,6 +79,22 @@ class IndependenceReport:
     residual: float
     tolerance: float
     query: SeparationQuery
+
+
+@dataclass(frozen=True)
+class SingletonScan:
+    """Outcome of the marginal check on every color-separated singleton pair.
+
+    ``residuals[n]`` is |cov[i, j]| for ``pairs[n] == (i, j)``.  With no
+    pair to check, ``tolerance`` is None, ``max_residual`` 0.0 and the
+    scan passes vacuously.
+    """
+
+    pairs: list[tuple[int, int]]
+    residuals: np.ndarray
+    tolerance: float | None
+    max_residual: float
+    passed: bool
 
 
 def _check_nodes(graph: CmrfGraph, nodes: Iterable[int]) -> None:
@@ -168,21 +189,24 @@ def _component_labels(
     return labels
 
 
+def _separated_pair_indices(graph: CmrfGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (rows, cols) of color_separated_singleton_pairs."""
+    lower = _component_labels(graph.num_nodes, graph.lower_links)
+    upper = _component_labels(graph.num_nodes, graph.upper_links)
+    rows, cols = np.triu_indices(graph.num_nodes, 1)
+    keep = (lower[rows] != lower[cols]) & (upper[rows] != upper[cols])
+    return rows[keep], cols[keep]
+
+
 def color_separated_singleton_pairs(graph: CmrfGraph) -> list[tuple[int, int]]:
     """All pairs (i, j), i < j, with {i} color-separated from {j}.
 
     A singleton pair is color-separated iff the two nodes fall in
     different connected components of the lower-link graph and also of
-    the upper-link graph.
+    the upper-link graph.  Pairs come in lexicographic order.
     """
-    lower = _component_labels(graph.num_nodes, graph.lower_links)
-    upper = _component_labels(graph.num_nodes, graph.upper_links)
-    return [
-        (i, j)
-        for i in range(graph.num_nodes)
-        for j in range(i + 1, graph.num_nodes)
-        if lower[i] != lower[j] and upper[i] != upper[j]
-    ]
+    rows, cols = _separated_pair_indices(graph)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def _mean_variance(cov: np.ndarray) -> float:
@@ -255,4 +279,33 @@ def verify_conditional_independence(
         residual=residual,
         tolerance=tolerance,
         query=query,
+    )
+
+
+def scan_singleton_pairs(prec: EdgePrecision, graph: CmrfGraph) -> SingletonScan:
+    """Check zero cross-covariance on every color-separated singleton pair.
+
+    Gives per pair the residual and tolerance that
+    verify_marginal_independence reports for ({i}, {j}), bit for bit,
+    but inverts omega once for the whole scan and reads all residuals
+    with one gather.  The covariance is not kept.
+    """
+    if prec.num_edges != graph.num_nodes:
+        raise DimensionMismatch(
+            f"precision has {prec.num_edges} edges, graph has {graph.num_nodes} nodes"
+        )
+    rows, cols = _separated_pair_indices(graph)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    if not pairs:
+        return SingletonScan(pairs=[], residuals=np.zeros(0), tolerance=None,
+                             max_residual=0.0, passed=True)
+    cov = covariance(prec)
+    residuals = np.abs(cov[rows, cols])
+    tolerance = MARGINAL_RTOL * _mean_variance(cov)
+    return SingletonScan(
+        pairs=pairs,
+        residuals=residuals,
+        tolerance=tolerance,
+        max_residual=float(residuals.max()),
+        passed=bool(np.all(residuals < tolerance)),
     )

@@ -236,6 +236,16 @@ def identity_residuals(prec: EdgePrecision) -> IdentityResiduals:
     )
 
 
+def _link_pairs(
+    inc: IncidencePair, params: SgmParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper links as (m, 2) arrays of pairs i < j, sorted."""
+    _check_params(inc, params)
+    lower = _shared_face_pairs(inc.b1, params.d_v != 0)
+    upper = _shared_face_pairs(inc.b2.T, params.d_t != 0)
+    return lower, upper
+
+
 def build_cmrf(inc: IncidencePair, params: SgmParams) -> CmrfGraph:
     """Read the colored graph off the symbolic support of the couplings.
 
@@ -243,9 +253,7 @@ def build_cmrf(inc: IncidencePair, params: SgmParams) -> CmrfGraph:
     are nonzero, never on float magnitudes, so exact cancellations in
     omega do not remove links.
     """
-    _check_params(inc, params)
-    lower = _shared_face_pairs(inc.b1, params.d_v != 0)
-    upper = _shared_face_pairs(inc.b2.T, params.d_t != 0)
+    lower, upper = _link_pairs(inc, params)
     return CmrfGraph(
         num_nodes=inc.b1.shape[1],
         lower_links=frozenset(map(tuple, lower.tolist())),
@@ -260,17 +268,17 @@ def find_cancellations(
 
     For such pairs the Gaussian graph of omega is strictly smaller than
     the colored graph; conditional independence statements read off the
-    colors are then conservative but still valid.
+    colors are then conservative but still valid.  Pairs come sorted.
     """
+    linked = np.zeros((inc.b1.shape[1],) * 2, dtype=bool)
+    for pairs in _link_pairs(inc, params):
+        linked[pairs[:, 0], pairs[:, 1]] = True
+    rows, cols = np.nonzero(linked)  # row-major, so sorted
     a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
-    graph = build_cmrf(inc, params)
-    out = []
-    for i, j in sorted(graph.links):
-        coupling = a_d[i, j] + a_u[i, j]
-        scale = max(abs(a_d[i, j]), abs(a_u[i, j]))
-        if scale > 0 and abs(coupling) <= _CANCEL_RTOL * scale:
-            out.append((i, j))
-    return out
+    lo, up = a_d[rows, cols], a_u[rows, cols]
+    scale = np.maximum(np.abs(lo), np.abs(up))
+    cancel = (scale > 0) & (np.abs(lo + up) <= _CANCEL_RTOL * scale)
+    return list(zip(rows[cancel].tolist(), cols[cancel].tolist()))
 
 
 def sample(

@@ -338,8 +338,12 @@ def random_2sc(
       selections are tried per graph before resampling.
 
     Raises GenerationFailed when ``max_attempts`` graphs were sampled
-    without success.  Identical arguments and seed reproduce the same
-    complex.
+    without success, and at once, before drawing, when ``num_edges`` is
+    given and no graph can meet the targets: more edges than vertex
+    pairs, or trivial homology asked for with fewer than
+    num_edges - num_vertices + 1 triangles (rank(b1) <= num_vertices - 1
+    leaves at least that many cycles for the triangles to fill).
+    Identical arguments and seed reproduce the same complex.
     """
     if num_vertices < 1:
         raise ValueError("num_vertices must be positive")
@@ -351,6 +355,19 @@ def random_2sc(
         er_probability = num_edges / (num_vertices * (num_vertices - 1) / 2)
     if not 0.0 <= er_probability <= 1.0:
         raise ValueError("er_probability must lie in [0, 1]")
+    if num_edges is not None:
+        if num_edges < 0:
+            raise ValueError("num_edges must be nonnegative")
+        if num_edges > num_vertices * (num_vertices - 1) // 2:
+            raise GenerationFailed(
+                f"{num_edges} edges do not fit on {num_vertices} vertices"
+            )
+        if require_trivial_homology and triangle_budget < num_edges - num_vertices + 1:
+            raise GenerationFailed(
+                f"trivial homology with {num_vertices} vertices and {num_edges} "
+                f"edges needs at least {num_edges - num_vertices + 1} triangles, "
+                f"got {triangle_budget}"
+            )
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 

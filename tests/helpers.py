@@ -10,6 +10,9 @@ link, line-graph and clique oracles enumerate pairs and triples of
 simplices directly instead of reading supports off incidence products.
 The per-agent view of an ATC round (agent_states) expands a vectorized
 round into the messages each agent receives, to test locality.  The
+singleton-scan oracles are the former double loop over component labels
+and the former per-pair loop of verify_marginal_independence calls, one
+covariance each; the cancellation oracle is the former per-link loop.  The
 Monte Carlo oracle (msd_by_run_loop) runs the simulator one run, one
 variant and one iteration at a time with the ATC maths written out
 inline, against which the batched simulator must agree bit for bit.
@@ -35,7 +38,10 @@ from cmrf import (
     local_loss_terms,
     random_2sc,
     step_sizes,
+    verify_marginal_independence,
 )
+from cmrf.independence import _component_labels
+from cmrf.model import _CANCEL_RTOL, _coupling_parts
 
 
 def draw_sparse_model(inc, seed, sparsity=0.5):
@@ -188,6 +194,43 @@ def cliques_by_combinations(num_vertices, edges):
         for a, b, c in itertools.combinations(range(num_vertices), 3)
         if (a, b) in eset and (a, c) in eset and (b, c) in eset
     ]
+
+
+def separated_pairs_by_double_loop(graph):
+    """Color-separated singleton pairs by comparing component labels pairwise."""
+    lower = _component_labels(graph.num_nodes, graph.lower_links)
+    upper = _component_labels(graph.num_nodes, graph.upper_links)
+    return [
+        (i, j)
+        for i in range(graph.num_nodes)
+        for j in range(i + 1, graph.num_nodes)
+        if lower[i] != lower[j] and upper[i] != upper[j]
+    ]
+
+
+def scan_by_pair_loop(prec, graph, pairs):
+    """One verify_marginal_independence report per pair; returns the scan summary.
+
+    Gives (passed, max_residual, tolerance, reports) as the singleton
+    scan of cmrf verify computed them before it had a one-inversion path.
+    """
+    reports = [verify_marginal_independence(prec, graph, [i], [j]) for i, j in pairs]
+    passed = all(r.passed for r in reports)
+    worst = max((r.residual for r in reports), default=0.0)
+    tolerance = reports[0].tolerance if reports else None
+    return passed, worst, tolerance, reports
+
+
+def cancellations_by_loop(inc, params):
+    """Colored links whose lower and upper couplings cancel, one link at a time."""
+    a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
+    out = []
+    for i, j in sorted(build_cmrf(inc, params).links):
+        coupling = a_d[i, j] + a_u[i, j]
+        scale = max(abs(a_d[i, j]), abs(a_u[i, j]))
+        if scale > 0 and abs(coupling) <= _CANCEL_RTOL * scale:
+            out.append((i, j))
+    return out
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,11 @@ import pytest
 
 from cmrf import (
     SgmParams,
+    build_precision,
     incidence,
+    load_model,
     min_valid_k,
+    model,
     save_complex,
     save_model,
 )
@@ -85,6 +88,17 @@ class TestComplexCommands:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("nv, ne, nt", [(30, 120, 60), (60, 400, 200)])
+    def test_generate_refuses_impossible_homology(self, tmp_path, capsys, nv, ne, nt):
+        out = tmp_path / "x.json"
+        argv = ["complex", "generate", "--vertices", str(nv), "--edges", str(ne),
+                "--triangles", str(nt), "--seed", "1", "-o", str(out)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and f"at least {ne - nv + 1} triangles" in err
+        assert not out.exists()
+        code, text, _ = run_cli(capsys, *argv, "--allow-nontrivial-homology")
+        assert code == 0 and f"edges={ne}" in text
+
 
 class TestModelCommands:
     def test_build_and_check(self, tmp_path, capsys, triangle_doc):
@@ -98,6 +112,38 @@ class TestModelCommands:
         code, text, _ = run_cli(capsys, "model", "check", str(out))
         assert code == 0
         assert "PASS" in text
+
+    def test_check_json_reports_condition_number(self, capsys, clustered_model_doc):
+        code, text, _ = run_cli(capsys, "model", "check", str(clustered_model_doc))
+        assert code == 0 and "condition" not in text
+        code, text, _ = run_cli(capsys, "model", "check", str(clustered_model_doc), "--json")
+        doc = json.loads(text)
+        sc, params = load_model(clustered_model_doc)
+        omega = build_precision(incidence(sc), params).omega
+        assert doc["condition_number"] == pytest.approx(np.linalg.cond(omega), rel=1e-9)
+        assert doc["condition_number"] >= 1.0
+
+    @pytest.mark.parametrize("coeffs, calls", [
+        ((), 1), (("--dv", "1.5"), 2), (("--dv", "1.5", "--dt", "0.5"), 1),
+    ], ids=["drawn", "dv-given", "both-given"])
+    def test_build_computes_k_once_per_coefficient_set(
+        self, tmp_path, capsys, monkeypatch, triangle_doc, coeffs, calls
+    ):
+        seen = []
+        real = model.min_valid_k
+
+        def spy(inc, d_v, d_t, margin=0.1):
+            seen.append(margin)
+            return real(inc, d_v, d_t, margin)
+
+        monkeypatch.setattr(model, "min_valid_k", spy)
+        out = tmp_path / "model.json"
+        code, _, _ = run_cli(capsys, "model", "build", str(triangle_doc), "--seed", "3",
+                             "--sparsity", "0.5", *coeffs, "-o", str(out))
+        assert code == 0 and len(seen) == calls
+        sc, params = load_model(out)
+        # k always belongs to the coefficients written out
+        assert params.k == real(incidence(sc), params.d_v, params.d_t)
 
     def test_build_with_zero_couplings_reports_identity(
         self, tmp_path, capsys, triangle_doc
@@ -170,6 +216,28 @@ class TestVerifyCommand:
         assert doc["passed"] is True
         assert [0, 3] in doc["pairs"] and doc["num_pairs"] >= 4
 
+    def test_scan_inverts_once(self, capsys, monkeypatch, clustered_model_doc):
+        inv, calls = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+        code, text, _ = run_cli(
+            capsys, "verify", str(clustered_model_doc), "--scan-singletons", "--json",
+        )
+        assert code == 0 and json.loads(text)["num_pairs"] >= 4
+        assert calls == [(7, 7)]
+
+    def test_scan_without_pairs(self, tmp_path, capsys, triangle_doc):
+        out = tmp_path / "model.json"
+        run_cli(capsys, "model", "build", str(triangle_doc), "--dv", "1", "--dt", "1",
+                "-o", str(out))
+        code, text, _ = run_cli(capsys, "verify", str(out), "--scan-singletons", "--json")
+        assert code == 0
+        assert json.loads(text) == {"passed": True, "num_pairs": 0, "pairs": [],
+                                    "max_residual": 0.0, "tolerance": None}
+        code, text, _ = run_cli(capsys, "verify", str(out), "--scan-singletons")
+        assert code == 0
+        assert text == ("color-separated singleton pairs: 0\n"
+                        "max cross-covariance residual: 0.000e+00\nPASS\n")
+
     def test_shared_flags_accepted_after_subcommand(self, capsys, clustered_model_doc):
         code, text, _ = run_cli(
             capsys, "verify", str(clustered_model_doc),
@@ -187,6 +255,15 @@ class TestVerifyCommand:
 
 
 class TestSimulateCommand:
+    def test_refuses_impossible_homology(self, tmp_path, capsys):
+        out = tmp_path / "msd.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--seed", "1", "--vertices", "30", "--edges", "120",
+            "--triangles", "60", "--runs", "1", "--iterations", "2", "-o", str(out),
+        )
+        assert code == 2 and "at least 91 triangles" in err
+        assert not out.exists()
+
     def test_small_run_writes_csv_and_summary(self, tmp_path, capsys):
         out = tmp_path / "msd.csv"
         code, text, _ = run_cli(

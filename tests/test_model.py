@@ -14,12 +14,13 @@ from cmrf import (
     incidence,
     load_model,
     min_valid_k,
+    random_2sc,
     sample,
     save_complex,
     save_model,
 )
 
-from helpers import draw_sparse_model
+from helpers import cancellations_by_loop, draw_sparse_model
 
 
 def random_cases(bench_incidence, count, sparsity=0.0):
@@ -154,6 +155,25 @@ class TestColoredGraph:
     def test_no_cancellations_for_generic_draws(self, bench_incidence):
         params = draw_params(bench_incidence, np.random.default_rng(3))
         assert find_cancellations(bench_incidence, params) == []
+
+    def test_cancellations_match_link_loop_on_fixture(self, filled_triangle):
+        inc = incidence(filled_triangle)
+        params = SgmParams(k=6.0, d_v=np.array([1.5, 0.0, 0.0]), d_t=np.array([1.5]))
+        assert find_cancellations(inc, params) == cancellations_by_loop(inc, params)
+
+    @pytest.mark.parametrize("nv, ne, nt", [(30, 120, 60), (60, 400, 200)])
+    def test_cancellations_match_link_loop_at_scale(self, nv, ne, nt):
+        sc = random_2sc(nv, None, nt, seed=5, num_edges=ne, require_trivial_homology=False)
+        inc = incidence(sc)
+        for sparsity in (0.0, 0.5):
+            params = draw_params(inc, 5, sparsity=sparsity)
+            assert find_cancellations(inc, params) == cancellations_by_loop(inc, params)
+        # unit coefficients cancel on every pair of triangle sides whose
+        # lower and upper signs oppose
+        d_v, d_t = np.ones(nv), np.ones(nt)
+        params = SgmParams(k=min_valid_k(inc, d_v, d_t), d_v=d_v, d_t=d_t)
+        found = find_cancellations(inc, params)
+        assert found and found == cancellations_by_loop(inc, params)
 
 
 class TestSampling:

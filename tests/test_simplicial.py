@@ -233,6 +233,27 @@ class TestRandom2sc:
         with pytest.raises(GenerationFailed):
             random_2sc(4, 0.5, 5, seed=1, max_attempts=20)
 
+    @pytest.mark.parametrize("nv, ne, nt", [(30, 120, 60), (60, 400, 200), (10, 21, 11)])
+    def test_impossible_trivial_homology_fails_before_drawing(self, nv, ne, nt):
+        # rank(b1) <= nv - 1 leaves at least ne - nv + 1 cycles to fill
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(GenerationFailed, match=f"at least {ne - nv + 1} triangles"):
+            random_2sc(nv, None, nt, rng, num_edges=ne)
+        assert rng.bit_generator.state == state
+        # the same request without the homology requirement is feasible
+        sc = random_2sc(nv, None, nt, 0, num_edges=ne, require_trivial_homology=False)
+        assert sc.num_edges == ne
+
+    def test_too_many_edges_fail_before_drawing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(GenerationFailed, match="do not fit"):
+            random_2sc(5, 0.5, 0, rng, num_edges=11, require_trivial_homology=False)
+        assert rng.bit_generator.state == state
+        with pytest.raises(ValueError):
+            random_2sc(5, 0.5, 0, rng, num_edges=-1)
+
     def test_homology_requirement_can_be_waived(self):
         # A sparse graph with no triangles almost surely has cycles left
         # unfilled; the default would reject, the flag accepts.
