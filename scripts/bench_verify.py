@@ -19,9 +19,9 @@ Per scale and side the script records:
   the side has it;
 * ``cli_scan_s``: ``cmrf verify MODEL --scan-singletons --json`` in
   process, loading and JSON output included, when the estimate from
-  the loop stays under ``--cli-limit`` seconds (else null).
+  the loop stays under ``CLI_LIMIT_S`` seconds (else null).
 
-Times are medians of ``--repeats`` runs.  The output also holds the
+Times are medians of ``REPEATS`` runs.  The output also holds the
 machine record of the benchmark runner (perfbench/run.py).
 """
 
@@ -44,18 +44,20 @@ SCALES = [(10, 21, 12), (30, 120, 60), (60, 400, 200)]
 SEED = 5
 SPARSITY = 0.5
 SAMPLE = 200
+REPEATS = 5
+CLI_LIMIT_S = 10.0
 
 
-def _median_time(fn, repeats: int) -> float:
+def _median_time(fn) -> float:
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
 
 
-def measure(repeats: int, cli_limit: float) -> dict:
+def measure() -> dict:
     """Measurements of the cmrf importable in this process, one entry per scale."""
     import numpy as np
 
@@ -78,12 +80,12 @@ def measure(repeats: int, cli_limit: float) -> dict:
             for i, j in sample:
                 independence.verify_marginal_independence(prec, graph, [i], [j])
 
-        loop_s = _median_time(loop, repeats) / len(sample)
+        loop_s = _median_time(loop) / len(sample)
         entry = {"num_pairs": len(pairs), "sample_pairs": len(sample),
                  "loop_ms_per_pair": 1e3 * loop_s}
         if hasattr(independence, "scan_singleton_pairs"):
             scan_s = _median_time(
-                lambda: independence.scan_singleton_pairs(prec, graph), repeats)
+                lambda: independence.scan_singleton_pairs(prec, graph))
             entry["scan_s"] = scan_s
             entry["scan_ms_per_pair"] = 1e3 * scan_s / len(pairs)
         with tempfile.TemporaryDirectory() as tmp:
@@ -98,17 +100,16 @@ def measure(repeats: int, cli_limit: float) -> dict:
                     raise SystemExit(f"cmrf {' '.join(argv)} exited {code}")
 
             estimate = entry.get("scan_s", loop_s * len(pairs))
-            entry["cli_scan_s"] = (_median_time(command, repeats)
-                                   if estimate < cli_limit else None)
+            entry["cli_scan_s"] = (_median_time(command)
+                                   if estimate < CLI_LIMIT_S else None)
         out[f"{nv}/{ne}/{nt}"] = entry
     return out
 
 
-def run_side(checkout: Path, repeats: int, cli_limit: float) -> dict:
+def run_side(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
-        [sys.executable, __file__, "--measure", "--repeats", str(repeats),
-         "--cli-limit", str(cli_limit)],
+        [sys.executable, __file__, "--measure"],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
@@ -118,13 +119,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", type=Path, help="checkout of the earlier commit")
     parser.add_argument("-o", "--out", type=Path, help="JSON file to write")
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--cli-limit", type=float, default=10.0,
-                        help="skip the CLI scan when it would take longer (s)")
     parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.measure:
-        print(json.dumps(measure(args.repeats, args.cli_limit)))
+        print(json.dumps(measure()))
         return 0
     if args.before is None or args.out is None:
         parser.error("--before and --out are required")
@@ -132,8 +130,8 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from run import machine
 
-    before = run_side(args.before.resolve(), args.repeats, args.cli_limit)
-    after = run_side(ROOT, args.repeats, args.cli_limit)
+    before = run_side(args.before.resolve())
+    after = run_side(ROOT)
     scales = {}
     for name, old in before.items():
         new = after[name]
@@ -149,7 +147,7 @@ def main() -> int:
         "what": "cmrf verify --scan-singletons: per-pair loop before, one-inversion scan after",
         "models": f"random_2sc(V, None, T, seed={SEED}, num_edges=E), "
                   f"draw_params(..., {SEED}, sparsity={SPARSITY})",
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "machine": machine(),
         "scales": scales,
     }

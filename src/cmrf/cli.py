@@ -132,7 +132,7 @@ def cmd_model_build(args) -> int:
     sc = simplicial.load_complex(args.complex)
     inc = simplicial.incidence(sc)
 
-    d_v = d_t = k = None
+    d_v = d_t = None
     if args.dv is not None:
         d_v = _parse_coeffs(args.dv, sc.num_vertices, "--dv")
     if args.dt is not None:
@@ -150,14 +150,14 @@ def cmd_model_build(args) -> int:
             margin=args.margin,
             sparsity=args.sparsity,
         )
-        if d_v is None and d_t is None:
-            k = drawn.k  # draw_params took it from these coefficients
+    if d_v is None and d_t is None:
+        params = drawn  # draw_params took k from these coefficients
+    else:
         d_v = drawn.d_v if d_v is None else d_v
         d_t = drawn.d_t if d_t is None else d_t
-
-    if k is None:
-        k = model.min_valid_k(inc, d_v, d_t, args.margin)
-    params = model.SgmParams(k=k, d_v=d_v, d_t=d_t)
+        params = model.SgmParams(
+            k=model.min_valid_k(inc, d_v, d_t, args.margin), d_v=d_v, d_t=d_t
+        )
     prec = model.build_precision(inc, params)
     model.save_model(params, args.complex, args.out)
 
@@ -167,13 +167,13 @@ def cmd_model_build(args) -> int:
     )
     payload = {
         "out": str(args.out),
-        "k": float(k),
+        "k": float(params.k),
         "num_lower_nonzero": int(np.count_nonzero(params.d_v)),
         "num_upper_nonzero": int(np.count_nonzero(params.d_t)),
         "omega_is_k_identity": diag_const,
         "cancellations": [list(p) for p in cancels],
     }
-    lines = [f"wrote {args.out}", f"k={k:.6g}"]
+    lines = [f"wrote {args.out}", f"k={params.k:.6g}"]
     if diag_const:
         lines.append("omega = k*I (no couplings)")
     if cancels:

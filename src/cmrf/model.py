@@ -236,16 +236,6 @@ def identity_residuals(prec: EdgePrecision) -> IdentityResiduals:
     )
 
 
-def _link_pairs(
-    inc: IncidencePair, params: SgmParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper links as (m, 2) arrays of pairs i < j, sorted."""
-    _check_params(inc, params)
-    lower = _shared_face_pairs(inc.b1, params.d_v != 0)
-    upper = _shared_face_pairs(inc.b2.T, params.d_t != 0)
-    return lower, upper
-
-
 def build_cmrf(inc: IncidencePair, params: SgmParams) -> CmrfGraph:
     """Read the colored graph off the symbolic support of the couplings.
 
@@ -253,7 +243,9 @@ def build_cmrf(inc: IncidencePair, params: SgmParams) -> CmrfGraph:
     are nonzero, never on float magnitudes, so exact cancellations in
     omega do not remove links.
     """
-    lower, upper = _link_pairs(inc, params)
+    _check_params(inc, params)
+    lower = _shared_face_pairs(inc.b1, params.d_v != 0)
+    upper = _shared_face_pairs(inc.b2.T, params.d_t != 0)
     return CmrfGraph(
         num_nodes=inc.b1.shape[1],
         lower_links=frozenset(map(tuple, lower.tolist())),
@@ -270,15 +262,15 @@ def find_cancellations(
     the colored graph; conditional independence statements read off the
     colors are then conservative but still valid.  Pairs come sorted.
     """
-    linked = np.zeros((inc.b1.shape[1],) * 2, dtype=bool)
-    for pairs in _link_pairs(inc, params):
-        linked[pairs[:, 0], pairs[:, 1]] = True
-    rows, cols = np.nonzero(linked)  # row-major, so sorted
+    _check_params(inc, params)
     a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
-    lo, up = a_d[rows, cols], a_u[rows, cols]
+    # Two edges share at most one vertex and one triangle, so each
+    # off-diagonal entry of a_d and a_u is exactly +-d or 0: scale > 0
+    # holds exactly on the colored links.
+    lo, up = np.triu(a_d, 1), np.triu(a_u, 1)
     scale = np.maximum(np.abs(lo), np.abs(up))
-    cancel = (scale > 0) & (np.abs(lo + up) <= _CANCEL_RTOL * scale)
-    return list(zip(rows[cancel].tolist(), cols[cancel].tolist()))
+    rows, cols = np.nonzero((scale > 0) & (np.abs(lo + up) <= _CANCEL_RTOL * scale))
+    return list(zip(rows.tolist(), cols.tolist()))  # row-major, so sorted
 
 
 def sample(
