@@ -17,8 +17,6 @@ from .errors import (
     DuplicateSimplex,
     GenerationFailed,
     InvalidDocument,
-    MissingNeighborData,
-    MissingNeighborResidual,
     NotColorSeparated,
     NotPositiveDefinite,
     NotSeparated,
@@ -68,16 +66,11 @@ from .independence import (
 from .diffusion import (
     VARIANTS,
     ExperimentConfig,
-    MeasurementModel,
     MsdResult,
     VariantSpec,
-    atc_round,
     combination_weights,
     coupling_matrix,
-    generate_round,
     get_variant,
-    local_gradient,
-    local_loss_terms,
     run_experiment,
     step_sizes,
     write_csv,

@@ -9,18 +9,17 @@ edges from the structured model N(0, inv(omega)).  The network objective
 
     J(theta) = 0.5 * E[ r.T @ omega @ r ],    r_e = y_e - u_e.T @ theta
 
-splits into edge-wise terms phi_h - phi_d - phi_u (see
-:func:`local_loss_terms`), each computable from an edge's own residual
+splits into edge-wise terms, each computable from an edge's own residual
 and the residuals of its line-graph neighbors.  The distributed
 estimators run adapt-then-combine rounds on the line graph:
 
-    adapt:   psi_e = theta_e - mu * local_gradient(e)
-    combine: theta_e = average of psi over the closed neighborhood of e
+    adapt:   psi_e = theta_e + mu * u_e * sum_e' omega_v[e, e'] * r_e'
+    combine: theta_e = weighted average of psi over the closed neighborhood of e
 
-where the gradient descends the agent's slice of the decomposed
-objective with neighbor residuals frozen at their communicated values,
-
-    local_gradient(e) = -u_e * sum_e' omega_v[e, e'] * r_e'.
+The adapt step descends the agent's slice of the decomposed objective
+with neighbor residuals frozen at their communicated values; row e of
+omega_v is nonzero only at e and its line-graph neighbors, so each agent
+needs only what its neighbors send.
 
 The coupling matrix omega_v depends on the variant: the full precision
 for atc_cmrf, the lower-only factor for atc_lgmrf, and k*I for the
@@ -28,7 +27,9 @@ topology-blind atc_plain and standalone_lms (the latter also skips the
 combine step).  centralized_cmrf updates one shared estimate with the
 full gradient -U.T @ omega @ r.  Summed over edges the distributed
 adapt directions aggregate to that same full gradient, which is why
-atc_cmrf tracks the centralized estimator closely.
+atc_cmrf tracks the centralized estimator closely.  One kernel,
+``_atc_step``, runs the distributed round for every run and variant at
+once; ``_centralized_step`` runs the centralized one.
 
 Step sizes are matched across variants so that curves are comparable:
 the configured step applies to atc_cmrf as-is and other variants are
@@ -49,37 +50,17 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingNeighborData, MissingNeighborResidual
-from .model import (
-    EdgePrecision,
-    SgmParams,
-    _coupling_parts,
-    build_precision,
-    covariance_cholesky,
-    draw_params,
-)
-from .simplicial import (
-    IncidencePair,
-    SimplicialComplex2,
-    incidence,
-    line_graph,
-    load_complex,
-    random_2sc,
-)
+from .model import EdgePrecision, build_precision, covariance_cholesky, draw_params
+from .simplicial import SimplicialComplex2, incidence, line_graph, load_complex, random_2sc
 
 __all__ = [
     "VariantSpec",
     "VARIANTS",
     "get_variant",
-    "MeasurementModel",
     "ExperimentConfig",
     "MsdResult",
-    "generate_round",
-    "local_loss_terms",
-    "local_gradient",
     "coupling_matrix",
     "combination_weights",
-    "atc_round",
     "step_sizes",
     "run_experiment",
     "write_csv",
@@ -118,55 +99,6 @@ def get_variant(name: str) -> VariantSpec:
         ) from None
 
 
-@dataclass(frozen=True)
-class MeasurementModel:
-    """Ground truth parameter plus the regressor and noise distributions."""
-
-    theta0: np.ndarray
-    regressor_variance: float
-    noise: EdgePrecision
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "theta0", np.asarray(self.theta0, dtype=float)
-        )
-        if self.theta0.ndim != 1:
-            raise ValueError("theta0 must be a vector")
-        if self.regressor_variance <= 0:
-            raise ValueError("regressor_variance must be positive")
-        object.__setattr__(
-            self, "_noise_chol", covariance_cholesky(self.noise)
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.theta0.shape[0]
-
-    @property
-    def num_edges(self) -> int:
-        return self.noise.num_edges
-
-
-def generate_round(
-    model: MeasurementModel, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one round of regressors and observations.
-
-    Returns (regressors, observations) with shapes (num_edges, dim) and
-    (num_edges,).  Regressor entries are N(0, regressor_variance) i.i.d.;
-    the noise vector is one joint draw from the structured model.  The
-    generator is consumed in that fixed order, so streams line up across
-    variant lists.
-    """
-    ne, m = model.num_edges, model.dim
-    draws = rng.standard_normal((1, 1, ne * m + ne))
-    regressors, observations = _measure(
-        draws, ne, np.sqrt(model.regressor_variance),
-        model._noise_chol[None], model.theta0[None],
-    )
-    return regressors[0, 0], observations[0, 0]
-
-
 def _measure(draws, num_edges, scale, chol, theta0):
     """Regressors and observations from blocks of standard normal draws.
 
@@ -184,103 +116,6 @@ def _measure(draws, num_edges, scale, chol, theta0):
     regressors = regressors.reshape(g, b, num_edges, split // num_edges)
     noise = draws[..., None, split:] @ chol[:, None].swapaxes(-1, -2)
     return regressors, (regressors @ theta0[:, None, :, None])[..., 0] + noise[..., 0, :]
-
-
-def local_loss_terms(
-    edge: int,
-    residuals: Mapping[int, float],
-    params: SgmParams,
-    inc: IncidencePair,
-) -> tuple[float, float, float]:
-    """Edge-wise split (phi_h, phi_d, phi_u) of the instantaneous loss.
-
-    phi_h = (k/2) * r_e**2 needs only the edge's own residual.  phi_d
-    couples r_e to residuals of edges sharing a vertex u with
-    d_v[u] != 0, phi_u to residuals of edges sharing a triangle t with
-    d_t[t] != 0; cross products carry the signed incidence pattern and a
-    factor 1/2 so that summing phi_h - phi_d - phi_u over all edges
-    recovers 0.5 * r.T @ omega @ r exactly.
-
-    Raises MissingNeighborResidual when a residual needed by a nonzero
-    coupling term is absent from ``residuals``.
-    """
-    if edge not in residuals:
-        raise ValueError(f"residuals must include the edge itself ({edge})")
-    r_e = float(residuals[edge])
-    phi_h = 0.5 * params.k * r_e**2
-
-    def half_quadratic(incmat: np.ndarray, coeffs: np.ndarray, col: np.ndarray):
-        own = 0.0
-        cross = 0.0
-        for s in np.flatnonzero(col):
-            c = coeffs[s]
-            own += c * col[s] ** 2
-            if c == 0.0:
-                continue
-            for other in np.flatnonzero(incmat[s]):
-                if other == edge:
-                    continue
-                if other not in residuals:
-                    raise MissingNeighborResidual(
-                        f"edge {edge} needs the residual of edge {other}"
-                    )
-                cross += c * col[s] * incmat[s, other] * r_e * residuals[other]
-        return 0.5 * (own * r_e**2 + cross)
-
-    # Lower part: rows of b1 are vertices, col holds the edge's entries.
-    phi_d = half_quadratic(inc.b1, params.d_v, inc.b1[:, edge])
-    # Upper part: same pattern with triangles in place of vertices.
-    phi_u = half_quadratic(inc.b2.T, params.d_t, inc.b2[edge])
-    return phi_h, float(phi_d), float(phi_u)
-
-
-def local_gradient(
-    edge: int,
-    variant: str | VariantSpec,
-    own: tuple[float, np.ndarray, np.ndarray],
-    neighbor_residuals: Mapping[int, float],
-    params: SgmParams,
-    inc: IncidencePair,
-) -> np.ndarray:
-    """Instantaneous loss gradient at one edge, neighbor residuals frozen.
-
-    ``own`` is the triple (y_e, u_e, theta_e).  The result is
-
-        grad = -u_e * sum_e' omega_v[e, e'] * r_e'
-
-    the derivative through the edge's own residual of its slice of the
-    decomposed objective (the sum of phi_h - phi_d - phi_u over the
-    closed neighborhood, every other residual held at its communicated
-    value).  Descent direction is -grad.  For the topology-blind
-    variants this reduces to -k * r_e * u_e.
-
-    Raises MissingNeighborData when a neighbor with nonzero coupling is
-    absent from ``neighbor_residuals``.
-    """
-    spec = get_variant(variant) if isinstance(variant, str) else variant
-    y_e, u_e, theta_e = own
-    u_e = np.asarray(u_e, dtype=float)
-    theta_e = np.asarray(theta_e, dtype=float)
-    r_e = float(y_e - u_e @ theta_e)
-
-    a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
-    row = np.zeros(inc.b1.shape[1])
-    row[edge] = params.k
-    if spec.uses_lower_term:
-        row -= a_d[edge]
-    if spec.uses_upper_term:
-        row -= a_u[edge]
-    weighted = row[edge] * r_e
-    for other in np.flatnonzero(row):
-        if other == edge:
-            continue
-        if other not in neighbor_residuals:
-            raise MissingNeighborData(
-                f"edge {edge} needs the residual of edge {other} "
-                f"for variant {spec.name}"
-            )
-        weighted += row[other] * float(neighbor_residuals[other])
-    return -weighted * u_e
 
 
 def coupling_matrix(prec: EdgePrecision, variant: str | VariantSpec) -> np.ndarray:
@@ -319,40 +154,6 @@ def combination_weights(adjacency: np.ndarray, rule: str = "uniform") -> np.ndar
         np.fill_diagonal(weights, 1.0 - weights.sum(axis=1))
         return weights
     raise ValueError(f"unknown combination rule: {rule!r}")
-
-
-def atc_round(
-    theta: np.ndarray,
-    regressors: np.ndarray,
-    observations: np.ndarray,
-    coupling: np.ndarray,
-    combine: np.ndarray,
-    step_size: float,
-    variant: str | VariantSpec,
-) -> np.ndarray:
-    """One synchronous adapt-then-combine round for all agents.
-
-    ``theta`` has shape (num_edges, dim) for the distributed variants and
-    (dim,) for centralized_cmrf.  Returns the updated estimate(s); inputs
-    are not modified.
-    """
-    spec = get_variant(variant) if isinstance(variant, str) else variant
-    if spec.is_centralized:
-        if theta.ndim != 1:
-            raise DimensionMismatch("centralized variant takes a single vector")
-        return _centralized_step(
-            theta[None], regressors[None], observations[None],
-            coupling[None], np.full((1, 1), step_size),
-        )[0]
-    if theta.shape != regressors.shape:
-        raise DimensionMismatch(
-            f"theta shape {theta.shape} != regressors shape {regressors.shape}"
-        )
-    return _atc_step(
-        theta[None, None], regressors[None], observations[None],
-        coupling[None, None], np.zeros((1, 1, 1)), np.full((1, 1, 1, 1), step_size),
-        combine, 1 if spec.uses_combination else 0,
-    )[0, 0]
 
 
 def _atc_step(theta, regressors, observations, couplings, k, steps, combine, num_combined):

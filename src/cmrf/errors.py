@@ -48,11 +48,3 @@ class NotColorSeparated(CmrfError):
 
 class NotSeparated(CmrfError):
     """A conditional independence check was asked for a non-separated query."""
-
-
-class MissingNeighborData(CmrfError):
-    """A local computation needs data from a neighbor that was not supplied."""
-
-
-class MissingNeighborResidual(MissingNeighborData):
-    """A local loss evaluation needs a neighbor residual that is absent."""

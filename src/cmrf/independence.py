@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NotColorSeparated, NotSeparated, OverlappingSets
-from .model import CmrfGraph, EdgePrecision, covariance
+from .model import CmrfGraph, EdgePrecision, _mean_variance, covariance
 
 __all__ = [
     "SeparationQuery",
@@ -207,10 +207,6 @@ def color_separated_singleton_pairs(graph: CmrfGraph) -> list[tuple[int, int]]:
     """
     rows, cols = _separated_pair_indices(graph)
     return list(zip(rows.tolist(), cols.tolist()))
-
-
-def _mean_variance(cov: np.ndarray) -> float:
-    return float(np.trace(cov)) / cov.shape[0]
 
 
 def verify_marginal_independence(

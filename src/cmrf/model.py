@@ -197,6 +197,11 @@ def covariance(prec: EdgePrecision) -> np.ndarray:
     return np.linalg.inv(prec.omega)
 
 
+def _mean_variance(cov: np.ndarray) -> float:
+    """trace(cov)/num_edges, the scale of every covariance tolerance."""
+    return float(np.trace(cov)) / cov.shape[0]
+
+
 def covariance_cholesky(prec: EdgePrecision) -> np.ndarray:
     """Lower Cholesky factor of the covariance, for drawing samples."""
     return np.linalg.cholesky(covariance(prec))
@@ -206,16 +211,21 @@ class IdentityResiduals(NamedTuple):
     """Max-norm residuals of the three precision identities.
 
     Natural scales for relative comparison are k for the sum rule, k**2
-    for the product rule, and trace(cov)/num_edges for the inverse rule.
+    for the product rule, and ``mean_variance``, trace(cov)/num_edges,
+    for the inverse rule.
     """
 
     sum_rule: float
     product_rule: float
     inverse_rule: float
+    mean_variance: float
 
 
 def identity_residuals(prec: EdgePrecision) -> IdentityResiduals:
-    """Evaluate the decomposition identities on a built precision."""
+    """Evaluate the decomposition identities on a built precision.
+
+    Inverts omega, omega_u and omega_d once each.
+    """
     k = prec.k
     eye = np.eye(prec.num_edges)
     sum_rule = np.abs(prec.omega - (prec.omega_d + prec.omega_u - k * eye)).max()
@@ -228,11 +238,12 @@ def identity_residuals(prec: EdgePrecision) -> IdentityResiduals:
     inv_sum = (
         np.linalg.inv(prec.omega_u) + np.linalg.inv(prec.omega_d) - eye / k
     )
-    inverse_rule = np.abs(covariance(prec) - inv_sum).max()
+    cov = covariance(prec)
     return IdentityResiduals(
         sum_rule=float(sum_rule),
         product_rule=float(product_rule),
-        inverse_rule=float(inverse_rule),
+        inverse_rule=float(np.abs(cov - inv_sum).max()),
+        mean_variance=_mean_variance(cov),
     )
 
 

@@ -3,9 +3,13 @@
 The separation oracle here decides reachability by exhaustive
 enumeration of simple paths with backtracking, deliberately a different
 algorithm from the breadth-first search inside the package.  The
-gradient oracle evaluates central finite differences of the
-frozen-residual objective slice assembled from local_loss_terms, a
-different code path from the analytic coupling-row gradient.  The
+per-agent ATC references (local_loss_terms, local_gradient) work edge by
+edge from one agent's residual and its neighbors' residuals; a residual
+they need and were not given raises KeyError.  The gradient oracle
+evaluates central finite differences of the frozen-residual objective
+slice assembled from local_loss_terms, a different code path from the
+analytic coupling-row gradient.  draw_round draws one round of
+measurements through the simulator's own sampling kernel.  The
 link, line-graph and clique oracles enumerate pairs and triples of
 simplices directly instead of reading supports off incidence products.
 The per-agent view of an ATC round (agent_states) expands a vectorized
@@ -35,11 +39,11 @@ from cmrf import (
     incidence,
     line_graph,
     load_complex,
-    local_loss_terms,
     random_2sc,
     step_sizes,
     verify_marginal_independence,
 )
+from cmrf.diffusion import _measure
 from cmrf.independence import _component_labels
 from cmrf.model import _CANCEL_RTOL, _coupling_parts
 
@@ -111,6 +115,73 @@ def color_separated_by_enumeration(graph, set_a, set_b):
 def subsets_up_to(items, max_size):
     for size in range(max_size + 1):
         yield from itertools.combinations(items, size)
+
+
+def draw_round(rng, chol, theta0, regressor_variance=0.2):
+    """One round (regressors, observations) as the simulator draws it.
+
+    Consumes one standard_normal(E*m + E) per round from ``rng``, the
+    E*m regressor entries then the E noise entries; ``chol`` is the
+    lower Cholesky factor of the noise covariance.
+    """
+    ne, m = chol.shape[0], theta0.shape[0]
+    draws = rng.standard_normal((1, 1, ne * m + ne))
+    regressors, observations = _measure(
+        draws, ne, np.sqrt(regressor_variance), chol[None], theta0[None])
+    return regressors[0, 0], observations[0, 0]
+
+
+def local_loss_terms(edge, residuals, params, inc):
+    """Edge-wise split (phi_h, phi_d, phi_u) of the instantaneous loss.
+
+    phi_h = (k/2) * r_e**2 needs only the edge's own residual.  phi_d
+    couples r_e to residuals of edges sharing a vertex u with
+    d_v[u] != 0, phi_u to residuals of edges sharing a triangle t with
+    d_t[t] != 0; cross products carry the signed incidence pattern and a
+    factor 1/2 so that summing phi_h - phi_d - phi_u over all edges
+    recovers 0.5 * r.T @ omega @ r exactly.
+    """
+    r_e = float(residuals[edge])
+
+    def half_quadratic(incmat, coeffs, col):
+        own = cross = 0.0
+        for s in np.flatnonzero(col):
+            c = coeffs[s]
+            own += c * col[s] ** 2
+            if c == 0.0:
+                continue
+            for other in np.flatnonzero(incmat[s]):
+                if other != edge:
+                    cross += c * col[s] * incmat[s, other] * r_e * residuals[other]
+        return float(0.5 * (own * r_e**2 + cross))
+
+    # lower part: rows of b1 are vertices; upper part: triangles in their place
+    return (0.5 * params.k * r_e**2,
+            half_quadratic(inc.b1, params.d_v, inc.b1[:, edge]),
+            half_quadratic(inc.b2.T, params.d_t, inc.b2[edge]))
+
+
+def local_gradient(edge, variant, own, neighbor_residuals, params, inc):
+    """Instantaneous loss gradient at one edge, neighbor residuals frozen.
+
+    ``own`` is the triple (y_e, u_e, theta_e).  Returns
+    -u_e * sum_e' omega_v[e, e'] * r_e', built from the edge's own row of
+    the couplings and the residuals of the neighbors it couples to.
+    """
+    spec = get_variant(variant)
+    y_e, u_e, theta_e = own
+    a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
+    row = np.zeros(inc.b1.shape[1])
+    row[edge] = params.k
+    if spec.uses_lower_term:
+        row -= a_d[edge]
+    if spec.uses_upper_term:
+        row -= a_u[edge]
+    weighted = row[edge] * float(y_e - u_e @ theta_e)
+    for other in np.flatnonzero(row):
+        if other != edge:
+            weighted += row[other] * float(neighbor_residuals[other])
+    return -weighted * u_e
 
 
 def fd_local_gradient(

@@ -12,7 +12,6 @@ import pytest
 
 from cmrf import (
     ExperimentConfig,
-    MeasurementModel,
     NotPositiveDefinite,
     SeparationQuery,
     SgmParams,
@@ -20,16 +19,14 @@ from cmrf import (
     build_precision,
     color_separated_singleton_pairs,
     covariance,
+    covariance_cholesky,
     draw_params,
-    generate_round,
     harmonic_dimension,
     hodge_decompose,
     identity_residuals,
     incidence,
     is_color_separated,
     is_graph_separated,
-    local_gradient,
-    local_loss_terms,
     min_valid_k,
     random_2sc,
     run_experiment,
@@ -40,8 +37,11 @@ from cmrf import (
 
 from helpers import (
     color_separated_by_enumeration,
+    draw_round,
     fd_local_gradient,
     graph_separated_by_enumeration,
+    local_gradient,
+    local_loss_terms,
     random_colored_graph,
     subsets_up_to,
 )
@@ -82,7 +82,7 @@ def test_criterion_1_construction_identities():
             assert np.array_equal(inc.b1 @ inc.b2, np.zeros((10, 12), dtype=np.int64))
             prec = build_precision(inc, params)
             res = identity_residuals(prec)
-            mean_var = np.trace(covariance(prec)) / prec.num_edges
+            mean_var = res.mean_variance
             assert res.sum_rule < 1e-10 * params.k
             assert res.product_rule < 1e-10 * params.k**2
             assert res.inverse_rule < 1e-10 * mean_var
@@ -294,12 +294,10 @@ def test_criterion_5_loss_decomposition_and_gradients():
             params = draw_params(inc, rng)
             prec = build_precision(inc, params)
             ne = prec.num_edges
-            meas = MeasurementModel(
-                theta0=rng.standard_normal(10), regressor_variance=0.2, noise=prec
-            )
+            chol, theta0 = covariance_cholesky(prec), rng.standard_normal(10)
             for variant in ("atc_cmrf", "atc_lgmrf", "atc_plain", "standalone_lms"):
                 for _ in range(50):
-                    regressors, observations = generate_round(meas, rng)
+                    regressors, observations = draw_round(rng, chol, theta0)
                     theta = rng.standard_normal((ne, 10))
                     e = int(rng.integers(ne))
                     nbr = {
@@ -320,7 +318,7 @@ def test_criterion_5_loss_decomposition_and_gradients():
                     worst_fd = max(worst_fd, rel)
             # centralized direction vs differences of 0.5 * r.T omega r
             for _ in range(100):
-                regressors, observations = generate_round(meas, rng)
+                regressors, observations = draw_round(rng, chol, theta0)
                 theta = rng.standard_normal(10)
 
                 def objective(th):

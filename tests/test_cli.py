@@ -101,6 +101,13 @@ class TestComplexCommands:
 
 
 class TestModelCommands:
+    def test_check_inverts_each_matrix_once(self, capsys, monkeypatch, clustered_model_doc):
+        inv, calls = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+        code, text, _ = run_cli(capsys, "model", "check", str(clustered_model_doc))
+        assert code == 0 and text.endswith("PASS\n")
+        assert len(calls) == 3  # omega_u, omega_d and omega
+
     def test_build_and_check(self, tmp_path, capsys, triangle_doc):
         out = tmp_path / "model.json"
         code, text, _ = run_cli(
@@ -205,6 +212,14 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert "not separated" in text
+
+    @pytest.mark.parametrize("given", [(), ("--given", "1")], ids=["marginal", "conditional"])
+    def test_empty_set_warns_once(self, capsys, clustered_model_doc, given):
+        with pytest.warns(UserWarning, match="empty query set") as caught:
+            code, text, _ = run_cli(capsys, "verify", str(clustered_model_doc),
+                                    "--set-a", "", "--set-b", "3", *given)
+        assert code == 0 and text.endswith("PASS\n")
+        assert len(caught) == 1
 
     def test_scan_singletons(self, capsys, clustered_model_doc):
         code, text, _ = run_cli(
@@ -464,6 +479,15 @@ def test_bad_config_values_exit_2(tmp_path, capsys, field, value, message):
     assert code == 2
     assert err.startswith("error:") and message in err
     assert not out.exists()
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")
+    code, _, err = run_cli(capsys, "--config", str(config), "simulate", "--seed", "1",
+                           "-o", str(tmp_path / "msd.csv"))
+    assert code == 2
+    assert err.startswith("error:") and "JSON object" in err
 
 
 def test_module_entry_point_shows_subcommands():

@@ -3,29 +3,41 @@ import pytest
 
 from cmrf import (
     ExperimentConfig,
-    MeasurementModel,
-    MissingNeighborData,
-    MissingNeighborResidual,
     VARIANTS,
-    atc_round,
     build_complex,
     build_precision,
     combination_weights,
     coupling_matrix,
+    covariance_cholesky,
     draw_params,
-    generate_round,
     get_variant,
     incidence,
     line_graph,
-    local_gradient,
-    local_loss_terms,
     run_experiment,
     save_complex,
     step_sizes,
     write_csv,
 )
+from cmrf.diffusion import _atc_step, _centralized_step
 
-from helpers import agent_states, fd_local_gradient
+from helpers import (
+    agent_states,
+    draw_round,
+    fd_local_gradient,
+    local_gradient,
+    local_loss_terms,
+)
+
+
+def atc_round(theta, regressors, observations, coupling, combine, step, variant):
+    """One round of ``variant`` for a single run, through the simulator's kernels."""
+    spec = get_variant(variant)
+    if spec.is_centralized:
+        return _centralized_step(theta[None], regressors[None], observations[None],
+                                 coupling[None], np.full((1, 1), step))[0]
+    return _atc_step(theta[None, None], regressors[None], observations[None],
+                     coupling[None, None], np.zeros((1, 1, 1)), np.full((1, 1, 1, 1), step),
+                     combine, int(spec.uses_combination))[0, 0]
 
 
 @pytest.fixture(scope="module")
@@ -74,14 +86,12 @@ class TestVariants:
 class TestGenerateRound:
     def test_shapes_and_moments(self, bench_model):
         _, prec = bench_model
-        model = MeasurementModel(
-            theta0=np.zeros(10), regressor_variance=0.2, noise=prec
-        )
+        chol = covariance_cholesky(prec)
         rng = np.random.default_rng(0)
         total = 0.0
         rounds = 3000
         for _ in range(rounds):
-            regressors, observations = generate_round(model, rng)
+            regressors, observations = draw_round(rng, chol, np.zeros(10))
             assert regressors.shape == (prec.num_edges, 10)
             assert observations.shape == (prec.num_edges,)
             total += (regressors**2).sum(axis=1).mean()
@@ -91,13 +101,13 @@ class TestGenerateRound:
     def test_observation_equation(self, bench_model):
         _, prec = bench_model
         theta0 = np.arange(10.0)
-        model = MeasurementModel(theta0=theta0, regressor_variance=0.2, noise=prec)
+        chol = covariance_cholesky(prec)
         rng = np.random.default_rng(1)
         n = 20000
         err = np.zeros(prec.num_edges)
         sq = np.zeros((prec.num_edges, prec.num_edges))
         for _ in range(n):
-            regressors, observations = generate_round(model, rng)
+            regressors, observations = draw_round(rng, chol, theta0)
             noise = observations - regressors @ theta0
             err += noise
             sq += np.outer(noise, noise)
@@ -142,7 +152,7 @@ class TestLocalLoss:
         e = 0
         neighbor = int(np.flatnonzero(off[e])[0])
         rmap = {j: 1.0 for j in range(ne) if j != neighbor}
-        with pytest.raises(MissingNeighborResidual):
+        with pytest.raises(KeyError):
             local_loss_terms(e, rmap, params, bench_incidence)
 
     def test_unneeded_residual_not_required(self, filled_triangle):
@@ -171,12 +181,10 @@ class TestLocalGradient:
         params, prec = bench_model
         ne = prec.num_edges
         rng = np.random.default_rng(8)
-        model = MeasurementModel(
-            theta0=rng.standard_normal(10), regressor_variance=0.2, noise=prec
-        )
+        chol, theta0 = covariance_cholesky(prec), rng.standard_normal(10)
         for variant in ("atc_cmrf", "atc_lgmrf", "atc_plain"):
             for _ in range(3):
-                regressors, observations = generate_round(model, rng)
+                regressors, observations = draw_round(rng, chol, theta0)
                 theta = rng.standard_normal((ne, 10))
                 e = int(rng.integers(ne))
                 rmap = residual_map(regressors, observations, theta)
@@ -199,7 +207,7 @@ class TestLocalGradient:
         e = 0
         needed = set(int(j) for j in np.flatnonzero(off[e]))
         nbr = {j: 0.5 for j in needed if j != min(needed)}
-        with pytest.raises(MissingNeighborData):
+        with pytest.raises(KeyError):
             local_gradient(
                 e, "atc_cmrf", (1.0, np.ones(10), np.zeros(10)),
                 nbr, params, bench_incidence,
@@ -209,10 +217,8 @@ class TestLocalGradient:
         params, prec = bench_model
         ne = prec.num_edges
         rng = np.random.default_rng(9)
-        model = MeasurementModel(
-            theta0=rng.standard_normal(10), regressor_variance=0.2, noise=prec
-        )
-        regressors, observations = generate_round(model, rng)
+        chol, theta0 = covariance_cholesky(prec), rng.standard_normal(10)
+        regressors, observations = draw_round(rng, chol, theta0)
         theta = np.tile(rng.standard_normal(10), (ne, 1))  # common iterate
         rmap = residual_map(regressors, observations, theta)
         total = np.zeros(10)

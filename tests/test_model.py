@@ -97,11 +97,10 @@ class TestIdentities:
     def test_decomposition_identities_random(self, bench_incidence):
         for params, prec in random_cases(bench_incidence, 30):
             res = identity_residuals(prec)
-            cov = covariance(prec)
-            mean_var = np.trace(cov) / prec.num_edges
+            assert res.mean_variance == np.trace(covariance(prec)) / prec.num_edges
             assert res.sum_rule < 1e-12 * params.k
             assert res.product_rule < 1e-10 * params.k**2
-            assert res.inverse_rule < 1e-10 * mean_var
+            assert res.inverse_rule < 1e-10 * res.mean_variance
 
     def test_covariance_inverts_precision(self, bench_incidence):
         for params, prec in random_cases(bench_incidence, 5):
