@@ -11,10 +11,12 @@ Two kinds of separation are distinguished on a :class:`~cmrf.model.CmrfGraph`:
   independence, because the coupling factors split by color and each
   factor's inverse respects its own color's connectivity.
 
-The verify_* functions check the implied statement numerically on the
-model covariance: zero cross-covariance for marginal independence, zero
-conditional cross-covariance (Schur complement) for conditional
-independence.  Tolerances scale with the mean marginal variance
+Both are decided by one search, the nodes reachable from A without
+entering S, run on the union graph or on each color; the singleton scan
+labels components with the same search.  The verify_* functions share
+one numerical check on the model covariance: the max |cross-covariance|
+of A and B, conditioned on S by the Schur complement when S is non-empty,
+against a tolerance scaled by the mean marginal variance
 trace(cov)/num_edges.  Each verify_* call inverts omega once;
 scan_singleton_pairs checks every color-separated singleton pair of a
 model with one inversion and one gather, and keeps no covariance after
@@ -24,8 +26,8 @@ it returns.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,9 +61,11 @@ class SeparationQuery:
     given: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "set_a", tuple(int(i) for i in self.set_a))
-        object.__setattr__(self, "set_b", tuple(int(i) for i in self.set_b))
-        object.__setattr__(self, "given", tuple(int(i) for i in self.given))
+        for name in ("set_a", "set_b", "given"):
+            nodes = tuple(getattr(self, name))
+            if not all(isinstance(i, Integral) and not isinstance(i, bool) for i in nodes):
+                raise ValueError(f"{name} must hold integer node indices, got {list(nodes)}")
+            object.__setattr__(self, name, tuple(int(i) for i in nodes))
         a, b, s = set(self.set_a), set(self.set_b), set(self.given)
         if a & b or a & s or b & s:
             raise OverlappingSets(
@@ -97,15 +101,15 @@ class SingletonScan:
     passed: bool
 
 
-def _check_nodes(graph: CmrfGraph, nodes: Iterable[int]) -> None:
-    for i in nodes:
-        if not 0 <= i < graph.num_nodes:
-            raise ValueError(f"node index {i} outside 0..{graph.num_nodes - 1}")
+def _check_sizes(prec: EdgePrecision, graph: CmrfGraph) -> None:
+    if prec.num_edges != graph.num_nodes:
+        raise DimensionMismatch(
+            f"precision has {prec.num_edges} edges, graph has {graph.num_nodes} nodes"
+        )
 
 
-def _adjacency(
-    num_nodes: int, links: Iterable[tuple[int, int]]
-) -> list[set[int]]:
+def _adjacency(num_nodes: int,
+               links: Iterable[tuple[int, int]]) -> list[set[int]]:
     adj: list[set[int]] = [set() for _ in range(num_nodes)]
     for i, j in links:
         adj[i].add(j)
@@ -113,43 +117,49 @@ def _adjacency(
     return adj
 
 
-def _reaches(
-    adj: list[set[int]],
-    sources: Sequence[int],
-    targets: set[int],
-    blocked: set[int],
-) -> bool:
-    """Breadth-first search; True when some target is reachable."""
-    seen = set(blocked)
-    queue = deque(s for s in sources if s not in seen)
-    seen.update(queue)
-    while queue:
-        node = queue.popleft()
-        if node in targets:
-            return True
-        for nxt in adj[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+def _reachable(adj: list[set[int]], sources: Iterable[int],
+               blocked: Iterable[int] = ()) -> set[int]:
+    """Nodes reachable from sources along links without entering blocked."""
+    blocked = set(blocked)
+    reached = {s for s in sources if s not in blocked}
+    stack = list(reached)
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in reached and nxt not in blocked:
+                reached.add(nxt)
+                stack.append(nxt)
+    return reached
 
 
-def _warn_if_empty(set_a: Sequence[int], set_b: Sequence[int]) -> bool:
-    if len(set_a) == 0 or len(set_b) == 0:
+def _warn_if_empty(query: SeparationQuery) -> None:
+    """Warn at the line that called the public function calling this."""
+    if not (query.set_a and query.set_b):
         warnings.warn(
             "empty query set: separation holds vacuously", stacklevel=3
         )
-        return True
-    return False
+
+
+def _separated(
+    graph: CmrfGraph,
+    query: SeparationQuery,
+    link_sets: Iterable[frozenset[tuple[int, int]]],
+) -> bool:
+    """True when, in each link set, no path from A avoiding S reaches B."""
+    for i in (*query.set_a, *query.set_b, *query.given):
+        if not 0 <= i < graph.num_nodes:
+            raise ValueError(f"node index {i} outside 0..{graph.num_nodes - 1}")
+    return all(
+        _reachable(_adjacency(graph.num_nodes, links), query.set_a, query.given)
+        .isdisjoint(query.set_b)
+        for links in link_sets
+    )
 
 
 def is_graph_separated(graph: CmrfGraph, query: SeparationQuery) -> bool:
     """True when deleting S leaves no path from A to B in the union graph."""
-    _check_nodes(graph, [*query.set_a, *query.set_b, *query.given])
-    if _warn_if_empty(query.set_a, query.set_b):
-        return True
-    adj = _adjacency(graph.num_nodes, graph.links)
-    return not _reaches(adj, query.set_a, set(query.set_b), set(query.given))
+    separated = _separated(graph, query, [graph.links])
+    _warn_if_empty(query)
+    return separated
 
 
 def is_color_separated(
@@ -157,44 +167,22 @@ def is_color_separated(
 ) -> bool:
     """True when no monochromatic path joins A to B, for either color."""
     query = SeparationQuery(set_a=tuple(set_a), set_b=tuple(set_b))
-    _check_nodes(graph, [*query.set_a, *query.set_b])
-    if _warn_if_empty(query.set_a, query.set_b):
-        return True
-    targets = set(query.set_b)
-    for links in (graph.lower_links, graph.upper_links):
-        adj = _adjacency(graph.num_nodes, links)
-        if _reaches(adj, query.set_a, targets, set()):
-            return False
-    return True
-
-
-def _component_labels(
-    num_nodes: int, links: Iterable[tuple[int, int]]
-) -> np.ndarray:
-    adj = _adjacency(num_nodes, links)
-    labels = np.full(num_nodes, -1, dtype=int)
-    current = 0
-    for start in range(num_nodes):
-        if labels[start] >= 0:
-            continue
-        queue = deque([start])
-        labels[start] = current
-        while queue:
-            node = queue.popleft()
-            for nxt in adj[node]:
-                if labels[nxt] < 0:
-                    labels[nxt] = current
-                    queue.append(nxt)
-        current += 1
-    return labels
+    separated = _separated(graph, query, [graph.lower_links, graph.upper_links])
+    _warn_if_empty(query)
+    return separated
 
 
 def _separated_pair_indices(graph: CmrfGraph) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (rows, cols) of color_separated_singleton_pairs."""
-    lower = _component_labels(graph.num_nodes, graph.lower_links)
-    upper = _component_labels(graph.num_nodes, graph.upper_links)
     rows, cols = np.triu_indices(graph.num_nodes, 1)
-    keep = (lower[rows] != lower[cols]) & (upper[rows] != upper[cols])
+    keep = np.ones(rows.size, dtype=bool)
+    for links in (graph.lower_links, graph.upper_links):
+        adj = _adjacency(graph.num_nodes, links)
+        labels = np.full(graph.num_nodes, -1)
+        for start in range(graph.num_nodes):
+            if labels[start] < 0:
+                labels[list(_reachable(adj, [start]))] = start
+        keep &= labels[rows] != labels[cols]
     return rows[keep], cols[keep]
 
 
@@ -209,6 +197,27 @@ def color_separated_singleton_pairs(graph: CmrfGraph) -> list[tuple[int, int]]:
     return list(zip(rows.tolist(), cols.tolist()))
 
 
+def _report(kind: str, rtol: float, prec: EdgePrecision,
+            query: SeparationQuery) -> IndependenceReport:
+    """Max |cross-covariance| of A and B given S against rtol * trace(cov)/E.
+
+    With S empty this is the plain cross-covariance cov[A, B].
+    """
+    cov = covariance(prec)
+    a, b, s = list(query.set_a), list(query.set_b), list(query.given)
+    residual = 0.0
+    if a and b:
+        cross = cov[np.ix_(a, b)]
+        if s:
+            cross = cross - cov[np.ix_(a, s)] @ np.linalg.solve(
+                cov[np.ix_(s, s)], cov[np.ix_(s, b)]
+            )
+        residual = float(np.abs(cross).max())
+    tolerance = rtol * _mean_variance(cov)
+    return IndependenceReport(kind=kind, passed=residual < tolerance,
+                              residual=residual, tolerance=tolerance, query=query)
+
+
 def verify_marginal_independence(
     prec: EdgePrecision,
     graph: CmrfGraph,
@@ -221,26 +230,14 @@ def verify_marginal_independence(
     implication is only available in that direction).
     """
     query = SeparationQuery(set_a=tuple(set_a), set_b=tuple(set_b))
-    if not is_color_separated(graph, query.set_a, query.set_b):
+    _check_sizes(prec, graph)
+    if not _separated(graph, query, [graph.lower_links, graph.upper_links]):
         raise NotColorSeparated(
             f"A={list(query.set_a)} and B={list(query.set_b)} are joined "
             "by a monochromatic path"
         )
-    cov = covariance(prec)
-    if query.set_a and query.set_b:
-        residual = float(
-            np.abs(cov[np.ix_(query.set_a, query.set_b)]).max()
-        )
-    else:
-        residual = 0.0
-    tolerance = MARGINAL_RTOL * _mean_variance(cov)
-    return IndependenceReport(
-        kind="marginal",
-        passed=residual < tolerance,
-        residual=residual,
-        tolerance=tolerance,
-        query=query,
-    )
+    _warn_if_empty(query)
+    return _report("marginal", MARGINAL_RTOL, prec, query)
 
 
 def verify_conditional_independence(
@@ -252,30 +249,14 @@ def verify_conditional_independence(
     complement cov[A,B] - cov[A,S] @ inv(cov[S,S]) @ cov[S,B].  Raises
     NotSeparated when S does not separate A from B in the union graph.
     """
-    if not is_graph_separated(graph, query):
+    _check_sizes(prec, graph)
+    if not _separated(graph, query, [graph.links]):
         raise NotSeparated(
             f"S={list(query.given)} does not separate A={list(query.set_a)} "
             f"from B={list(query.set_b)}"
         )
-    cov = covariance(prec)
-    a, b, s = list(query.set_a), list(query.set_b), list(query.given)
-    if a and b:
-        cross = cov[np.ix_(a, b)]
-        if s:
-            cross = cross - cov[np.ix_(a, s)] @ np.linalg.solve(
-                cov[np.ix_(s, s)], cov[np.ix_(s, b)]
-            )
-        residual = float(np.abs(cross).max())
-    else:
-        residual = 0.0
-    tolerance = CONDITIONAL_RTOL * _mean_variance(cov)
-    return IndependenceReport(
-        kind="conditional",
-        passed=residual < tolerance,
-        residual=residual,
-        tolerance=tolerance,
-        query=query,
-    )
+    _warn_if_empty(query)
+    return _report("conditional", CONDITIONAL_RTOL, prec, query)
 
 
 def scan_singleton_pairs(prec: EdgePrecision, graph: CmrfGraph) -> SingletonScan:
@@ -286,10 +267,7 @@ def scan_singleton_pairs(prec: EdgePrecision, graph: CmrfGraph) -> SingletonScan
     but inverts omega once for the whole scan and reads all residuals
     with one gather.  The covariance is not kept.
     """
-    if prec.num_edges != graph.num_nodes:
-        raise DimensionMismatch(
-            f"precision has {prec.num_edges} edges, graph has {graph.num_nodes} nodes"
-        )
+    _check_sizes(prec, graph)
     rows, cols = _separated_pair_indices(graph)
     pairs = list(zip(rows.tolist(), cols.tolist()))
     if not pairs:

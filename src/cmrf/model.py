@@ -172,7 +172,8 @@ def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
     """Assemble (omega, omega_d, omega_u) and verify positive definiteness.
 
     Raises NotPositiveDefinite when the smallest eigenvalue of omega is
-    not above 1e-9 * k; omega_d and omega_u are then automatically
+    not above 1e-9 * k, decided by a Cholesky factorization of
+    omega - 1e-9 * k * I; omega_d and omega_u are then automatically
     positive definite as well.
     """
     _check_params(inc, params)
@@ -183,12 +184,14 @@ def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
     omega_d = k_eye - a_d
     omega_u = k_eye - a_u
 
-    lam_min = float(np.linalg.eigvalsh(omega)[0])
-    if lam_min <= _PD_RTOL * params.k:
+    try:
+        np.linalg.cholesky(omega - _PD_RTOL * k_eye)
+    except np.linalg.LinAlgError:
+        lam_min = float(np.linalg.eigvalsh(omega)[0])
         raise NotPositiveDefinite(
             f"k={params.k:.6g} gives smallest eigenvalue {lam_min:.3e}; "
             f"need k > {min_valid_k(inc, params.d_v, params.d_t, 0.0):.6g}"
-        )
+        ) from None
     return EdgePrecision(omega=omega, omega_d=omega_d, omega_u=omega_u, k=params.k)
 
 

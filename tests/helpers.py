@@ -2,7 +2,7 @@
 
 The separation oracle here decides reachability by exhaustive
 enumeration of simple paths with backtracking, deliberately a different
-algorithm from the breadth-first search inside the package.  The
+algorithm from the reachability search inside the package.  The
 per-agent ATC references (local_loss_terms, local_gradient) work edge by
 edge from one agent's residual and its neighbors' residuals; a residual
 they need and were not given raises KeyError.  The gradient oracle
@@ -14,8 +14,9 @@ link, line-graph and clique oracles enumerate pairs and triples of
 simplices directly instead of reading supports off incidence products.
 The per-agent view of an ATC round (agent_states) expands a vectorized
 round into the messages each agent receives, to test locality.  The
-singleton-scan oracles are the former double loop over component labels
-and the former per-pair loop of verify_marginal_independence calls, one
+singleton-scan oracles are a double loop over component labels, which
+it finds by its own recursive depth-first search, and the former
+per-pair loop of verify_marginal_independence calls, one
 covariance each; the cancellation oracle is the former per-link loop.  The
 Monte Carlo oracle (msd_by_run_loop) runs the simulator one run, one
 variant and one iteration at a time with the ATC maths written out
@@ -44,7 +45,6 @@ from cmrf import (
     verify_marginal_independence,
 )
 from cmrf.diffusion import _measure
-from cmrf.independence import _component_labels
 from cmrf.model import _CANCEL_RTOL, _coupling_parts
 
 
@@ -267,10 +267,27 @@ def cliques_by_combinations(num_vertices, edges):
     ]
 
 
+def components_by_depth_first(num_nodes, links):
+    """Node -> smallest node of its component, by recursive depth-first search."""
+    adj = adjacency_sets(num_nodes, links)
+    label = {}
+
+    def visit(node, root):
+        label[node] = root
+        for nxt in adj[node]:
+            if nxt not in label:
+                visit(nxt, root)
+
+    for start in range(num_nodes):
+        if start not in label:
+            visit(start, start)
+    return label
+
+
 def separated_pairs_by_double_loop(graph):
     """Color-separated singleton pairs by comparing component labels pairwise."""
-    lower = _component_labels(graph.num_nodes, graph.lower_links)
-    upper = _component_labels(graph.num_nodes, graph.upper_links)
+    lower = components_by_depth_first(graph.num_nodes, graph.lower_links)
+    upper = components_by_depth_first(graph.num_nodes, graph.upper_links)
     return [
         (i, j)
         for i in range(graph.num_nodes)

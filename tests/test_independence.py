@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cmrf import (
+    DimensionMismatch,
     NotColorSeparated,
     NotSeparated,
     OverlappingSets,
@@ -84,6 +85,33 @@ class TestSeparationDecisions:
             assert is_color_separated(graph, [], [1])
         with pytest.warns(UserWarning):
             assert is_graph_separated(graph, SeparationQuery(set_a=(), set_b=(1,)))
+
+    def test_empty_set_warning_names_the_caller(self, clustered_model):
+        prec, graph = clustered_model
+        calls = [
+            lambda: is_color_separated(graph, [], [1]),
+            lambda: is_graph_separated(graph, SeparationQuery(set_a=(), set_b=(1,))),
+            lambda: verify_marginal_independence(prec, graph, [], [3]),
+            lambda: verify_conditional_independence(
+                prec, graph, SeparationQuery(set_a=(0,), set_b=(), given=(1,))),
+        ]
+        for call in calls:
+            with pytest.warns(UserWarning, match="empty query set") as caught:
+                call()
+            assert [w.filename for w in caught] == [__file__]
+
+    @pytest.mark.parametrize("bad", [(1.5,), (True,), ("1",), (np.float64(1.0),)])
+    def test_non_integer_indices_rejected(self, bad):
+        for kwargs in ({"set_a": bad, "set_b": (2,)}, {"set_a": (0,), "set_b": bad},
+                       {"set_a": (0,), "set_b": (2,), "given": bad}):
+            with pytest.raises(ValueError, match="integer"):
+                SeparationQuery(**kwargs)
+
+    def test_numpy_integer_indices_accepted(self):
+        query = SeparationQuery(set_a=(np.int64(0),), set_b=np.array([2, 3]),
+                                given=(np.uint8(1),))
+        assert query == SeparationQuery(set_a=(0,), set_b=(2, 3), given=(1,))
+        assert all(type(i) is int for i in (*query.set_a, *query.set_b, *query.given))
 
     def test_out_of_range_node(self, clustered_model):
         _, graph = clustered_model
@@ -173,6 +201,21 @@ class TestNumericalVerification:
         query = SeparationQuery(set_a=(0,), set_b=(3,), given=(1,))
         with pytest.raises(NotSeparated):
             verify_conditional_independence(prec, graph, query)
+
+    def test_mismatched_model_refused(self, clustered_model, bench_incidence):
+        # 7-edge fixture against a 21-node graph and the reverse; every
+        # query is separated in its graph, so only the size check refuses it.
+        prec, graph = clustered_model
+        big_prec = build_precision(bench_incidence, SgmParams(
+            k=1.0, d_v=np.zeros(10), d_t=np.zeros(12)))
+        empty = build_cmrf(bench_incidence, SgmParams(
+            k=1.0, d_v=np.zeros(10), d_t=np.zeros(12)))
+        for p, g, b in ((prec, empty, 20), (big_prec, graph, 3)):
+            with pytest.raises(DimensionMismatch):
+                verify_marginal_independence(p, g, [0], [b])
+            with pytest.raises(DimensionMismatch):
+                verify_conditional_independence(
+                    p, g, SeparationQuery(set_a=(0,), set_b=(b,), given=(1, 2)))
 
     def test_random_sparse_models_color_separation(self, bench_incidence):
         found = 0

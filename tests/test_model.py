@@ -60,6 +60,19 @@ class TestPrecisionConstruction:
         with pytest.raises(NotPositiveDefinite):
             build_precision(bench_incidence, SgmParams(k=k_min - 1e-6, d_v=d_v, d_t=d_t))
 
+    def test_successful_build_takes_no_eigenvalues(self, bench_incidence, monkeypatch):
+        params = draw_params(bench_incidence, 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a valid model")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        prec = build_precision(bench_incidence, params)
+        assert prec.num_edges == bench_incidence.b1.shape[1]
+        with pytest.raises(AssertionError):  # the error text still needs it
+            build_precision(bench_incidence, SgmParams(
+                k=params.k - 1.0, d_v=params.d_v, d_t=params.d_t))
+
     def test_zero_couplings_give_scaled_identity(self, bench_incidence):
         ne = bench_incidence.b1.shape[1]
         nv = bench_incidence.b1.shape[0]

@@ -142,10 +142,12 @@ def test_scan_without_pairs(filled_triangle, count_inversions):
 
 
 def test_scan_refuses_mismatched_model(filled_triangle, bench_incidence):
-    prec, _ = _model(incidence(filled_triangle), 0.0)
-    _, graph = _model(bench_incidence, 0.5)
-    with pytest.raises(DimensionMismatch):
-        scan_singleton_pairs(prec, graph)
+    small_prec, small_graph = _model(incidence(filled_triangle), 0.0)
+    big_prec, big_graph = _model(bench_incidence, 0.5)
+    assert not color_separated_singleton_pairs(small_graph)
+    for prec, graph in ((small_prec, big_graph), (big_prec, small_graph)):
+        with pytest.raises(DimensionMismatch):
+            scan_singleton_pairs(prec, graph)
 
 
 def test_failing_scan_matches_pair_loop():
