@@ -1,4 +1,4 @@
-"""Time the singleton scan of ``cmrf verify`` before and after a change.
+"""Time the singleton scan and conditional queries of ``cmrf verify`` before and after a change.
 
     OPENBLAS_NUM_THREADS=1 python scripts/bench_verify.py --before OLD_CHECKOUT -o OUT.json
 
@@ -13,13 +13,21 @@ required only at 10/21/12, where it is feasible) with
 Per scale and side the script records:
 
 * ``loop_ms_per_pair``: one ``verify_marginal_independence`` call per
-  pair (one full inverse each; the scan path before the one-inversion
-  scan) on a fixed sample of at most 200 pairs;
+  pair on a fixed sample of at most 200 pairs of one model, the path
+  the scan took before the one-inversion scan.  Where verify_* calls
+  share one covariance per model, only the first call inverts omega;
 * ``scan_s``: one ``scan_singleton_pairs`` call over every pair, when
   the side has it;
 * ``cli_scan_s``: ``cmrf verify MODEL --scan-singletons --json`` in
   process, loading and JSON output included, when the estimate from
-  the loop stays under ``CLI_LIMIT_S`` seconds (else null).
+  the loop stays under ``CLI_LIMIT_S`` seconds (else null);
+* ``conditional_ms_per_query``: ``is_graph_separated`` and, when
+  separated, ``verify_conditional_independence`` for each of
+  ``QUERIES`` queries on a freshly built precision and graph, so one
+  inversion and the first-use adjacency build are inside the time.  The
+  queries are the benchmark's conditional mix (``make_queries`` in
+  perfbench/run.py, seeded with ``[SEED, 0]``): half Markov-blanket
+  queries, half random ones with |S| <= 3.
 
 Times are medians of ``REPEATS`` runs.  The output also holds the
 machine record of the benchmark runner (perfbench/run.py).
@@ -46,6 +54,7 @@ SPARSITY = 0.5
 SAMPLE = 200
 REPEATS = 5
 CLI_LIMIT_S = 10.0
+QUERIES = 200
 
 
 def _median_time(fn) -> float:
@@ -57,12 +66,37 @@ def _median_time(fn) -> float:
     return statistics.median(times)
 
 
+def _conditional(inc, params, queries) -> tuple[float, int]:
+    """Median seconds per query and the number of separated queries."""
+    import cmrf
+    from cmrf import independence
+
+    def answer(prec, graph):
+        separated = 0
+        for query in queries:
+            if independence.is_graph_separated(graph, query):
+                separated += 1
+                report = independence.verify_conditional_independence(prec, graph, query)
+                if not report.passed:
+                    raise SystemExit(f"conditional check failed: {report}")
+        return separated
+
+    # one freshly built model per timed run, built before the clock starts
+    models = [(cmrf.build_precision(inc, params), cmrf.build_cmrf(inc, params))
+              for _ in range(REPEATS + 1)]
+    seconds = _median_time(lambda: answer(*models.pop()))
+    return seconds / len(queries), answer(*models.pop())
+
+
 def measure() -> dict:
     """Measurements of the cmrf importable in this process, one entry per scale."""
     import numpy as np
 
     import cmrf
     from cmrf import cli, independence
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import make_queries
 
     out = {}
     for nv, ne, nt in SCALES:
@@ -102,6 +136,12 @@ def measure() -> dict:
             estimate = entry.get("scan_s", loop_s * len(pairs))
             entry["cli_scan_s"] = (_median_time(command)
                                    if estimate < CLI_LIMIT_S else None)
+        queries = [q for _, q in make_queries(graph, np.random.default_rng([SEED, 0]),
+                                              QUERIES)]
+        per_query_s, separated = _conditional(inc, params, queries)
+        entry["conditional_queries"] = len(queries)
+        entry["conditional_separated"] = separated
+        entry["conditional_ms_per_query"] = 1e3 * per_query_s
         out[f"{nv}/{ne}/{nt}"] = entry
     return out
 
@@ -142,9 +182,12 @@ def main() -> int:
             "before_scan_s_estimate": old["loop_ms_per_pair"] * old["num_pairs"] / 1e3,
             "speedup_per_pair": (old["loop_ms_per_pair"] / new["scan_ms_per_pair"]
                                  if new["num_pairs"] else None),
+            "conditional_speedup": (old["conditional_ms_per_query"]
+                                    / new["conditional_ms_per_query"]),
         }
     doc = {
-        "what": "cmrf verify --scan-singletons: per-pair loop before, one-inversion scan after",
+        "what": "cmrf verify: singleton scan (per-pair loop against one-inversion scan) "
+                "and conditional queries on one model",
         "models": f"random_2sc(V, None, T, seed={SEED}, num_edges=E), "
                   f"draw_params(..., {SEED}, sparsity={SPARSITY})",
         "repeats": REPEATS,

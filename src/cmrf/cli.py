@@ -219,6 +219,10 @@ def cmd_model_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.scan_singletons and any(
+        flag is not None for flag in (args.set_a, args.set_b, args.given)
+    ):
+        raise ValueError("--scan-singletons takes no --set-a, --set-b or --given")
     sc, params = model.load_model(args.path)
     inc = simplicial.incidence(sc)
     prec = model.build_precision(inc, params)
@@ -293,6 +297,7 @@ _SIM_FIELDS = {
     "probability": "er_probability",
     "complex_file": "complex_file",
     "resample_complex": "resample_complex",
+    "allow_nontrivial_homology": "allow_nontrivial_homology",
     "dim": "dim",
     "regressor_variance": "regressor_variance",
     "step_size": "step_size",
@@ -413,6 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--probability", type=float)
     p_sim.add_argument("--complex-file")
     p_sim.add_argument("--resample-complex", action=argparse.BooleanOptionalAction)
+    p_sim.add_argument("--allow-nontrivial-homology", action="store_true", default=None,
+                       help="sample complexes without requiring trivial homology")
     p_sim.add_argument("--dim", type=int)
     p_sim.add_argument("--regressor-variance", type=float)
     p_sim.add_argument("--step-size", type=float)

@@ -12,20 +12,33 @@ Two kinds of separation are distinguished on a :class:`~cmrf.model.CmrfGraph`:
   factor's inverse respects its own color's connectivity.
 
 Both are decided by one search, the nodes reachable from A without
-entering S, run on the union graph or on each color; the singleton scan
-labels components with the same search.  The verify_* functions share
-one numerical check on the model covariance: the max |cross-covariance|
-of A and B, conditioned on S by the Schur complement when S is non-empty,
+entering S, run on the union graph or on each color over adjacency sets
+that the graph builds once and keeps; the singleton scan labels
+components with the same search.  The verify_* functions share one
+numerical check on the model covariance: the max |cross-covariance| of A
+and B, conditioned on S by the Schur complement when S is non-empty,
 against a tolerance scaled by the mean marginal variance
-trace(cov)/num_edges.  Each verify_* call inverts omega once;
-scan_singleton_pairs checks every color-separated singleton pair of a
-model with one inversion and one gather, and keeps no covariance after
-it returns.
+trace(cov)/num_edges.
+
+The covariance is inv(omega), always computed by model.covariance.  One
+module-level slot keeps the covariance of the last precision a verify_*
+call checked, so a run of queries on one model inverts omega once; a
+query on another model replaces it.  The slot holds a weak reference to
+the precision and is emptied when that precision is collected, so it
+never keeps more than one E x E covariance, and none beyond the life of
+its model.  It answers only for the same, still living precision object
+whose omega is the same read-only array as before: build_precision
+returns read-only matrices, and a hand-built precision with a writeable
+omega is inverted afresh on every call.  scan_singleton_pairs checks
+every color-separated singleton pair of a model with one inversion and
+one gather; it neither reads nor fills the slot and keeps no covariance
+after it returns.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable, Sequence
@@ -108,16 +121,7 @@ def _check_sizes(prec: EdgePrecision, graph: CmrfGraph) -> None:
         )
 
 
-def _adjacency(num_nodes: int,
-               links: Iterable[tuple[int, int]]) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(num_nodes)]
-    for i, j in links:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
-
-
-def _reachable(adj: list[set[int]], sources: Iterable[int],
+def _reachable(adj: Sequence[Sequence[int]], sources: Iterable[int],
                blocked: Iterable[int] = ()) -> set[int]:
     """Nodes reachable from sources along links without entering blocked."""
     blocked = set(blocked)
@@ -142,22 +146,21 @@ def _warn_if_empty(query: SeparationQuery) -> None:
 def _separated(
     graph: CmrfGraph,
     query: SeparationQuery,
-    link_sets: Iterable[frozenset[tuple[int, int]]],
+    adjacencies: Iterable[Sequence[Sequence[int]]],
 ) -> bool:
-    """True when, in each link set, no path from A avoiding S reaches B."""
+    """True when, in each adjacency, no path from A avoiding S reaches B."""
     for i in (*query.set_a, *query.set_b, *query.given):
         if not 0 <= i < graph.num_nodes:
             raise ValueError(f"node index {i} outside 0..{graph.num_nodes - 1}")
     return all(
-        _reachable(_adjacency(graph.num_nodes, links), query.set_a, query.given)
-        .isdisjoint(query.set_b)
-        for links in link_sets
+        _reachable(adj, query.set_a, query.given).isdisjoint(query.set_b)
+        for adj in adjacencies
     )
 
 
 def is_graph_separated(graph: CmrfGraph, query: SeparationQuery) -> bool:
     """True when deleting S leaves no path from A to B in the union graph."""
-    separated = _separated(graph, query, [graph.links])
+    separated = _separated(graph, query, [graph._adjacency])
     _warn_if_empty(query)
     return separated
 
@@ -167,7 +170,8 @@ def is_color_separated(
 ) -> bool:
     """True when no monochromatic path joins A to B, for either color."""
     query = SeparationQuery(set_a=tuple(set_a), set_b=tuple(set_b))
-    separated = _separated(graph, query, [graph.lower_links, graph.upper_links])
+    separated = _separated(graph, query,
+                           [graph._lower_adjacency, graph._upper_adjacency])
     _warn_if_empty(query)
     return separated
 
@@ -176,8 +180,7 @@ def _separated_pair_indices(graph: CmrfGraph) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (rows, cols) of color_separated_singleton_pairs."""
     rows, cols = np.triu_indices(graph.num_nodes, 1)
     keep = np.ones(rows.size, dtype=bool)
-    for links in (graph.lower_links, graph.upper_links):
-        adj = _adjacency(graph.num_nodes, links)
+    for adj in (graph._lower_adjacency, graph._upper_adjacency):
         labels = np.full(graph.num_nodes, -1)
         for start in range(graph.num_nodes):
             if labels[start] < 0:
@@ -197,13 +200,42 @@ def color_separated_singleton_pairs(graph: CmrfGraph) -> list[tuple[int, int]]:
     return list(zip(rows.tolist(), cols.tolist()))
 
 
+# (weak reference to a precision, its omega, inv(omega)) for the last
+# precision with a read-only omega that a verify_* call checked.  A reader
+# takes the tuple once and checks it against its own precision, so a
+# concurrent writer can cost a lost entry, never a wrong covariance.
+_slot: tuple[weakref.ref, np.ndarray, np.ndarray] | None = None
+
+
+def _empty_slot(ref: weakref.ref) -> None:
+    """Drop the kept covariance once its precision is collected."""
+    global _slot
+    if _slot is not None and _slot[0] is ref:
+        _slot = None
+
+
+def _shared_covariance(prec: EdgePrecision) -> np.ndarray:
+    """inv(omega) of prec, from the slot when it holds this precision."""
+    global _slot
+    omega = prec.omega
+    slot = _slot
+    if (slot is not None and slot[0]() is prec and slot[1] is omega
+            and not omega.flags.writeable):
+        return slot[2]
+    cov = covariance(prec)
+    if not omega.flags.writeable:
+        cov.flags.writeable = False
+        _slot = (weakref.ref(prec, _empty_slot), omega, cov)
+    return cov
+
+
 def _report(kind: str, rtol: float, prec: EdgePrecision,
             query: SeparationQuery) -> IndependenceReport:
     """Max |cross-covariance| of A and B given S against rtol * trace(cov)/E.
 
     With S empty this is the plain cross-covariance cov[A, B].
     """
-    cov = covariance(prec)
+    cov = _shared_covariance(prec)
     a, b, s = list(query.set_a), list(query.set_b), list(query.given)
     residual = 0.0
     if a and b:
@@ -231,7 +263,7 @@ def verify_marginal_independence(
     """
     query = SeparationQuery(set_a=tuple(set_a), set_b=tuple(set_b))
     _check_sizes(prec, graph)
-    if not _separated(graph, query, [graph.lower_links, graph.upper_links]):
+    if not _separated(graph, query, [graph._lower_adjacency, graph._upper_adjacency]):
         raise NotColorSeparated(
             f"A={list(query.set_a)} and B={list(query.set_b)} are joined "
             "by a monochromatic path"
@@ -250,7 +282,7 @@ def verify_conditional_independence(
     NotSeparated when S does not separate A from B in the union graph.
     """
     _check_sizes(prec, graph)
-    if not _separated(graph, query, [graph.links]):
+    if not _separated(graph, query, [graph._adjacency]):
         raise NotSeparated(
             f"S={list(query.given)} does not separate A={list(query.set_a)} "
             f"from B={list(query.set_b)}"

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -95,7 +96,11 @@ class SgmParams:
 
 @dataclass(frozen=True)
 class EdgePrecision:
-    """The precision matrix of an edge signal and its two factors."""
+    """The precision matrix of an edge signal and its two factors.
+
+    build_precision returns the three matrices read-only, so a built
+    precision stays the matrix it was checked and inverted as.
+    """
 
     omega: np.ndarray
     omega_d: np.ndarray
@@ -112,16 +117,46 @@ class CmrfGraph:
     """Colored conditional-dependence graph over the edges of a complex.
 
     Nodes are edge indices 0..num_nodes-1; links are unordered index
-    pairs (i, j) with i < j.  A pair may carry both colors.
+    pairs (i, j) with i < j.  A pair may carry both colors.  The union of
+    the link sets and the adjacency of each link set are built on first
+    use and kept with the graph; they are not fields, so construction
+    and equality see only the three fields.
     """
 
     num_nodes: int
     lower_links: frozenset[tuple[int, int]]
     upper_links: frozenset[tuple[int, int]]
 
-    @property
+    @cached_property
     def links(self) -> frozenset[tuple[int, int]]:
         return self.lower_links | self.upper_links
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbors of each node along links of either color."""
+        return _neighbors(self.num_nodes, self.links)
+
+    @cached_property
+    def _lower_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return _neighbors(self.num_nodes, self.lower_links)
+
+    @cached_property
+    def _upper_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return _neighbors(self.num_nodes, self.upper_links)
+
+
+def _neighbors(num_nodes: int,
+               links: frozenset[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Neighbors of each node 0..num_nodes-1 along the given links.
+
+    Tuples, not sets: a graph keeps three of these, and at 400 edges
+    tuples take about a sixth of the memory of frozensets.
+    """
+    adj: list[list[int]] = [[] for _ in range(num_nodes)]
+    for i, j in links:
+        adj[i].append(j)
+        adj[j].append(i)
+    return tuple(map(tuple, adj))
 
 
 def _check_params(inc: IncidencePair, params: SgmParams) -> None:
@@ -174,7 +209,7 @@ def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
     Raises NotPositiveDefinite when the smallest eigenvalue of omega is
     not above 1e-9 * k, decided by a Cholesky factorization of
     omega - 1e-9 * k * I; omega_d and omega_u are then automatically
-    positive definite as well.
+    positive definite as well.  The three matrices come back read-only.
     """
     _check_params(inc, params)
     a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
@@ -192,6 +227,8 @@ def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
             f"k={params.k:.6g} gives smallest eigenvalue {lam_min:.3e}; "
             f"need k > {min_valid_k(inc, params.d_v, params.d_t, 0.0):.6g}"
         ) from None
+    for matrix in (omega, omega_d, omega_u):
+        matrix.flags.writeable = False
     return EdgePrecision(omega=omega, omega_d=omega_d, omega_u=omega_u, k=params.k)
 
 

@@ -16,8 +16,9 @@ The per-agent view of an ATC round (agent_states) expands a vectorized
 round into the messages each agent receives, to test locality.  The
 singleton-scan oracles are a double loop over component labels, which
 it finds by its own recursive depth-first search, and the former
-per-pair loop of verify_marginal_independence calls, one
-covariance each; the cancellation oracle is the former per-link loop.  The
+per-pair loop of verify_marginal_independence calls; the
+independence-report oracle inverts omega afresh for every query; the
+cancellation oracle is the former per-link loop.  The
 Monte Carlo oracle (msd_by_run_loop) runs the simulator one run, one
 variant and one iteration at a time with the ATC maths written out
 inline, against which the batched simulator must agree bit for bit.
@@ -45,6 +46,7 @@ from cmrf import (
     verify_marginal_independence,
 )
 from cmrf.diffusion import _measure
+from cmrf.independence import CONDITIONAL_RTOL, MARGINAL_RTOL, IndependenceReport
 from cmrf.model import _CANCEL_RTOL, _coupling_parts
 
 
@@ -307,6 +309,24 @@ def scan_by_pair_loop(prec, graph, pairs):
     worst = max((r.residual for r in reports), default=0.0)
     tolerance = reports[0].tolerance if reports else None
     return passed, worst, tolerance, reports
+
+
+def report_by_fresh_inverse(prec, kind, query):
+    """The report of a separated query, from an inverse of omega made for it alone."""
+    cov = np.linalg.inv(prec.omega)
+    a, b, s = list(query.set_a), list(query.set_b), list(query.given)
+    residual = 0.0
+    if a and b:
+        cross = cov[np.ix_(a, b)]
+        if s:
+            cross = cross - cov[np.ix_(a, s)] @ np.linalg.solve(
+                cov[np.ix_(s, s)], cov[np.ix_(s, b)]
+            )
+        residual = float(np.abs(cross).max())
+    rtol = MARGINAL_RTOL if kind == "marginal" else CONDITIONAL_RTOL
+    tolerance = rtol * (float(np.trace(cov)) / cov.shape[0])
+    return IndependenceReport(kind=kind, passed=residual < tolerance,
+                              residual=residual, tolerance=tolerance, query=query)
 
 
 def cancellations_by_loop(inc, params):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -261,6 +262,18 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(text)["passed"] is True
 
+    @pytest.mark.parametrize("query", [
+        ("--set-a", "0", "--set-b", "5", "--given", "6"),
+        ("--set-a", "0", "--set-b", "5"),
+        ("--given", ""),
+    ], ids=["all", "marginal", "empty-given"])
+    def test_scan_refuses_query_flags(self, capsys, clustered_model_doc, query):
+        code, text, err = run_cli(
+            capsys, "verify", str(clustered_model_doc), "--scan-singletons", *query,
+        )
+        assert code == 2 and text == ""
+        assert err.startswith("error:") and "--scan-singletons" in err
+
     def test_overlapping_sets_error(self, capsys, clustered_model_doc):
         code, _, err = run_cli(
             capsys, "verify", str(clustered_model_doc),
@@ -278,6 +291,23 @@ class TestSimulateCommand:
         )
         assert code == 2 and "at least 91 triangles" in err
         assert not out.exists()
+
+    def test_allow_nontrivial_homology_runs_medium_scale(self, tmp_path, capsys):
+        out = tmp_path / "msd.csv"
+        code, text, _ = run_cli(
+            capsys, "simulate", "--seed", "1", "--vertices", "30", "--edges", "120",
+            "--triangles", "60", "--allow-nontrivial-homology", "--runs", "1",
+            "--iterations", "20", "-o", str(out),
+        )
+        assert code == 0 and "atc_cmrf" in text
+        assert len(out.read_text().splitlines()) == 1 + 5 * 20
+
+    def test_default_csv_bytes(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--seed", "1", "--runs", "4",
+                             "--iterations", "200", "-o", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest().startswith("844db74219487ff3")
 
     def test_small_run_writes_csv_and_summary(self, tmp_path, capsys):
         out = tmp_path / "msd.csv"
@@ -468,6 +498,7 @@ def test_bad_numbers_exit_2(tmp_path, capsys, triangle_doc, argv, message):
     ("step_size_overrides", {"atc_plain": "1e-3"}, "step_size_overrides"),
     ("step_size_overrides", {"atc_typo": 1e-3}, "atc_typo"),
     ("combine_rule", 5, "combination rule"),
+    ("allow_nontrivial_homology", 1, "allow_nontrivial_homology"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, field, value, message):
     config = tmp_path / "config.json"
@@ -498,3 +529,13 @@ def test_module_entry_point_shows_subcommands():
     assert proc.returncode == 0
     for name in ("complex", "model", "verify", "simulate"):
         assert name in proc.stdout
+
+
+def test_package_runs_as_module(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmrf", "verify", str(tmp_path / "missing.json"),
+         "--set-a", "0", "--set-b", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.startswith("error:")
