@@ -14,8 +14,9 @@ Per scale and side the script records:
 
 * ``loop_ms_per_pair``: one ``verify_marginal_independence`` call per
   pair on a fixed sample of at most 200 pairs of one model, the path
-  the scan took before the one-inversion scan.  Where verify_* calls
-  share one covariance per model, only the first call inverts omega;
+  the scan took before the one-inversion scan.  Each call gets its own
+  copy of the precision object, so each call inverts omega on either
+  side, also where verify_* calls share one covariance per precision;
 * ``scan_s``: one ``scan_singleton_pairs`` call over every pair, when
   the side has it;
 * ``cli_scan_s``: ``cmrf verify MODEL --scan-singletons --json`` in
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -111,8 +113,11 @@ def measure() -> dict:
         sample = [pairs[n] for n in order]
 
         def loop():
+            # a new precision object per call, so that every call inverts
+            # omega even where verify_* share one covariance per precision
             for i, j in sample:
-                independence.verify_marginal_independence(prec, graph, [i], [j])
+                independence.verify_marginal_independence(
+                    dataclasses.replace(prec), graph, [i], [j])
 
         loop_s = _median_time(loop) / len(sample)
         entry = {"num_pairs": len(pairs), "sample_pairs": len(sample),

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diffusion, independence, model, simplicial
-from .errors import CmrfError, NotColorSeparated, NotSeparated
+from .errors import CmrfError, GenerationFailed, NotColorSeparated, NotSeparated
 
 __all__ = ["main"]
 
@@ -297,7 +297,6 @@ _SIM_FIELDS = {
     "probability": "er_probability",
     "complex_file": "complex_file",
     "resample_complex": "resample_complex",
-    "allow_nontrivial_homology": "allow_nontrivial_homology",
     "dim": "dim",
     "regressor_variance": "regressor_variance",
     "step_size": "step_size",
@@ -320,7 +319,14 @@ def cmd_simulate(args) -> int:
         raise ValueError("simulate requires --seed (flag or config file)")
     config = diffusion.ExperimentConfig.from_dict(merged)
 
-    result = diffusion.run_experiment(config)
+    try:
+        result = diffusion.run_experiment(config)
+    except GenerationFailed as exc:
+        raise GenerationFailed(
+            f"{exc}; write a complex with `cmrf complex generate` (add "
+            "--allow-nontrivial-homology to waive trivial homology) and "
+            "pass it with --complex-file"
+        ) from None
     diffusion.write_csv(result, args.out)
 
     diverged = set(result.diverged)
@@ -418,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--probability", type=float)
     p_sim.add_argument("--complex-file")
     p_sim.add_argument("--resample-complex", action=argparse.BooleanOptionalAction)
-    p_sim.add_argument("--allow-nontrivial-homology", action="store_true", default=None,
-                       help="sample complexes without requiring trivial homology")
     p_sim.add_argument("--dim", type=int)
     p_sim.add_argument("--regressor-variance", type=float)
     p_sim.add_argument("--step-size", type=float)

@@ -216,10 +216,7 @@ class ExperimentConfig:
 
     The complex is sampled once from its own seed stream and shared by
     all runs unless ``resample_complex`` is set or ``complex_file``
-    points at a stored complex.  Sampled complexes must have trivial
-    homology unless ``allow_nontrivial_homology`` is set, which is needed
-    when num_triangles < num_edges - num_vertices + 1 (for example at
-    30/120/60).  Each run draws fresh coupling
+    points at a stored complex.  Each run draws fresh coupling
     coefficients, a fresh ground truth, and fresh measurement streams
     from a per-run child seed, so runs are independent and the result is
     reproducible for a fixed seed regardless of worker count.
@@ -235,7 +232,6 @@ class ExperimentConfig:
     er_probability: float | None = None
     complex_file: str | None = None
     resample_complex: bool = False
-    allow_nontrivial_homology: bool = False
     dv_bounds: tuple[float, float] = (0.2, 5.0)
     dt_bounds: tuple[float, float] = (0.2, 5.0)
     k_margin: float = 0.1
@@ -298,11 +294,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown combination rule: {self.combine_rule!r}")
         if self.complex_file is not None and not isinstance(self.complex_file, str):
             raise ValueError(f"complex_file must be a path string, got {self.complex_file!r}")
-        for name in ("resample_complex", "allow_nontrivial_homology"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(
-                    f"{name} must be true or false, got {getattr(self, name)!r}"
-                )
+        if not isinstance(self.resample_complex, bool):
+            raise ValueError(
+                f"resample_complex must be true or false, got {self.resample_complex!r}"
+            )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -358,7 +353,6 @@ def _sample_complex(
         config.num_triangles,
         rng,
         num_edges=config.num_edges,
-        require_trivial_homology=not config.allow_nontrivial_homology,
     )
 
 

@@ -20,25 +20,21 @@ and B, conditioned on S by the Schur complement when S is non-empty,
 against a tolerance scaled by the mean marginal variance
 trace(cov)/num_edges.
 
-The covariance is inv(omega), always computed by model.covariance.  One
-module-level slot keeps the covariance of the last precision a verify_*
-call checked, so a run of queries on one model inverts omega once; a
-query on another model replaces it.  The slot holds a weak reference to
-the precision and is emptied when that precision is collected, so it
-never keeps more than one E x E covariance, and none beyond the life of
-its model.  It answers only for the same, still living precision object
-whose omega is the same read-only array as before: build_precision
-returns read-only matrices, and a hand-built precision with a writeable
-omega is inverted afresh on every call.  scan_singleton_pairs checks
-every color-separated singleton pair of a model with one inversion and
-one gather; it neither reads nor fills the slot and keeps no covariance
-after it returns.
+The covariance is inv(omega), always computed by model.covariance.  The
+verify_* functions read it through model._shared_covariance, whose one
+slot keeps the covariance of the last built precision asked for, so a
+run of queries on one model inverts omega once and a query on another
+model replaces it.  model owns both halves of that rule: build_precision
+freezes omega, and the slot answers only for the same living precision
+whose omega is the same frozen array; a precision built by hand from
+ordinary arrays is inverted afresh on every call.  scan_singleton_pairs checks every color-separated
+singleton pair of a model with one inversion and one gather; it neither
+reads nor fills the slot and keeps no covariance after it returns.
 """
 
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable, Sequence
@@ -46,7 +42,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NotColorSeparated, NotSeparated, OverlappingSets
-from .model import CmrfGraph, EdgePrecision, _mean_variance, covariance
+from .model import (
+    CmrfGraph,
+    EdgePrecision,
+    _mean_variance,
+    _shared_covariance,
+    covariance,
+)
 
 __all__ = [
     "SeparationQuery",
@@ -198,35 +200,6 @@ def color_separated_singleton_pairs(graph: CmrfGraph) -> list[tuple[int, int]]:
     """
     rows, cols = _separated_pair_indices(graph)
     return list(zip(rows.tolist(), cols.tolist()))
-
-
-# (weak reference to a precision, its omega, inv(omega)) for the last
-# precision with a read-only omega that a verify_* call checked.  A reader
-# takes the tuple once and checks it against its own precision, so a
-# concurrent writer can cost a lost entry, never a wrong covariance.
-_slot: tuple[weakref.ref, np.ndarray, np.ndarray] | None = None
-
-
-def _empty_slot(ref: weakref.ref) -> None:
-    """Drop the kept covariance once its precision is collected."""
-    global _slot
-    if _slot is not None and _slot[0] is ref:
-        _slot = None
-
-
-def _shared_covariance(prec: EdgePrecision) -> np.ndarray:
-    """inv(omega) of prec, from the slot when it holds this precision."""
-    global _slot
-    omega = prec.omega
-    slot = _slot
-    if (slot is not None and slot[0]() is prec and slot[1] is omega
-            and not omega.flags.writeable):
-        return slot[2]
-    cov = covariance(prec)
-    if not omega.flags.writeable:
-        cov.flags.writeable = False
-        _slot = (weakref.ref(prec, _empty_slot), omega, cov)
-    return cov
 
 
 def _report(kind: str, rtol: float, prec: EdgePrecision,

@@ -25,11 +25,17 @@ link joins two edges lying in a common triangle t with d_t[t] != 0.  The
 support of omega is contained in the union of the two colors; strict
 inclusion happens only when lower and upper contributions cancel exactly,
 which :func:`find_cancellations` reports.
+
+:func:`build_precision` returns frozen matrices, read-only over immutable
+bytes.  That lets one module-level slot keep the covariance of the last
+built precision a check asked for (``_shared_covariance``): the same
+living precision object with the same frozen omega cannot have changed.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -98,8 +104,9 @@ class SgmParams:
 class EdgePrecision:
     """The precision matrix of an edge signal and its two factors.
 
-    build_precision returns the three matrices read-only, so a built
-    precision stays the matrix it was checked and inverted as.
+    build_precision returns the three matrices frozen: read-only copies
+    over immutable bytes, which numpy refuses to make writeable again, so
+    a built precision stays the matrix it was checked and inverted as.
     """
 
     omega: np.ndarray
@@ -209,7 +216,8 @@ def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
     Raises NotPositiveDefinite when the smallest eigenvalue of omega is
     not above 1e-9 * k, decided by a Cholesky factorization of
     omega - 1e-9 * k * I; omega_d and omega_u are then automatically
-    positive definite as well.  The three matrices come back read-only.
+    positive definite as well.  The three matrices come back frozen
+    (see EdgePrecision).
     """
     _check_params(inc, params)
     a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
@@ -227,14 +235,61 @@ def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
             f"k={params.k:.6g} gives smallest eigenvalue {lam_min:.3e}; "
             f"need k > {min_valid_k(inc, params.d_v, params.d_t, 0.0):.6g}"
         ) from None
-    for matrix in (omega, omega_d, omega_u):
-        matrix.flags.writeable = False
-    return EdgePrecision(omega=omega, omega_d=omega_d, omega_u=omega_u, k=params.k)
+    return EdgePrecision(omega=_frozen(omega), omega_d=_frozen(omega_d),
+                         omega_u=_frozen(omega_u), k=params.k)
+
+
+def _frozen(matrix: np.ndarray) -> np.ndarray:
+    """A read-only copy of matrix over immutable bytes, which no flag can unlock."""
+    return np.frombuffer(matrix.tobytes(), dtype=matrix.dtype).reshape(matrix.shape)
+
+
+def _is_frozen(array: np.ndarray) -> bool:
+    """True when array's memory is an immutable bytes object, as _frozen makes it."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, bytes)
 
 
 def covariance(prec: EdgePrecision) -> np.ndarray:
     """The covariance matrix inv(omega)."""
     return np.linalg.inv(prec.omega)
+
+
+# (weak reference to a precision, its omega, inv(omega)) for the last
+# precision with a frozen omega that _shared_covariance was asked for.  A
+# reader takes the tuple once and checks it against its own precision, so
+# a concurrent writer can cost a lost entry, never a wrong covariance.
+_slot: tuple[weakref.ref, np.ndarray, np.ndarray] | None = None
+
+
+def _empty_slot(ref: weakref.ref) -> None:
+    """Drop the kept covariance once its precision is collected."""
+    global _slot
+    if _slot is not None and _slot[0] is ref:
+        _slot = None
+
+
+def _shared_covariance(prec: EdgePrecision) -> np.ndarray:
+    """covariance(prec), kept in one slot for the next call on the same model.
+
+    The slot answers only for the same, still living precision object
+    whose omega is the same frozen array as before, so its contents
+    cannot have changed; any other precision is inverted afresh and,
+    when its omega is frozen, replaces the slot.  At most one E x E
+    covariance is kept, and none beyond the life of its precision.
+    """
+    global _slot
+    omega = prec.omega
+    slot = _slot
+    if slot is not None and slot[0]() is prec and slot[1] is omega:
+        return slot[2]
+    cov = covariance(prec)
+    if _is_frozen(omega):
+        cov.flags.writeable = False
+        _slot = (weakref.ref(prec, _empty_slot), omega, cov)
+    return cov
 
 
 def _mean_variance(cov: np.ndarray) -> float:

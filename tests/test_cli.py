@@ -292,12 +292,25 @@ class TestSimulateCommand:
         assert code == 2 and "at least 91 triangles" in err
         assert not out.exists()
 
-    def test_allow_nontrivial_homology_runs_medium_scale(self, tmp_path, capsys):
+    def test_refusal_points_to_complex_file(self, tmp_path, capsys):
+        complex_path = tmp_path / "sc.json"
+        code, _, err = run_cli(
+            capsys, "simulate", "--seed", "1", "--vertices", "30", "--edges", "120",
+            "--triangles", "60", "--runs", "1", "--iterations", "2",
+            "-o", str(tmp_path / "refused.csv"),
+        )
+        assert code == 2
+        assert "--allow-nontrivial-homology" in err and "--complex-file" in err
+        code, _, _ = run_cli(
+            capsys, "complex", "generate", "--seed", "1", "--vertices", "30",
+            "--edges", "120", "--triangles", "60", "--allow-nontrivial-homology",
+            "-o", str(complex_path),
+        )
+        assert code == 0
         out = tmp_path / "msd.csv"
         code, text, _ = run_cli(
-            capsys, "simulate", "--seed", "1", "--vertices", "30", "--edges", "120",
-            "--triangles", "60", "--allow-nontrivial-homology", "--runs", "1",
-            "--iterations", "20", "-o", str(out),
+            capsys, "simulate", "--seed", "1", "--complex-file", str(complex_path),
+            "--runs", "1", "--iterations", "20", "-o", str(out),
         )
         assert code == 0 and "atc_cmrf" in text
         assert len(out.read_text().splitlines()) == 1 + 5 * 20
@@ -498,7 +511,6 @@ def test_bad_numbers_exit_2(tmp_path, capsys, triangle_doc, argv, message):
     ("step_size_overrides", {"atc_plain": "1e-3"}, "step_size_overrides"),
     ("step_size_overrides", {"atc_typo": 1e-3}, "atc_typo"),
     ("combine_rule", 5, "combination rule"),
-    ("allow_nontrivial_homology", 1, "allow_nontrivial_homology"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, field, value, message):
     config = tmp_path / "config.json"
@@ -531,9 +543,9 @@ def test_module_entry_point_shows_subcommands():
         assert name in proc.stdout
 
 
-def test_package_runs_as_module(tmp_path):
+def test_module_entry_point_missing_model_exits_2(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "cmrf", "verify", str(tmp_path / "missing.json"),
+        [sys.executable, "-m", "cmrf.cli", "verify", str(tmp_path / "missing.json"),
          "--set-a", "0", "--set-b", "1"],
         capture_output=True, text=True,
     )

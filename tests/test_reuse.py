@@ -2,7 +2,9 @@
 
 verify_marginal_independence and verify_conditional_independence keep
 the inverse of the last built precision they checked and reuse it while
-that precision lives; the colored graph builds its adjacency sets once.
+that precision lives; build_precision returns matrices that cannot be
+made writeable, and a hand-built precision, whose omega may change, is
+inverted on every call.  The colored graph builds its adjacency sets once.
 Every report must still equal, bit for bit, the one computed from an
 inverse made for that query alone (report_by_fresh_inverse in
 tests/helpers.py), whatever the order of queries across models.
@@ -153,38 +155,71 @@ def test_one_inversion_per_model_switch(inversions):
     assert switches == 9 and len(inversions) == switches
 
 
-def test_writeable_precision_is_inverted_afresh(inversions):
+def _bump(omega):
+    """Change omega in place, keeping it symmetric positive definite."""
+    omega[0, 1] = omega[1, 0] = omega[0, 1] + 1.0
+
+
+def _writeable(omega):
+    return omega, lambda: _bump(omega)
+
+
+def _relocked(omega):
+    omega.flags.writeable = False
+
+    def change():
+        omega.flags.writeable = True
+        _bump(omega)
+        omega.flags.writeable = False
+
+    return omega, change
+
+
+def _read_only_view(omega):
+    view = omega.view()
+    view.flags.writeable = False
+    return view, lambda: _bump(omega)
+
+
+@pytest.mark.parametrize("hold", [_writeable, _relocked, _read_only_view],
+                         ids=["writeable", "relocked", "read-only-view"])
+def test_hand_built_precision_is_inverted_afresh(inversions, hold):
     rng = np.random.default_rng(11)
     x = rng.standard_normal((5, 5))
-    omega = x @ x.T + 5.0 * np.eye(5)
+    omega, change = hold(x @ x.T + 5.0 * np.eye(5))
     prec = EdgePrecision(omega=omega, omega_d=omega, omega_u=omega, k=5.0)
     graph = CmrfGraph(num_nodes=5, lower_links=frozenset(), upper_links=frozenset())
     before = verify_marginal_independence(prec, graph, [0], [1])
-    omega[0, 1] = omega[1, 0] = omega[0, 1] + 1.0
+    change()
     after = verify_marginal_independence(prec, graph, [0], [1])
     assert len(inversions) == 2
     assert after.residual != before.residual
     assert _bits(after) == _bits(report_by_fresh_inverse(prec, "marginal", after.query))
 
 
-def test_unlocked_built_precision_is_inverted_afresh(inversions):
+def test_replaced_omega_is_inverted_afresh(inversions):
     (prec, graph), = _models(10, 21, 12, seeds=(5,))
     i, j = color_separated_singleton_pairs(graph)[0]
-    verify_marginal_independence(prec, graph, [i], [j])
-    prec.omega.flags.writeable = True
-    prec.omega[i, i] += 1.0
-    report = verify_marginal_independence(prec, graph, [i], [j])
+    before = verify_marginal_independence(prec, graph, [i], [j])
+    changed = np.array(prec.omega)
+    changed[i, j] = changed[j, i] = 0.01 * changed[i, i]
+    object.__setattr__(prec, "omega", model._frozen(changed))
+    after = verify_marginal_independence(prec, graph, [i], [j])
     assert len(inversions) == 2
-    assert _bits(report) == _bits(report_by_fresh_inverse(prec, "marginal", report.query))
+    assert after.residual != before.residual
+    assert _bits(after) == _bits(report_by_fresh_inverse(prec, "marginal", after.query))
 
 
-def test_built_precision_is_read_only():
+def test_built_precision_is_frozen():
     (prec, _), = _models(10, 21, 12, seeds=(5,))
     for matrix in (prec.omega, prec.omega_d, prec.omega_u):
         with pytest.raises(ValueError, match="read-only"):
             matrix[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             matrix += 1.0
+        with pytest.raises(ValueError):
+            matrix.flags.writeable = True
+        assert not matrix.flags.writeable
 
 
 def test_kept_covariance_dies_with_its_precision(inversions):
