@@ -224,8 +224,6 @@ def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
     ne = inc.b1.shape[1]
     k_eye = params.k * np.eye(ne)
     omega = k_eye - a_d - a_u
-    omega_d = k_eye - a_d
-    omega_u = k_eye - a_u
 
     try:
         np.linalg.cholesky(omega - _PD_RTOL * k_eye)
@@ -235,8 +233,12 @@ def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
             f"k={params.k:.6g} gives smallest eigenvalue {lam_min:.3e}; "
             f"need k > {min_valid_k(inc, params.d_v, params.d_t, 0.0):.6g}"
         ) from None
-    return EdgePrecision(omega=_frozen(omega), omega_d=_frozen(omega_d),
-                         omega_u=_frozen(omega_u), k=params.k)
+    # one matrix and its frozen copy at a time: the copies would
+    # otherwise raise the peak memory of a build by three E x E arrays
+    omega = _frozen(omega)
+    omega_d = _frozen(k_eye - a_d)
+    omega_u = _frozen(k_eye - a_u)
+    return EdgePrecision(omega=omega, omega_d=omega_d, omega_u=omega_u, k=params.k)
 
 
 def _frozen(matrix: np.ndarray) -> np.ndarray:
@@ -285,6 +287,8 @@ def _shared_covariance(prec: EdgePrecision) -> np.ndarray:
     slot = _slot
     if slot is not None and slot[0]() is prec and slot[1] is omega:
         return slot[2]
+    # free the old covariance first, so that the new one can take its memory
+    slot = _slot = None
     cov = covariance(prec)
     if _is_frozen(omega):
         cov.flags.writeable = False

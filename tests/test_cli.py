@@ -290,17 +290,11 @@ class TestSimulateCommand:
             "--triangles", "60", "--runs", "1", "--iterations", "2", "-o", str(out),
         )
         assert code == 2 and "at least 91 triangles" in err
+        assert "--allow-nontrivial-homology" in err and "--complex-file" in err
         assert not out.exists()
 
-    def test_refusal_points_to_complex_file(self, tmp_path, capsys):
+    def test_nontrivial_complex_file_runs_medium_scale(self, tmp_path, capsys):
         complex_path = tmp_path / "sc.json"
-        code, _, err = run_cli(
-            capsys, "simulate", "--seed", "1", "--vertices", "30", "--edges", "120",
-            "--triangles", "60", "--runs", "1", "--iterations", "2",
-            "-o", str(tmp_path / "refused.csv"),
-        )
-        assert code == 2
-        assert "--allow-nontrivial-homology" in err and "--complex-file" in err
         code, _, _ = run_cli(
             capsys, "complex", "generate", "--seed", "1", "--vertices", "30",
             "--edges", "120", "--triangles", "60", "--allow-nontrivial-homology",
