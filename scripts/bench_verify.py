@@ -18,7 +18,9 @@ Per scale and side the script records:
   copy of the precision object, so each call inverts omega on either
   side, also where verify_* calls share one covariance per precision;
 * ``scan_s``: one ``scan_singleton_pairs`` call over every pair, when
-  the side has it;
+  the side has it.  Each timed call gets its own copy of the precision
+  object, built before the clock starts, so each scan inverts omega on
+  either side, also where the scan shares the covariance of verify_*;
 * ``cli_scan_s``: ``cmrf verify MODEL --scan-singletons --json`` in
   process, loading and JSON output included, when the estimate from
   the loop stays under ``CLI_LIMIT_S`` seconds (else null);
@@ -123,8 +125,9 @@ def measure() -> dict:
         entry = {"num_pairs": len(pairs), "sample_pairs": len(sample),
                  "loop_ms_per_pair": 1e3 * loop_s}
         if hasattr(independence, "scan_singleton_pairs"):
+            copies = [dataclasses.replace(prec) for _ in range(REPEATS)]
             scan_s = _median_time(
-                lambda: independence.scan_singleton_pairs(prec, graph))
+                lambda: independence.scan_singleton_pairs(copies.pop(), graph))
             entry["scan_s"] = scan_s
             entry["scan_ms_per_pair"] = 1e3 * scan_s / len(pairs)
         with tempfile.TemporaryDirectory() as tmp:

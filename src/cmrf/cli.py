@@ -56,6 +56,22 @@ def _load_section(config_path: str | None, section: str) -> dict:
     return part
 
 
+def _seed(args, section: str):
+    """The seed of --seed or of a config section that may hold nothing else.
+
+    Like simulate's, a seed is an integer >= 0 and not a bool; None when
+    neither the flag nor the section gives one.
+    """
+    part = _load_section(args.config, section)
+    unknown = set(part) - {"seed"}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    seed = args.seed if args.seed is not None else part.get("seed")
+    if seed is not None:
+        diffusion._check_int("seed", seed, 0)
+    return seed
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -65,15 +81,14 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def cmd_complex_generate(args) -> int:
-    section = _load_section(args.config, "complex")
-    seed = args.seed if args.seed is not None else section.get("seed")
+    seed = _seed(args, "complex")
     if seed is None:
         raise ValueError("complex generate requires --seed")
     sc = simplicial.random_2sc(
         args.vertices,
         args.probability,
         args.triangles,
-        int(seed),
+        seed,
         num_edges=args.edges,
         require_trivial_homology=not args.allow_nontrivial_homology,
     )
@@ -130,7 +145,7 @@ def cmd_complex_inspect(args) -> int:
 
 
 def cmd_model_build(args) -> int:
-    section = _load_section(args.config, "model")
+    seed = _seed(args, "model")
     sc = simplicial.load_complex(args.complex)
     inc = simplicial.incidence(sc)
 
@@ -141,12 +156,11 @@ def cmd_model_build(args) -> int:
         d_t = _parse_coeffs(args.dt, sc.num_triangles, "--dt")
 
     if d_v is None or d_t is None:
-        seed = args.seed if args.seed is not None else section.get("seed")
         if seed is None:
             raise ValueError("model build requires --seed unless --dv and --dt are given")
         drawn = model.draw_params(
             inc,
-            int(seed),
+            seed,
             dv_bounds=(args.coeff_low, args.coeff_high),
             dt_bounds=(args.coeff_low, args.coeff_high),
             margin=args.margin,
@@ -189,9 +203,11 @@ def cmd_model_check(args) -> int:
     inc = simplicial.incidence(sc)
     prec = model.build_precision(inc, params)
     res = model.identity_residuals(prec)
+    # numpy's power gives the same bits as a float's, but inf where k**2
+    # overflows instead of raising OverflowError
     checks = {
         "sum_rule": (res.sum_rule, 1e-10 * prec.k),
-        "product_rule": (res.product_rule, 1e-10 * prec.k**2),
+        "product_rule": (res.product_rule, 1e-10 * float(np.float64(prec.k) ** 2)),
         "inverse_rule": (res.inverse_rule, 1e-10 * res.mean_variance),
     }
     spectrum = np.linalg.eigvalsh(prec.omega)
@@ -328,6 +344,10 @@ def cmd_simulate(args) -> int:
             "pass it with --complex-file"
         ) from None
     diffusion.write_csv(result, args.out)
+    if config.steady_state_window > config.num_iterations:
+        print(f"warning: the steady-state window of {config.steady_state_window} "
+              f"iterations is longer than the run; the summary averages all "
+              f"{config.num_iterations} iterations", file=sys.stderr)
 
     diverged = set(result.diverged)
     payload = {

@@ -20,16 +20,16 @@ and B, conditioned on S by the Schur complement when S is non-empty,
 against a tolerance scaled by the mean marginal variance
 trace(cov)/num_edges.
 
-The covariance is inv(omega), always computed by model.covariance.  The
-verify_* functions read it through model._shared_covariance, whose one
-slot keeps the covariance of the last built precision asked for, so a
-run of queries on one model inverts omega once and a query on another
-model replaces it.  model owns both halves of that rule: build_precision
-freezes omega, and the slot answers only for the same living precision
-whose omega is the same frozen array; a precision built by hand from
-ordinary arrays is inverted afresh on every call.  scan_singleton_pairs checks every color-separated
-singleton pair of a model with one inversion and one gather; it neither
-reads nor fills the slot and keeps no covariance after it returns.
+The covariance is inv(omega).  The verify_* functions and
+scan_singleton_pairs read it through model._shared_covariance, the one
+place in the package that inverts omega, under its one rule: a built
+precision is inverted once while it is the last one checked, its
+covariance dies with it, and a precision built by hand from ordinary
+arrays is inverted afresh on every call.  A run of queries and scans on
+one model thus inverts omega once, and a check on another model
+replaces the kept covariance.  scan_singleton_pairs checks every
+color-separated singleton pair of a model with that covariance and one
+gather.
 """
 
 from __future__ import annotations
@@ -42,13 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NotColorSeparated, NotSeparated, OverlappingSets
-from .model import (
-    CmrfGraph,
-    EdgePrecision,
-    _mean_variance,
-    _shared_covariance,
-    covariance,
-)
+from .model import CmrfGraph, EdgePrecision, _mean_variance, _shared_covariance
 
 __all__ = [
     "SeparationQuery",
@@ -269,8 +263,8 @@ def scan_singleton_pairs(prec: EdgePrecision, graph: CmrfGraph) -> SingletonScan
 
     Gives per pair the residual and tolerance that
     verify_marginal_independence reports for ({i}, {j}), bit for bit,
-    but inverts omega once for the whole scan and reads all residuals
-    with one gather.  The covariance is not kept.
+    from the same shared covariance, and reads all residuals with one
+    gather.  With no pair to check nothing is inverted.
     """
     _check_sizes(prec, graph)
     rows, cols = _separated_pair_indices(graph)
@@ -278,7 +272,7 @@ def scan_singleton_pairs(prec: EdgePrecision, graph: CmrfGraph) -> SingletonScan
     if not pairs:
         return SingletonScan(pairs=[], residuals=np.zeros(0), tolerance=None,
                              max_residual=0.0, passed=True)
-    cov = covariance(prec)
+    cov = _shared_covariance(prec)
     residuals = np.abs(cov[rows, cols])
     tolerance = MARGINAL_RTOL * _mean_variance(cov)
     return SingletonScan(

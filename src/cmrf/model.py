@@ -30,6 +30,12 @@ which :func:`find_cancellations` reports.
 bytes.  That lets one module-level slot keep the covariance of the last
 built precision a check asked for (``_shared_covariance``): the same
 living precision object with the same frozen omega cannot have changed.
+Every reader of inv(omega) in the package goes through that slot (the
+independence checks, the singleton scan, :func:`identity_residuals` and
+:func:`covariance_cholesky`), so one rule holds for all of them: a built
+precision is inverted once while it is the last one checked, its
+covariance dies with it, and a precision built by hand from ordinary
+arrays is inverted on every call.
 """
 
 from __future__ import annotations
@@ -182,7 +188,13 @@ def _check_params(inc: IncidencePair, params: SgmParams) -> None:
 def _coupling_parts(
     inc: IncidencePair, d_v: np.ndarray, d_t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Return (a_d, a_u), the lower and upper coupling matrices."""
+    """Return (a_d, a_u), the lower and upper coupling matrices.
+
+    Raises ValueError when the complex has no edges: there is no edge
+    signal to model, and every k and every precision passes through here.
+    """
+    if inc.b1.shape[1] == 0:
+        raise ValueError("the complex has an empty edge set: a model needs at least one edge")
     b1 = inc.b1.astype(float)
     b2 = inc.b2.astype(float)
     a_d = b1.T @ (d_v[:, None] * b1)
@@ -203,7 +215,8 @@ def min_valid_k(
     """Smallest admissible k for the given couplings, plus a margin.
 
     Returns lambda_max(a_d + a_u) + margin, the threshold above which all
-    three precision matrices are positive definite.
+    three precision matrices are positive definite.  Raises ValueError
+    when the complex has no edges, since there is no edge signal to model.
     """
     a_d, a_u = _coupling_parts(inc, _coefficients(d_v), _coefficients(d_t))
     lam_max = float(np.linalg.eigvalsh(a_d + a_u)[-1])
@@ -255,7 +268,11 @@ def _is_frozen(array: np.ndarray) -> bool:
 
 
 def covariance(prec: EdgePrecision) -> np.ndarray:
-    """The covariance matrix inv(omega)."""
+    """The covariance matrix inv(omega), inverted afresh.
+
+    The package's own readers take it from _shared_covariance, which
+    calls this on a miss.
+    """
     return np.linalg.inv(prec.omega)
 
 
@@ -303,7 +320,7 @@ def _mean_variance(cov: np.ndarray) -> float:
 
 def covariance_cholesky(prec: EdgePrecision) -> np.ndarray:
     """Lower Cholesky factor of the covariance, for drawing samples."""
-    return np.linalg.cholesky(covariance(prec))
+    return np.linalg.cholesky(_shared_covariance(prec))
 
 
 class IdentityResiduals(NamedTuple):
@@ -323,7 +340,8 @@ class IdentityResiduals(NamedTuple):
 def identity_residuals(prec: EdgePrecision) -> IdentityResiduals:
     """Evaluate the decomposition identities on a built precision.
 
-    Inverts omega, omega_u and omega_d once each.
+    Inverts omega_u and omega_d once each and reads inv(omega) through
+    the shared slot.
     """
     k = prec.k
     eye = np.eye(prec.num_edges)
@@ -337,7 +355,7 @@ def identity_residuals(prec: EdgePrecision) -> IdentityResiduals:
     inv_sum = (
         np.linalg.inv(prec.omega_u) + np.linalg.inv(prec.omega_d) - eye / k
     )
-    cov = covariance(prec)
+    cov = _shared_covariance(prec)
     return IdentityResiduals(
         sum_rule=float(sum_rule),
         product_rule=float(product_rule),

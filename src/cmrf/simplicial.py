@@ -330,7 +330,7 @@ def random_2sc(
 
     * if ``num_edges`` is given, the graph must have exactly that many
       edges (when ``er_probability`` is None it defaults to the matching
-      density num_edges / C(num_vertices, 2)),
+      density num_edges / C(num_vertices, 2), or 0 on a single vertex),
     * the graph must contain at least ``triangle_budget`` 3-cliques,
     * if ``require_trivial_homology`` is set (the default, since the
       signal models downstream assume it), the filled complex must have
@@ -349,16 +349,18 @@ def random_2sc(
         raise ValueError("num_vertices must be positive")
     if triangle_budget < 0:
         raise ValueError("triangle_budget must be nonnegative")
+    num_pairs = num_vertices * (num_vertices - 1) // 2
     if er_probability is None:
         if num_edges is None:
             raise ValueError("need er_probability or num_edges")
-        er_probability = num_edges / (num_vertices * (num_vertices - 1) / 2)
+        # one vertex has no pair to join, and the only graph is edgeless
+        er_probability = num_edges / num_pairs if num_pairs else 0.0
     if not 0.0 <= er_probability <= 1.0:
         raise ValueError("er_probability must lie in [0, 1]")
     if num_edges is not None:
         if num_edges < 0:
             raise ValueError("num_edges must be nonnegative")
-        if num_edges > num_vertices * (num_vertices - 1) // 2:
+        if num_edges > num_pairs:
             raise GenerationFailed(
                 f"{num_edges} edges do not fit on {num_vertices} vertices"
             )

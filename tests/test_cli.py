@@ -100,6 +100,16 @@ class TestComplexCommands:
         code, text, _ = run_cli(capsys, *argv, "--allow-nontrivial-homology")
         assert code == 0 and f"edges={ne}" in text
 
+    def test_generate_one_vertex_complex(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        code, text, err = run_cli(
+            capsys, "complex", "generate", "--vertices", "1", "--edges", "0",
+            "--seed", "1", "-o", str(out),
+        )
+        assert code == 0 and "Traceback" not in err
+        assert "vertices=1 edges=0 triangles=0" in text
+        assert json.loads(out.read_text()) == {"vertices": [0], "edges": [], "triangles": []}
+
 
 class TestModelCommands:
     def test_check_inverts_each_matrix_once(self, capsys, monkeypatch, clustered_model_doc):
@@ -366,6 +376,21 @@ class TestSimulateCommand:
         )
         assert code == 2 and "seed" in err
 
+    def test_window_longer_than_run_warns(self, tmp_path, capsys):
+        out = tmp_path / "msd.csv"
+        argv = ["simulate", "--seed", "1", "--runs", "1", "-o", str(out)]
+        code, text, err = run_cli(capsys, *argv, "--iterations", "20")
+        assert code == 0 and "atc_cmrf" in text
+        assert err.count("\n") == 1 and err.startswith("warning:")
+        assert "averages all 20 iterations" in err
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 5 * 20
+        # the warning changes neither the summary nor the CSV
+        window = ["--steady-window", "20", "--iterations", "20"]
+        code, same_text, err = run_cli(capsys, *argv, *window)
+        assert code == 0 and err == "" and same_text == text
+        assert out.read_text().splitlines() == lines
+
     def test_diverging_run_is_a_failure(self, tmp_path, capsys):
         out = tmp_path / "msd.csv"
         code, text, _ = run_cli(
@@ -516,6 +541,71 @@ def test_bad_config_values_exit_2(tmp_path, capsys, field, value, message):
     assert code == 2
     assert err.startswith("error:") and message in err
     assert not out.exists()
+
+
+EDGELESS = {"vertices": [0, 1, 2], "edges": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "build", "{complex}", "--seed", "1", "-o", "{out}"],
+    ["model", "build", "{complex}", "--dv", "1", "--dt", "1", "-o", "{out}"],
+    ["simulate", "--complex-file", "{complex}", "--seed", "1", "--runs", "1",
+     "--iterations", "3", "-o", "{out}"],
+    ["simulate", "--vertices", "1", "--edges", "0", "--triangles", "0",
+     "--seed", "1", "--runs", "1", "--iterations", "3", "-o", "{out}"],
+], ids=["build-seed", "build-coefficients", "simulate-file", "simulate-one-vertex"])
+def test_edgeless_model_exits_2(tmp_path, capsys, argv):
+    complex_path = tmp_path / "edgeless.json"
+    complex_path.write_text(json.dumps(EDGELESS))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *[a.format(complex=complex_path, out=out)
+                                     for a in argv])
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("error:") and "empty edge set" in err
+    assert not out.exists()
+
+
+# complex generate and model build without --seed, by config section
+SEEDLESS = {
+    "complex": ["complex", "generate", "--vertices", "10", "--edges", "21",
+                "--triangles", "12", "-o", "{out}"],
+    "model": ["model", "build", "{complex}", "-o", "{out}"],
+}
+
+
+def _run_seedless(capsys, tmp_path, triangle_doc, section, out, config=None, *extra):
+    config_flag = [] if config is None else ["--config", str(tmp_path / "config.json")]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps({section: config}))
+    argv = [a.format(complex=triangle_doc, out=out) for a in SEEDLESS[section]]
+    return run_cli(capsys, *config_flag, *argv, *extra)
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"seed": 2.9}, "seed must be an integer >= 0, got 2.9"),
+    ({"seed": True}, "seed must be an integer >= 0, got True"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"seed": "2"}, "seed must be an integer >= 0, got '2'"),
+    ({"seed": 2, "sparsity": 0.9}, "unknown config keys: ['sparsity']"),
+], ids=["float", "bool", "negative", "string", "unknown-key"])
+@pytest.mark.parametrize("section", SEEDLESS)
+def test_bad_config_seed_exits_2(tmp_path, capsys, triangle_doc, section, config, message):
+    out = tmp_path / "out.json"
+    code, _, err = _run_seedless(capsys, tmp_path, triangle_doc, section, out, config)
+    assert code == 2 and err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", SEEDLESS)
+def test_config_seed_writes_flag_bytes(tmp_path, capsys, triangle_doc, section):
+    by_flag, by_config = tmp_path / "by_flag.json", tmp_path / "by_config.json"
+    code, _, _ = _run_seedless(capsys, tmp_path, triangle_doc, section, by_flag,
+                               None, "--seed", "2")
+    assert code == 0
+    code, _, _ = _run_seedless(capsys, tmp_path, triangle_doc, section, by_config,
+                               {"seed": 2})
+    assert code == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
 
 
 def test_config_must_be_an_object(tmp_path, capsys):

@@ -1,13 +1,14 @@
-"""Repeated independence queries share one covariance and one adjacency.
+"""Every reader of inv(omega) shares one covariance; graphs keep one adjacency.
 
-verify_marginal_independence and verify_conditional_independence keep
-the inverse of the last built precision they checked and reuse it while
+verify_marginal_independence, verify_conditional_independence,
+scan_singleton_pairs, identity_residuals and covariance_cholesky keep
+the inverse of the last built precision they read and reuse it while
 that precision lives; build_precision returns matrices that cannot be
 made writeable, and a hand-built precision, whose omega may change, is
 inverted on every call.  The colored graph builds its adjacency sets once.
-Every report must still equal, bit for bit, the one computed from an
-inverse made for that query alone (report_by_fresh_inverse in
-tests/helpers.py), whatever the order of queries across models.
+Every result must still equal, bit for bit, the one computed from an
+inverse made for it alone (report_by_fresh_inverse in tests/helpers.py
+and _read_fresh below), whatever the order of reads across models.
 """
 
 import gc
@@ -24,15 +25,19 @@ from cmrf import (
     build_cmrf,
     build_precision,
     color_separated_singleton_pairs,
+    covariance_cholesky,
     draw_params,
+    identity_residuals,
     incidence,
     is_color_separated,
     is_graph_separated,
     model,
     random_2sc,
+    scan_singleton_pairs,
     verify_conditional_independence,
     verify_marginal_independence,
 )
+from cmrf.independence import MARGINAL_RTOL
 
 from helpers import report_by_fresh_inverse
 
@@ -93,6 +98,53 @@ def _ask(prec, graph, query):
     return verify_conditional_independence(prec, graph, query)
 
 
+# The readers of the covariance besides the verify_* queries.
+READERS = ("scan", "identity", "cholesky")
+
+
+def _read(name, prec, graph):
+    """The package's result of one reader, in exactly comparable form."""
+    if name == "scan":
+        scan = scan_singleton_pairs(prec, graph)
+        return scan.pairs, scan.residuals.tobytes(), scan.tolerance, scan.passed
+    if name == "identity":
+        return tuple(identity_residuals(prec))
+    return covariance_cholesky(prec).tobytes()
+
+
+def _read_fresh(name, prec, graph):
+    """What _read gives, from an inverse of omega made for it alone."""
+    cov = np.linalg.inv(prec.omega)
+    mean_variance = float(np.trace(cov)) / cov.shape[0]
+    if name == "scan":
+        pairs = color_separated_singleton_pairs(graph)
+        rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+        residuals = np.abs(cov[rows, cols])
+        tolerance = MARGINAL_RTOL * mean_variance
+        return pairs, residuals.tobytes(), tolerance, bool(np.all(residuals < tolerance))
+    if name == "identity":
+        inv_sum = (np.linalg.inv(prec.omega_u) + np.linalg.inv(prec.omega_d)
+                   - np.eye(prec.num_edges) / prec.k)
+        sum_rule, product_rule, _, _ = identity_residuals(prec)  # no inverse in these
+        return (sum_rule, product_rule, float(np.abs(cov - inv_sum).max()),
+                mean_variance)
+    return np.linalg.cholesky(cov).tobytes()
+
+
+@pytest.fixture()
+def inverted(monkeypatch):
+    """Count np.linalg.inv calls and keep each matrix that was inverted."""
+    inv = np.linalg.inv
+    matrices = []
+
+    def spy(a):
+        matrices.append(a)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    return matrices
+
+
 @pytest.fixture()
 def inversions(monkeypatch):
     """Count np.linalg.inv calls and keep a weak reference to each result."""
@@ -113,7 +165,7 @@ def test_interleaved_reports_match_fresh_inverse(scale):
     models = _models(*scale, seeds=(5, 6, 7))
     rng = np.random.default_rng(sum(scale))
     plan = [(m, q) for m, (_, graph) in enumerate(models)
-            for q in _queries(graph, rng, 30)]
+            for q in [*_queries(graph, rng, 30), *READERS * 2]]
     order = rng.permutation(len(plan))
     # runs on one model and switches between models both occur
     switches = sum(plan[i][0] != plan[j][0] for i, j in zip(order, order[1:]))
@@ -122,6 +174,9 @@ def test_interleaved_reports_match_fresh_inverse(scale):
     for n in order:
         m, query = plan[n]
         prec, graph = models[m]
+        if query in READERS:
+            assert _read(query, prec, graph) == _read_fresh(query, prec, graph)
+            continue
         report = _ask(prec, graph, query)
         if report is None:
             continue
@@ -153,6 +208,26 @@ def test_one_inversion_per_model_switch(inversions):
     # the marginal run above left prec_a's covariance in place
     switches = sum(p is not q for p, q in zip([prec_a, *schedule], schedule))
     assert switches == 9 and len(inversions) == switches
+
+
+def test_every_reader_of_one_model_shares_one_inversion(inverted):
+    (prec, graph), = _models(30, 120, 60, seeds=(5,))
+    identity_residuals(prec)
+    assert scan_singleton_pairs(prec, graph).pairs
+    covariance_cholesky(prec)
+    answered = 0
+    for query in _queries(graph, np.random.default_rng(4), 60):
+        answered += _ask(prec, graph, query) is not None
+        if answered == 20:
+            break
+    assert answered == 20
+    identity_residuals(prec)
+    scan_singleton_pairs(prec, graph)
+    covariance_cholesky(prec)
+    # omega once for all readers; omega_d and omega_u once per identity check
+    for matrix, count in ((prec.omega, 1), (prec.omega_d, 2), (prec.omega_u, 2)):
+        assert sum(a is matrix for a in inverted) == count
+    assert len(inverted) == 5
 
 
 def _bump(omega):
@@ -195,6 +270,18 @@ def test_hand_built_precision_is_inverted_afresh(inversions, hold):
     assert len(inversions) == 2
     assert after.residual != before.residual
     assert _bits(after) == _bits(report_by_fresh_inverse(prec, "marginal", after.query))
+    # the other readers, each on its own hand-built precision; the
+    # identity check also inverts omega_d and omega_u, here omega itself
+    for reader, per_read in zip(READERS, (1, 3, 1)):
+        del inversions[:]
+        omega, change = hold(x @ x.T + 5.0 * np.eye(5))
+        prec = EdgePrecision(omega=omega, omega_d=omega, omega_u=omega, k=5.0)
+        before = _read(reader, prec, graph)
+        change()
+        after = _read(reader, prec, graph)
+        assert len(inversions) == 2 * per_read
+        assert after != before
+        assert after == _read_fresh(reader, prec, graph)
 
 
 def test_replaced_omega_is_inverted_afresh(inversions):

@@ -3,8 +3,9 @@
 scan_singleton_pairs must list the same pairs as the double loop over
 component labels and give, bit for bit, the residuals, tolerance,
 maximum and verdict of one verify_marginal_independence call per pair
-(oracles in tests/helpers.py), while inverting omega once and keeping
-no covariance after it returns.
+(oracles in tests/helpers.py), while reading the covariance from the
+slot that the verify_* checks share: one inversion per living model,
+none kept beyond it.
 """
 
 import gc
@@ -17,6 +18,7 @@ from cmrf import (
     CmrfGraph,
     DimensionMismatch,
     EdgePrecision,
+    SeparationQuery,
     SgmParams,
     build_cmrf,
     build_precision,
@@ -26,6 +28,8 @@ from cmrf import (
     min_valid_k,
     random_2sc,
     scan_singleton_pairs,
+    verify_conditional_independence,
+    verify_marginal_independence,
 )
 
 from helpers import (
@@ -122,11 +126,23 @@ def test_one_inversion_and_no_covariance_kept(scale_incidence, count_inversions)
     scan = scan_singleton_pairs(prec, graph)
     assert scan.pairs
     assert len(count_inversions) == 1
-    gc.collect()
-    assert count_inversions[0]() is None
     assert all(
         not isinstance(v, np.ndarray) or v.ndim < 2 for v in vars(scan).values()
     )
+    # the covariance is the slot's: a second scan and ten checks on the
+    # same model reuse it, and it goes with the precision
+    again = scan_singleton_pairs(prec, graph)
+    assert again.pairs == scan.pairs
+    assert np.array_equal(again.residuals, scan.residuals)
+    for n in range(5):
+        i, j = scan.pairs[n % len(scan.pairs)]
+        verify_marginal_independence(prec, graph, [i], [j])
+        rest = tuple(n for n in range(graph.num_nodes) if n not in (i, j))
+        verify_conditional_independence(prec, graph, SeparationQuery((i,), (j,), rest))
+    assert len(count_inversions) == 1
+    del prec
+    gc.collect()
+    assert count_inversions[0]() is None
 
 
 def test_scan_without_pairs(filled_triangle, count_inversions):
