@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -47,10 +46,7 @@ def _parse_coeffs(text: str, length: int, what: str) -> np.ndarray:
 def _load_section(config_path: str | None, section: str) -> dict:
     if config_path is None:
         return {}
-    doc = json.loads(Path(config_path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError(f"config file {config_path} must hold a JSON object")
-    part = doc.get(section, {})
+    part = simplicial._read_document(config_path, {}).get(section, {})
     if not isinstance(part, dict):
         raise ValueError(f"config section {section!r} must be an object")
     return part
@@ -202,14 +198,21 @@ def cmd_model_check(args) -> int:
     sc, params = model.load_model(args.path)
     inc = simplicial.incidence(sc)
     prec = model.build_precision(inc, params)
-    res = model.identity_residuals(prec)
-    # numpy's power gives the same bits as a float's, but inf where k**2
-    # overflows instead of raising OverflowError
-    checks = {
-        "sum_rule": (res.sum_rule, 1e-10 * prec.k),
-        "product_rule": (res.product_rule, 1e-10 * float(np.float64(prec.k) ** 2)),
-        "inverse_rule": (res.inverse_rule, 1e-10 * res.mean_variance),
-    }
+    # a model whose products overflow is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = model.identity_residuals(prec)
+        # numpy's power gives the same bits as a float's, but inf where
+        # k**2 overflows instead of raising OverflowError
+        checks = {
+            "sum_rule": (res.sum_rule, 1e-10 * prec.k),
+            "product_rule": (res.product_rule, 1e-10 * float(np.float64(prec.k) ** 2)),
+            "inverse_rule": (res.inverse_rule, 1e-10 * res.mean_variance),
+        }
+    if not np.isfinite(list(checks.values())).all():
+        raise ValueError(
+            f"{args.path}: the precision identities overflow in double "
+            f"precision (k={params.k:.6g})"
+        )
     spectrum = np.linalg.eigvalsh(prec.omega)
     lam_min = float(spectrum[0])
     cancels = model.find_cancellations(inc, params)

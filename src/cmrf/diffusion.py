@@ -78,6 +78,9 @@ class VariantSpec:
     is_centralized: bool = False
 
 
+# The table's order is the simulator's batch order: the matrix-coupled
+# variants are a prefix of the combining ones, those a prefix of the
+# distributed ones, and centralized_cmrf comes last.
 VARIANTS: dict[str, VariantSpec] = {
     v.name: v
     for v in (
@@ -189,13 +192,7 @@ def _centralized_step(theta, regressors, observations, omega, steps):
     return theta + steps * grad[..., 0]
 
 
-_DEFAULT_VARIANTS = (
-    "atc_cmrf",
-    "atc_lgmrf",
-    "atc_plain",
-    "standalone_lms",
-    "centralized_cmrf",
-)
+_DEFAULT_VARIANTS = tuple(VARIANTS)
 
 
 def _check_int(name: str, value, low: int) -> None:
@@ -368,60 +365,12 @@ _MIN_BLOCK = 16
 
 
 @dataclass(frozen=True)
-class _Layout:
-    """Where each variant sits in the batched state.
-
-    ``order`` lists positions in ``config.variants``: distributed
-    variants first, the combining ones before standalone_lms and, among
-    them, the matrix-coupled ones before atc_plain; centralized last.
-    The first ``matrix`` distributed variants weigh residuals with their
-    coupling matrix, one per ``slots`` entry; the first ``combined``
-    ones combine (every matrix-coupled variant combines, so both sets
-    are prefixes).  ``central`` is the slot holding omega for the
-    centralized variant, None without it.
-    """
-
-    order: tuple[int, ...]
-    distributed: int
-    matrix: int
-    combined: int
-    slots: tuple[VariantSpec, ...]
-    central: int | None
-
-    @classmethod
-    def of(cls, variants: Sequence[str]) -> "_Layout":
-        specs = [get_variant(v) for v in variants]
-
-        def coupled(i):
-            return specs[i].uses_lower_term or specs[i].uses_upper_term
-
-        dist = sorted(
-            (i for i, sp in enumerate(specs) if not sp.is_centralized),
-            key=lambda i: (not specs[i].uses_combination, not coupled(i)),
-        )
-        central = [i for i, sp in enumerate(specs) if sp.is_centralized]
-        slots = [specs[i] for i in dist if coupled(i)]
-        full = [j for j, sp in enumerate(slots) if sp.uses_lower_term and sp.uses_upper_term]
-        if central and not full:
-            full = [len(slots)]
-            slots.append(specs[central[0]])
-        return cls(
-            order=tuple(dist + central),
-            distributed=len(dist),
-            matrix=sum(1 for i in dist if coupled(i)),
-            combined=sum(1 for i in dist if specs[i].uses_combination),
-            slots=tuple(slots),
-            central=full[0] if central else None,
-        )
-
-
-@dataclass(frozen=True)
 class _Run:
     """One run after its set-up, its generator positioned for the stream.
 
     ``mats`` stacks the run's (E, E) matrices: the noise Cholesky
-    factor, one coupling matrix per layout slot and, when the run drew
-    its own complex, its combination weights.
+    factor, one coupling matrix per slot (see ``_run_chunk``) and, when
+    the run drew its own complex, its combination weights.
     """
 
     rng: np.random.Generator
@@ -451,7 +400,7 @@ def _setup_run(
     config: ExperimentConfig,
     sc: SimplicialComplex2 | None,
     run_seed: np.random.SeedSequence,
-    layout: _Layout,
+    slots: Sequence[VariantSpec],
 ) -> _Run:
     """Draw a run's complex (when resampled), coefficients and ground truth."""
     rng = np.random.default_rng(run_seed)
@@ -469,7 +418,7 @@ def _setup_run(
     prec = build_precision(inc, params)
     theta0 = rng.standard_normal(config.dim)
     mats = [covariance_cholesky(prec)]
-    mats += [coupling_matrix(prec, spec) for spec in layout.slots]
+    mats += [coupling_matrix(prec, spec) for spec in slots]
     if own_complex:
         mats.append(combination_weights(line_graph(sc), config.combine_rule))
     return _Run(rng=rng, theta0=theta0, k=prec.k,
@@ -478,38 +427,41 @@ def _setup_run(
 
 def _simulate_group(
     config: ExperimentConfig,
-    layout: _Layout,
+    specs: Sequence[VariantSpec],
     runs: Sequence[_Run],
     combine: np.ndarray | None,
     out: np.ndarray,
-    cols: np.ndarray,
 ) -> None:
-    """Advance runs that share an edge count; write their MSD curves.
+    """Advance consecutive runs that share an edge count; write their MSD curves.
 
-    Every round is a fixed handful of numpy calls whatever the number of
-    runs and variants.  Each product runs per (run, variant) slice with
-    the shapes of a single run, so the curves are bitwise those of
-    running one run and one variant at a time.  ``out[j, cols[i]]`` gets
-    the curve of variant ``config.variants[j]`` in run ``runs[i]``.
+    ``specs`` are the configured variants in ``VARIANTS`` order, so the
+    first ``nm`` weigh residuals with their coupling matrix, the first
+    ``nc`` combine, the first ``nd`` are distributed and a centralized
+    one may follow.  Every round is a fixed handful of numpy calls
+    whatever the number of runs and variants.  Each product runs per
+    (run, variant) slice with the shapes of a single run, so the curves
+    are bitwise those of running one run and one variant at a time.
+    ``out[j, i]`` gets the curve of ``specs[j]`` in run ``runs[i]``.
     """
     g, ne, m = len(runs), runs[0].num_edges, config.dim
-    nd, nm, nc = layout.distributed, layout.matrix, layout.combined
-    names = [config.variants[j] for j in layout.order]
+    nd = sum(not s.is_centralized for s in specs)
+    nm = sum(s.uses_lower_term or s.uses_upper_term for s in specs[:nd])
+    nc = sum(s.uses_combination for s in specs[:nd])
     # a lone run (large complexes) is used in place, without a copy
     mats = runs[0].mats[None] if g == 1 else np.stack([r.mats for r in runs])
-    chol, couplings = mats[:, 0], mats[:, 1:1 + len(layout.slots)]
+    chol, couplings = mats[:, 0], mats[:, 1:1 + nm]
     if combine is None:
         combine = mats[:, -1:]
     theta0 = np.stack([r.theta0 for r in runs])
-    steps = np.array([[r.steps[v] for v in names] for r in runs])
+    steps = np.array([[r.steps[s.name] for s in specs] for r in runs])
     k = np.array([r.k for r in runs])[:, None, None]
     dist_steps = steps[:, :nd, None, None]
-    dist_rows = np.array(layout.order[:nd], dtype=int)[:, None]
     theta = np.zeros((g, nd, ne, m))
-    if layout.central is not None:
-        omega = couplings[:, layout.central]
+    central = nd < len(specs)
+    if central:
+        # omega is atc_cmrf's slot, or its own slot after the coupled ones
+        omega = mats[:, 1 if specs[0].name == "atc_cmrf" else 1 + nm]
         central_steps = steps[:, nd:]
-        central_row = layout.order[nd]
         theta_c = np.zeros((g, m))
 
     spare = max(0, _BATCH_BYTES - sum(r.nbytes for r in runs))
@@ -525,15 +477,15 @@ def _simulate_group(
         for t in range(stop - start):
             u, y = regressors[:, t], observations[:, t]
             if nd:
-                theta = _atc_step(theta, u, y, couplings[:, :nm], k,
+                theta = _atc_step(theta, u, y, couplings, k,
                                   dist_steps, combine, nc)
                 err = theta - theta0[:, None, None]
                 msd = (err * err).reshape(g, nd, ne * m).sum(axis=-1) / ne
-                out[dist_rows, cols, start + t] = msd.T
-            if layout.central is not None:
+                out[:nd, :, start + t] = msd.T
+            if central:
                 theta_c = _centralized_step(theta_c, u, y, omega, central_steps)
                 err = theta_c - theta0
-                out[central_row, cols, start + t] = (err[:, None] @ err[..., None])[:, 0, 0]
+                out[nd, :, start + t] = (err[:, None] @ err[..., None])[:, 0, 0]
 
 
 def _run_chunk(
@@ -543,40 +495,36 @@ def _run_chunk(
 ) -> np.ndarray:
     """MSD curves (variants, runs, iterations) of consecutive runs.
 
+    Rows follow ``VARIANTS`` order, restricted to ``config.variants``.
     Runs are set up one at a time in seed order and simulated in
-    batches whose matrices fit in the byte budget, grouped by edge
-    count within a batch.
+    batches of consecutive runs; a batch closes when its matrices fill
+    the byte budget, at the last run, or before a run whose edge count
+    differs from the batch's.
     """
-    layout = _Layout.of(config.variants)
+    specs = [spec for name, spec in VARIANTS.items() if name in config.variants]
+    # one coupling slot per matrix-coupled variant; centralized_cmrf reads
+    # omega from atc_cmrf's slot, or from one of its own after them
+    slots = [s for s in specs
+             if (s.uses_lower_term or s.uses_upper_term) and not s.is_centralized]
+    if specs[-1].is_centralized and specs[0].name != "atc_cmrf":
+        slots.append(specs[-1])
     combine = None
     if sc is not None:
         combine = combination_weights(line_graph(sc), config.combine_rule)
-    out = np.empty((len(config.variants), len(run_seeds), config.num_iterations))
-    batch: list[tuple[int, _Run]] = []
-    used = 0
+    out = np.empty((len(specs), len(run_seeds), config.num_iterations))
+    # only ``batch`` holds the runs, so each is freed once simulated
+    batch: list[_Run] = []
     for i, seed in enumerate(run_seeds):
-        batch.append((i, _setup_run(config, sc, seed, layout)))
-        used += batch[-1][1].nbytes
-        if used >= _BATCH_BYTES or i + 1 == len(run_seeds):
-            _simulate_batch(config, layout, batch, combine, out)
-            batch, used = [], 0
+        batch.append(_setup_run(config, sc, seed, slots))
+        if batch[-1].num_edges != batch[0].num_edges:
+            _simulate_group(config, specs, batch[:-1], combine,
+                            out[:, i + 1 - len(batch):i])
+            del batch[:-1]
+        if sum(r.nbytes for r in batch) >= _BATCH_BYTES or i + 1 == len(run_seeds):
+            _simulate_group(config, specs, batch, combine,
+                            out[:, i + 1 - len(batch):i + 1])
+            batch = []
     return out
-
-
-def _simulate_batch(
-    config: ExperimentConfig,
-    layout: _Layout,
-    batch: Sequence[tuple[int, _Run]],
-    combine: np.ndarray | None,
-    out: np.ndarray,
-) -> None:
-    """Simulate (index, run) pairs, grouped by edge count."""
-    groups: dict[int, list[tuple[int, _Run]]] = {}
-    for i, run in batch:
-        groups.setdefault(run.num_edges, []).append((i, run))
-    for members in groups.values():
-        cols = np.array([i for i, _ in members])
-        _simulate_group(config, layout, [r for _, r in members], combine, out, cols)
 
 
 def _diverged(curve: np.ndarray, window: int) -> bool:
@@ -630,9 +578,11 @@ def run_experiment(config: ExperimentConfig) -> MsdResult:
         else:
             msd = _run_chunk(config, sc, run_seeds)
 
+        rows = dict(zip((v for v in VARIANTS if v in config.variants), msd))
         window = min(config.steady_state_window, config.num_iterations)
         msd_mean, msd_std, steady = {}, {}, {}
-        for v, stack in zip(config.variants, msd):  # stack: (runs, iterations)
+        for v in config.variants:
+            stack = rows[v]  # (runs, iterations)
             msd_mean[v] = stack.mean(axis=0)
             msd_std[v] = (
                 stack.std(axis=0, ddof=1)

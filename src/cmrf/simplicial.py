@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -310,6 +311,19 @@ def _enumerate_3cliques(
     return list(zip(ab[pair, 0].tolist(), ab[pair, 1].tolist(), c.tolist()))
 
 
+def _max_triangles(num_vertices: int, num_edges: int | None) -> int:
+    """Most 3-cliques a graph on num_vertices vertices can hold.
+
+    With num_edges = C(a, 2) + b, 0 <= b < a, the Kruskal-Katona bound
+    is C(a, 3) + C(b, 2), reached by a clique on a vertices plus one
+    vertex joined to b of them; without an edge count, C(num_vertices, 3).
+    """
+    if num_edges is None:
+        return math.comb(num_vertices, 3)
+    a = (1 + math.isqrt(1 + 8 * num_edges)) // 2  # largest a with C(a, 2) <= E
+    return math.comb(a, 3) + math.comb(num_edges - math.comb(a, 2), 2)
+
+
 def random_2sc(
     num_vertices: int,
     er_probability: float | None,
@@ -338,11 +352,13 @@ def random_2sc(
       selections are tried per graph before resampling.
 
     Raises GenerationFailed when ``max_attempts`` graphs were sampled
-    without success, and at once, before drawing, when ``num_edges`` is
-    given and no graph can meet the targets: more edges than vertex
-    pairs, or trivial homology asked for with fewer than
-    num_edges - num_vertices + 1 triangles (rank(b1) <= num_vertices - 1
-    leaves at least that many cycles for the triangles to fill).
+    without success, and at once, before drawing, when no graph can meet
+    the targets: more edges than vertex pairs, trivial homology asked
+    for with fewer than num_edges - num_vertices + 1 triangles
+    (rank(b1) <= num_vertices - 1 leaves at least that many cycles for
+    the triangles to fill), or more triangles than any graph holds (see
+    :func:`_max_triangles`).  A request that fits but is improbable
+    under the edge density still draws every attempt.
     Identical arguments and seed reproduce the same complex.
     """
     if num_vertices < 1:
@@ -370,6 +386,14 @@ def random_2sc(
                 f"edges needs at least {num_edges - num_vertices + 1} triangles, "
                 f"got {triangle_budget}"
             )
+
+    most = _max_triangles(num_vertices, num_edges)
+    if triangle_budget > most:
+        edges = "" if num_edges is None else f" and {num_edges} edges"
+        raise GenerationFailed(
+            f"{triangle_budget} triangles do not fit in a graph with "
+            f"{num_vertices} vertices{edges} (at most {most})"
+        )
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
@@ -415,10 +439,14 @@ def _is_list_of(ok, size: int | None = None):
 def _read_document(path: str | Path, fields: dict, optional=()) -> dict:
     """Load a JSON object and check each field against (predicate, description).
 
-    Raises InvalidDocument when the document is not an object, a key not
-    listed in ``optional`` is missing, or a value fails its predicate.
+    Raises InvalidDocument when the file is not JSON, the document is not
+    an object, a key not listed in ``optional`` is missing, or a value
+    fails its predicate.
     """
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidDocument(f"{path}: not a JSON document ({exc})") from None
     if not isinstance(doc, dict):
         raise InvalidDocument(f"{path}: expected a JSON object")
     for key, (ok, what) in fields.items():

@@ -119,6 +119,23 @@ class TestModelCommands:
         assert code == 0 and text.endswith("PASS\n")
         assert len(calls) == 3  # omega_u, omega_d and omega
 
+    def test_check_refuses_an_overflowing_model(self, tmp_path, triangle_doc):
+        path = tmp_path / "huge_k.json"
+        path.write_text(json.dumps({
+            "k": 1e308, "d_v": [1.0, 1.0, 1.0], "d_t": [1.0],
+            "complex_file": triangle_doc.name,
+        }))
+        for flags in ([], ["--json"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cmrf.cli", *flags, "model", "check", str(path)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr == (
+                f"error: {path}: the precision identities overflow in double "
+                "precision (k=1e+308)\n"
+            )
+
     def test_build_and_check(self, tmp_path, capsys, triangle_doc):
         out = tmp_path / "model.json"
         code, text, _ = run_cli(
@@ -319,6 +336,21 @@ class TestSimulateCommand:
         assert code == 0 and "atc_cmrf" in text
         assert len(out.read_text().splitlines()) == 1 + 5 * 20
 
+    def test_reordered_variants_keep_their_order(self, tmp_path, capsys):
+        order = ["centralized_cmrf", "standalone_lms", "atc_lgmrf", "atc_cmrf",
+                 "atc_plain"]
+        out = tmp_path / "msd.csv"
+        argv = ["simulate", "--seed", "1", "--runs", "2", "--iterations", "5",
+                "--variants", ",".join(order), "-o", str(out)]
+        code, text, _ = run_cli(capsys, "--json", *argv)
+        assert code == 0
+        assert list(json.loads(text)["steady_state_db"]) == order
+        rows = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert rows == [v for v in order for _ in range(5)]
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert [line.split()[0] for line in text.splitlines()[4:]] == order
+
     def test_default_csv_bytes(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         code, _, _ = run_cli(capsys, "simulate", "--seed", "1", "--runs", "4",
@@ -450,6 +482,28 @@ class TestDocumentSchemas:
         bad.write_text("[1, 2, 3]")
         code, _, err = run_cli(capsys, "complex", "inspect", str(bad))
         assert code == 2 and "JSON object" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["complex", "inspect", "{bad}"],
+        ["model", "check", "{bad}"],
+        ["verify", "{model}", "--scan-singletons"],
+        ["--config", "{bad}", "simulate", "--seed", "1", "-o", "{out}"],
+        ["--config", "{bad}", "model", "build", "{complex}", "-o", "{out}"],
+    ], ids=["complex", "model", "complex-of-model", "simulate-config",
+            "build-config"])
+    def test_non_json_document_names_its_file(self, tmp_path, capsys, triangle_doc, argv):
+        paths = {"bad": tmp_path / "not_json.txt", "model": tmp_path / "model.json",
+                 "complex": triangle_doc, "out": tmp_path / "out"}
+        paths["bad"].write_text("k = 8\n")
+        paths["model"].write_text(json.dumps({
+            "k": 8.0, "d_v": [1.0, 1.0, 1.0], "d_t": [1.0],
+            "complex_file": paths["bad"].name,
+        }))
+        code, text, err = run_cli(capsys, *[a.format(**paths) for a in argv])
+        assert code == 2 and text == ""
+        assert err.startswith(f"error: {paths['bad']}: not a JSON document")
+        assert len(err.splitlines()) == 1
+        assert not paths["out"].exists()
 
     @pytest.mark.parametrize("edit, key", [
         (lambda d: d.pop("d_t"), "d_t"),

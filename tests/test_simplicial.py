@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from cmrf import (
     random_2sc,
     save_complex,
 )
+from cmrf.simplicial import _enumerate_3cliques, _max_triangles
 
 
 def random_complexes(count, allow_holes=True):
@@ -253,6 +256,35 @@ class TestRandom2sc:
         assert rng.bit_generator.state == state
         with pytest.raises(ValueError):
             random_2sc(5, 0.5, 0, rng, num_edges=-1)
+
+    @pytest.mark.parametrize("nv, p, ne, nt, most", [
+        (3, None, 0, 2, 0), (4, None, 5, 3, 2), (5, 0.5, None, 11, 10),
+        (60, None, 100, 401, 400),
+    ])
+    def test_triangle_budget_beyond_any_graph_fails_before_drawing(
+        self, nv, p, ne, nt, most
+    ):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(GenerationFailed, match=f"at most {most}"):
+            random_2sc(nv, p, nt, rng, num_edges=ne, require_trivial_homology=False)
+        assert rng.bit_generator.state == state
+
+    def test_kruskal_katona_bound_is_tight(self):
+        # the most 3-cliques over every graph on up to 5 vertices
+        for nv in range(1, 6):
+            pairs = list(itertools.combinations(range(nv), 2))
+            most = {}
+            for size in range(len(pairs) + 1):
+                most[size] = max(
+                    len(_enumerate_3cliques(nv, list(edges)))
+                    for edges in itertools.combinations(pairs, size)
+                )
+                assert _max_triangles(nv, size) == most[size]
+            assert _max_triangles(nv, None) == max(most.values())
+        # the extremal graph is reached: a 4-clique minus one edge
+        sc = random_2sc(4, None, 2, 0, num_edges=5, require_trivial_homology=False)
+        assert sc.num_triangles == 2
 
     def test_homology_requirement_can_be_waived(self):
         # A sparse graph with no triangles almost surely has cycles left

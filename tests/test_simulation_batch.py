@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cmrf import (
+    VARIANTS,
     ExperimentConfig,
     diffusion,
     random_2sc,
@@ -37,6 +38,8 @@ def assert_matches_oracle(config):
     result = run_experiment(config)
     mean, std = msd_by_run_loop(config)
     assert result.variants == config.variants
+    for curves in (result.msd_mean, result.msd_std, result.steady_state_db):
+        assert list(curves) == list(config.variants)
     for v in config.variants:
         assert np.array_equal(result.msd_mean[v], mean[v]), v
         assert np.array_equal(result.msd_std[v], std[v]), v
@@ -64,9 +67,54 @@ def test_resampled_complexes_with_varying_edge_counts_match_oracle():
         random_2sc(10, 0.7, 20, np.random.default_rng(s)).num_edges
         for s in run_seeds
     ]
-    # runs sharing an edge count are batched together, the others apart
+    # consecutive runs sharing an edge count are batched together
     assert len(set(edge_counts)) not in (1, len(edge_counts))
     assert_matches_oracle(config)
+
+
+def test_batch_closes_at_an_edge_count_change(monkeypatch):
+    groups = []
+    simulate_group = diffusion._simulate_group
+
+    def spy(config, specs, runs, combine, out):
+        groups.append([r.num_edges for r in runs])
+        simulate_group(config, specs, runs, combine, out)
+
+    monkeypatch.setattr(diffusion, "_simulate_group", spy)
+    run_seeds = np.random.SeedSequence(9).spawn(2)[1].spawn(4)
+    edge_counts = [
+        random_2sc(10, 0.7, 20, np.random.default_rng(s)).num_edges
+        for s in run_seeds
+    ]
+    assert edge_counts == [29, 28, 27, 28]
+    run_experiment(ExperimentConfig(
+        seed=9, num_runs=4, num_iterations=5, num_edges=None,
+        num_triangles=20, er_probability=0.7, resample_complex=True,
+    ))
+    assert groups == [[29], [28], [27], [28]]
+    groups.clear()
+    # one shared complex: the 4 runs fit the byte budget as one batch
+    run_experiment(ExperimentConfig(seed=9, num_runs=4, num_iterations=5))
+    assert groups == [[21] * 4]
+
+
+def test_variants_table_is_the_batch_order():
+    # the simulator runs the configured variants in table order and reads
+    # which of them couple, combine or are distributed off these prefixes
+    specs = list(VARIANTS.values())
+
+    def prefix(pred):
+        n = sum(map(pred, specs))
+        assert all(map(pred, specs[:n]))
+        return n
+
+    coupled = prefix(lambda s: not s.is_centralized
+                     and (s.uses_lower_term or s.uses_upper_term))
+    combined = prefix(lambda s: s.uses_combination)
+    distributed = prefix(lambda s: not s.is_centralized)
+    assert 0 < coupled <= combined <= distributed == len(specs) - 1
+    # centralized_cmrf reads omega from the first slot when atc_cmrf runs
+    assert specs[0].name == "atc_cmrf" and specs[-1].is_centralized
 
 
 def test_reordered_variants_match_oracle():
@@ -131,3 +179,20 @@ def test_peak_memory_large_scale(tmp_path):
     )
     config = ExperimentConfig(seed=3, num_runs=2, num_iterations=100, complex_file=str(path))
     assert traced_peak(config) <= 1.5 * 10.67 * MIB
+
+
+def test_large_runs_are_freed_before_the_next_setup(tmp_path):
+    # one run at 400 edges fills the byte budget, so its matrices must be
+    # released before the next run is set up: two runs peak like one
+    path = tmp_path / "c400.json"
+    save_complex(
+        random_2sc(60, None, 200, 0, num_edges=400, require_trivial_homology=False),
+        path,
+    )
+    one, two = (
+        traced_peak(ExperimentConfig(seed=3, num_runs=n, num_iterations=20,
+                                     complex_file=str(path)))
+        for n in (1, 2)
+    )
+    # one 400x400 matrix is 1.22 MiB; a kept run holds three
+    assert two <= one + 0.5 * MIB
