@@ -19,7 +19,11 @@ estimators run adapt-then-combine rounds on the line graph:
 The adapt step descends the agent's slice of the decomposed objective
 with neighbor residuals frozen at their communicated values; row e of
 omega_v is nonzero only at e and its line-graph neighbors, so each agent
-needs only what its neighbors send.
+needs only what its neighbors send.  The combine step applies the dense
+(E, E) weights, except for the uniform rule on complexes with many edges
+per vertex (see ``_factored``), where it goes through the unsigned
+incidence matrix |b1| instead: the same average up to rounding, at the
+cost of two thin V x E products in place of one E x E product.
 
 The coupling matrix omega_v depends on the variant: the full precision
 for atc_cmrf, the lower-only factor for atc_lgmrf, and k*I for the
@@ -51,7 +55,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model import EdgePrecision, build_precision, covariance_cholesky, draw_params
-from .simplicial import SimplicialComplex2, incidence, line_graph, load_complex, random_2sc
+from .simplicial import (
+    IncidencePair,
+    SimplicialComplex2,
+    incidence,
+    line_graph,
+    load_complex,
+    random_2sc,
+)
 
 __all__ = [
     "VariantSpec",
@@ -159,6 +170,58 @@ def combination_weights(adjacency: np.ndarray, rule: str = "uniform") -> np.ndar
     raise ValueError(f"unknown combination rule: {rule!r}")
 
 
+# The combine step goes through the incidence matrix for the uniform rule
+# from this many edges on, and only where there are at least this many
+# edges per vertex: the factored step costs about 4*V*E flops per column
+# against 2*E**2 dense, plus a fixed overhead that small complexes do not
+# repay.  Measured with scripts/bench_combine.py (BENCH_14.json).
+_FACTORED_MIN_EDGES = 150
+_FACTORED_EDGES_PER_VERTEX = 3
+
+
+def _factored(rule: str, num_vertices: int, num_edges: int) -> bool:
+    """Whether the combine step on such a complex uses ``_IncidenceCombine``.
+
+    Only the uniform rule factors: Metropolis weights depend on the
+    degrees of each linked pair.  The paper scale (10/21/12) and
+    30/120/60 stay on the dense path.
+    """
+    return rule == "uniform" and num_edges >= max(
+        _FACTORED_MIN_EDGES, _FACTORED_EDGES_PER_VERTEX * num_vertices)
+
+
+@dataclass(frozen=True)
+class _IncidenceCombine:
+    """Uniform combination weights applied through the unsigned incidence.
+
+    Two edges of a simple graph share at most one vertex, so with
+    A = |b1| the matrix A.T @ A - I is the closed line-graph neighborhood,
+    whose row sums ``size`` are deg(u) + deg(v) - 1 for an edge (u, v).
+    ``self @ psi`` is therefore ``(A.T @ (A @ psi) - psi) / size``, which
+    equals ``combination_weights(line_graph(sc), "uniform") @ psi`` up to
+    rounding.  ``unsigned`` is (V, E) and ``size`` (E, 1), or (g, 1, V, E)
+    and (g, 1, E, 1) for runs that each drew their own complex.
+    """
+
+    unsigned: np.ndarray
+    size: np.ndarray
+
+    @classmethod
+    def of(cls, unsigned: np.ndarray) -> "_IncidenceCombine":
+        degree = unsigned.sum(axis=-1, keepdims=True)
+        return cls(unsigned, unsigned.swapaxes(-1, -2) @ degree - 1.0)
+
+    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
+        out = self.unsigned.swapaxes(-1, -2) @ (self.unsigned @ psi)
+        out -= psi
+        out /= self.size
+        return out
+
+
+def _unsigned(inc: IncidencePair) -> np.ndarray:
+    return np.abs(inc.b1).astype(float)
+
+
 def _atc_step(theta, regressors, observations, couplings, k, steps, combine, num_combined):
     """One adapt-then-combine round for a stack of runs and variants.
 
@@ -167,8 +230,9 @@ def _atc_step(theta, regressors, observations, couplings, k, steps, combine, num
     ``couplings.shape[1]`` variants weigh residuals with their (g, ., E, E)
     coupling matrix, the rest with k*I as the scalar ``k`` of shape
     (g, 1, 1).  ``steps`` is (g, V, 1, 1).  The first ``num_combined``
-    variants are mixed by ``combine``, (E, E) or (g, 1, E, E).  Returns
-    the new (g, V, E, m) estimates.
+    variants are mixed by ``combine``: dense weights, (E, E) or
+    (g, 1, E, E), or an ``_IncidenceCombine``.  Returns the new
+    (g, V, E, m) estimates.
     """
     residual = observations[:, None] - np.einsum("rem,rvem->rve", regressors, theta)
     nm = couplings.shape[1]
@@ -370,7 +434,9 @@ class _Run:
 
     ``mats`` stacks the run's (E, E) matrices: the noise Cholesky
     factor, one coupling matrix per slot (see ``_run_chunk``) and, when
-    the run drew its own complex, its combination weights.
+    the run drew its own complex and a configured variant combines, its
+    dense combination weights.  Where its combine step is factored (see
+    ``_factored``), the run holds its float |b1| in ``unsigned`` instead.
     """
 
     rng: np.random.Generator
@@ -378,6 +444,7 @@ class _Run:
     k: float
     steps: dict[str, float]
     mats: np.ndarray
+    unsigned: np.ndarray | None = None
 
     @property
     def num_edges(self) -> int:
@@ -387,8 +454,10 @@ class _Run:
     def nbytes(self) -> int:
         """Bytes the run takes in a batch: its matrices, counted twice for
         the stacked copy, and the shortest block of its random stream."""
-        return 2 * self.mats.nbytes + _MIN_BLOCK * _row_bytes(
-            self.num_edges, self.theta0.shape[0])
+        held = self.mats.nbytes
+        if self.unsigned is not None:
+            held += self.unsigned.nbytes
+        return 2 * held + _MIN_BLOCK * _row_bytes(self.num_edges, self.theta0.shape[0])
 
 
 def _row_bytes(num_edges: int, dim: int) -> int:
@@ -401,8 +470,13 @@ def _setup_run(
     sc: SimplicialComplex2 | None,
     run_seed: np.random.SeedSequence,
     slots: Sequence[VariantSpec],
+    combines: bool,
 ) -> _Run:
-    """Draw a run's complex (when resampled), coefficients and ground truth."""
+    """Draw a run's complex (when resampled), coefficients and ground truth.
+
+    A run that draws its own complex also builds its combine operator
+    when ``combines`` (some configured variant combines).
+    """
     rng = np.random.default_rng(run_seed)
     own_complex = sc is None
     if own_complex:
@@ -419,17 +493,21 @@ def _setup_run(
     theta0 = rng.standard_normal(config.dim)
     mats = [covariance_cholesky(prec)]
     mats += [coupling_matrix(prec, spec) for spec in slots]
-    if own_complex:
-        mats.append(combination_weights(line_graph(sc), config.combine_rule))
-    return _Run(rng=rng, theta0=theta0, k=prec.k,
-                steps=step_sizes(prec, config), mats=np.stack(mats))
+    unsigned = None
+    if own_complex and combines:
+        if _factored(config.combine_rule, sc.num_vertices, sc.num_edges):
+            unsigned = _unsigned(inc)
+        else:
+            mats.append(combination_weights(line_graph(sc), config.combine_rule))
+    return _Run(rng=rng, theta0=theta0, k=prec.k, steps=step_sizes(prec, config),
+                mats=np.stack(mats), unsigned=unsigned)
 
 
 def _simulate_group(
     config: ExperimentConfig,
     specs: Sequence[VariantSpec],
     runs: Sequence[_Run],
-    combine: np.ndarray | None,
+    combine: np.ndarray | _IncidenceCombine | None,
     out: np.ndarray,
 ) -> None:
     """Advance consecutive runs that share an edge count; write their MSD curves.
@@ -441,7 +519,9 @@ def _simulate_group(
     whatever the number of runs and variants.  Each product runs per
     (run, variant) slice with the shapes of a single run, so the curves
     are bitwise those of running one run and one variant at a time.
-    ``out[j, i]`` gets the curve of ``specs[j]`` in run ``runs[i]``.
+    ``combine`` is the shared complex's operator, or None when each run
+    carries its own or no variant combines.  ``out[j, i]`` gets the curve
+    of ``specs[j]`` in run ``runs[i]``.
     """
     g, ne, m = len(runs), runs[0].num_edges, config.dim
     nd = sum(not s.is_centralized for s in specs)
@@ -450,8 +530,11 @@ def _simulate_group(
     # a lone run (large complexes) is used in place, without a copy
     mats = runs[0].mats[None] if g == 1 else np.stack([r.mats for r in runs])
     chol, couplings = mats[:, 0], mats[:, 1:1 + nm]
-    if combine is None:
-        combine = mats[:, -1:]
+    if nc and combine is None:
+        if runs[0].unsigned is None:
+            combine = mats[:, -1:]
+        else:
+            combine = _IncidenceCombine.of(np.stack([r.unsigned for r in runs])[:, None])
     theta0 = np.stack([r.theta0 for r in runs])
     steps = np.array([[r.steps[s.name] for s in specs] for r in runs])
     k = np.array([r.k for r in runs])[:, None, None]
@@ -508,14 +591,18 @@ def _run_chunk(
              if (s.uses_lower_term or s.uses_upper_term) and not s.is_centralized]
     if specs[-1].is_centralized and specs[0].name != "atc_cmrf":
         slots.append(specs[-1])
+    combines = any(s.uses_combination for s in specs)
     combine = None
-    if sc is not None:
-        combine = combination_weights(line_graph(sc), config.combine_rule)
+    if sc is not None and combines:
+        if _factored(config.combine_rule, sc.num_vertices, sc.num_edges):
+            combine = _IncidenceCombine.of(_unsigned(incidence(sc)))
+        else:
+            combine = combination_weights(line_graph(sc), config.combine_rule)
     out = np.empty((len(specs), len(run_seeds), config.num_iterations))
     # only ``batch`` holds the runs, so each is freed once simulated
     batch: list[_Run] = []
     for i, seed in enumerate(run_seeds):
-        batch.append(_setup_run(config, sc, seed, slots))
+        batch.append(_setup_run(config, sc, seed, slots, combines))
         if batch[-1].num_edges != batch[0].num_edges:
             _simulate_group(config, specs, batch[:-1], combine,
                             out[:, i + 1 - len(batch):i])

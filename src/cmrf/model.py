@@ -216,10 +216,17 @@ def min_valid_k(
 
     Returns lambda_max(a_d + a_u) + margin, the threshold above which all
     three precision matrices are positive definite.  Raises ValueError
-    when the complex has no edges, since there is no edge signal to model.
+    when the complex has no edges, since there is no edge signal to model,
+    and when a nonzero margin vanishes next to lambda_max in double
+    precision, since k would then sit on the threshold itself.
     """
     a_d, a_u = _coupling_parts(inc, _coefficients(d_v), _coefficients(d_t))
     lam_max = float(np.linalg.eigvalsh(a_d + a_u)[-1])
+    if margin and lam_max + margin == lam_max:
+        raise ValueError(
+            f"coefficients too large for the margin: lambda_max={lam_max:.6g} "
+            f"absorbs margin {margin:g} in double precision"
+        )
     return lam_max + margin
 
 

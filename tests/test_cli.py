@@ -136,6 +136,17 @@ class TestModelCommands:
                 "precision (k=1e+308)\n"
             )
 
+    def test_build_refuses_coefficients_that_absorb_the_margin(
+        self, tmp_path, capsys, triangle_doc
+    ):
+        # k = lambda_max + 0.1 rounds back to lambda_max = 3e200
+        out = tmp_path / "model.json"
+        code, text, err = run_cli(capsys, "model", "build", str(triangle_doc),
+                                  "--dv", "1e200", "--dt", "1e200", "-o", str(out))
+        assert code == 2 and text == "" and not out.exists()
+        assert err == ("error: coefficients too large for the margin: "
+                       "lambda_max=3e+200 absorbs margin 0.1 in double precision\n")
+
     def test_build_and_check(self, tmp_path, capsys, triangle_doc):
         out = tmp_path / "model.json"
         code, text, _ = run_cli(

@@ -44,6 +44,14 @@ class TestPrecisionConstruction:
         k_min = min_valid_k(inc, np.zeros(3), np.array([1.0]))
         assert abs(k_min - 3.1) < 1e-12 * 3.1
 
+    def test_min_valid_k_refuses_a_margin_lost_to_rounding(self, filled_triangle):
+        inc = incidence(filled_triangle)
+        huge = np.full(3, 1e200), np.array([1e200])
+        with pytest.raises(ValueError, match="too large for the margin"):
+            min_valid_k(inc, *huge)
+        # margin 0 asks for the threshold itself, which is what it gets
+        assert min_valid_k(inc, *huge, margin=0.0) == 3e200
+
     def test_rejects_k_at_threshold(self, filled_triangle):
         inc = incidence(filled_triangle)
         with pytest.raises(NotPositiveDefinite):

@@ -14,7 +14,11 @@ import pytest
 from cmrf import (
     VARIANTS,
     ExperimentConfig,
+    build_complex,
+    combination_weights,
     diffusion,
+    incidence,
+    line_graph,
     random_2sc,
     run_experiment,
     save_complex,
@@ -148,6 +152,117 @@ def test_group_size_and_block_length_do_not_change_bits(monkeypatch, budget):
     # 1 GiB: all runs in one group and the whole stream in one block
     monkeypatch.setattr(diffusion, "_BATCH_BYTES", budget)
     assert_matches_oracle(ExperimentConfig(seed=14, num_runs=4, num_iterations=37))
+
+
+@pytest.fixture(scope="module")
+def large_complex_file(tmp_path_factory):
+    """A 60-vertex complex with 400 edges and 200 triangles."""
+    path = tmp_path_factory.mktemp("complexes") / "c400.json"
+    save_complex(
+        random_2sc(60, None, 200, 0, num_edges=400, require_trivial_homology=False),
+        path,
+    )
+    return str(path)
+
+
+def with_pendant_and_isolated(sc):
+    """``sc`` plus an edge to a new vertex, a lone edge and an isolated vertex."""
+    top = max(sc.vertices)
+    return build_complex(
+        list(sc.vertices) + [top + 1, top + 2, top + 3, top + 4],
+        list(sc.edges) + [(sc.vertices[0], top + 1), (top + 2, top + 3)],
+        list(sc.triangles),
+    )
+
+
+@pytest.mark.parametrize("shape, extras", [
+    ((30, 120, 60), False), ((30, 120, 60), True),
+    ((45, 200, 100), False), ((60, 400, 200), False), ((60, 400, 200), True),
+], ids=["120", "120-pendant", "200", "400", "400-pendant"])
+def test_factored_combine_equals_dense_weights(shape, extras):
+    nv, ne, nt = shape
+    sc = random_2sc(nv, None, nt, 5, num_edges=ne, require_trivial_homology=False)
+    if extras:
+        sc = with_pendant_and_isolated(sc)
+    adjacency = line_graph(sc)
+    op = diffusion._IncidenceCombine.of(diffusion._unsigned(incidence(sc)))
+    # the row sums are the closed neighborhoods' sizes, exactly
+    assert np.array_equal(op.size[:, 0], adjacency.sum(axis=1) + 1.0)
+    psi = np.random.default_rng(ne).standard_normal((2, 3, sc.num_edges, 10))
+    want = combination_weights(adjacency, "uniform") @ psi
+    got = op @ psi
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    if extras:
+        # a lone edge is its own neighborhood and keeps its estimate
+        assert np.array_equal(got[..., -1, :], psi[..., -1, :])
+
+
+def test_factored_rule_keeps_small_and_medium_complexes_dense():
+    assert not diffusion._factored("uniform", 10, 21)
+    assert not diffusion._factored("uniform", 30, 120)
+    assert diffusion._factored("uniform", 45, 200)
+    assert diffusion._factored("uniform", 60, 400)
+    # sparse complexes and the Metropolis rule stay dense
+    assert not diffusion._factored("uniform", 200, 400)
+    assert not diffusion._factored("metropolis", 60, 400)
+
+
+def assert_close_to_oracle(config, rtol=1e-12):
+    result = run_experiment(config)
+    mean, std = msd_by_run_loop(config)
+    for v in config.variants:
+        np.testing.assert_allclose(result.msd_mean[v], mean[v], rtol=rtol, atol=0)
+        np.testing.assert_allclose(result.msd_std[v], std[v], rtol=rtol, atol=0)
+    return result
+
+
+def test_large_scale_factored_combine_matches_oracle(large_complex_file):
+    assert diffusion._factored("uniform", 60, 400)
+    assert_close_to_oracle(ExperimentConfig(
+        seed=15, num_runs=2, num_iterations=60, complex_file=large_complex_file,
+    ))
+
+
+def test_large_scale_group_size_does_not_change_bits(monkeypatch, large_complex_file):
+    config = ExperimentConfig(
+        seed=16, num_runs=2, num_iterations=40, complex_file=large_complex_file,
+    )
+    curves = []
+    for budget in (0, 1 << 30):
+        monkeypatch.setattr(diffusion, "_BATCH_BYTES", budget)
+        curves.append(run_experiment(config))
+    for v in config.variants:
+        assert np.array_equal(curves[0].msd_mean[v], curves[1].msd_mean[v]), v
+        assert np.array_equal(curves[0].msd_std[v], curves[1].msd_std[v]), v
+
+
+def test_resampled_factored_combine_matches_oracle(monkeypatch):
+    # K18 with every triangle filled: 153 edges and trivial homology
+    config = ExperimentConfig(
+        seed=17, num_runs=2, num_iterations=30, num_vertices=18, num_edges=None,
+        er_probability=1.0, num_triangles=816, resample_complex=True,
+    )
+    assert diffusion._factored("uniform", 18, 153)
+    results = []
+    # budget 0 runs one run per group; 1 GiB stacks both runs' |b1|
+    for budget in (0, 1 << 30):
+        monkeypatch.setattr(diffusion, "_BATCH_BYTES", budget)
+        results.append(assert_close_to_oracle(config))
+    for v in config.variants:
+        assert np.array_equal(results[0].msd_mean[v], results[1].msd_mean[v]), v
+
+
+@pytest.mark.parametrize("resample", [False, True])
+def test_no_combine_operator_without_a_combining_variant(monkeypatch, resample):
+    def refuse(*args, **kwargs):
+        raise AssertionError("combine operator built for variants that do not combine")
+
+    for name in ("combination_weights", "line_graph", "_unsigned"):
+        monkeypatch.setattr(diffusion, name, refuse)
+    assert_matches_oracle(ExperimentConfig(
+        seed=18, num_runs=2, num_iterations=20, resample_complex=resample,
+        variants=("standalone_lms", "centralized_cmrf"),
+    ))
 
 
 def traced_peak(config):
