@@ -63,8 +63,8 @@ def _seed(args, section: str):
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     seed = args.seed if args.seed is not None else part.get("seed")
-    if seed is not None:
-        diffusion._check_int("seed", seed, 0)
+    if seed is not None and not (simplicial._is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     return seed
 
 
@@ -109,8 +109,7 @@ def cmd_complex_inspect(args) -> int:
     sc = simplicial.load_complex(args.path)
     inc = simplicial.incidence(sc)
     lap = simplicial.hodge_laplacians(inc)
-    rank_b1 = int(np.linalg.matrix_rank(inc.b1.astype(float))) if sc.num_edges else 0
-    rank_b2 = int(np.linalg.matrix_rank(inc.b2.astype(float))) if sc.num_triangles else 0
+    rank_b1, rank_b2 = simplicial._incidence_ranks(inc)
     hdim = sc.num_edges - rank_b1 - rank_b2  # rank-nullity, see harmonic_dimension
     l1 = lap.l1_down + lap.l1_up
     spec_l0 = np.linalg.eigvalsh(lap.l0) if sc.num_vertices else np.zeros(0)

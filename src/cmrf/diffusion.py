@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -63,6 +62,7 @@ from .simplicial import (
     load_complex,
     random_2sc,
 )
+from .simplicial import _is_int, _is_number
 
 __all__ = [
     "VariantSpec",
@@ -260,14 +260,12 @@ _DEFAULT_VARIANTS = tuple(VARIANTS)
 
 
 def _check_int(name: str, value, low: int) -> None:
-    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            or value < low):
+    if not _is_int(value) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_real(name: str, value) -> None:
-    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-            or not math.isfinite(value)):
+    if not _is_number(value) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 

@@ -20,29 +20,24 @@ and B, conditioned on S by the Schur complement when S is non-empty,
 against a tolerance scaled by the mean marginal variance
 trace(cov)/num_edges.
 
-The covariance is inv(omega).  The verify_* functions and
-scan_singleton_pairs read it through model._shared_covariance, the one
-place in the package that inverts omega, under its one rule: a built
-precision is inverted once while it is the last one checked, its
-covariance dies with it, and a precision built by hand from ordinary
-arrays is inverted afresh on every call.  A run of queries and scans on
-one model thus inverts omega once, and a check on another model
-replaces the kept covariance.  scan_singleton_pairs checks every
-color-separated singleton pair of a model with that covariance and one
-gather.
+The covariance is inv(omega), which the verify_* functions and
+scan_singleton_pairs read through model._shared_covariance; the
+docstring of :mod:`cmrf.model` states when it is inverted and how long
+it is kept.  scan_singleton_pairs checks every color-separated singleton
+pair of a model with that covariance and one gather.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotColorSeparated, NotSeparated, OverlappingSets
 from .model import CmrfGraph, EdgePrecision, _mean_variance, _shared_covariance
+from .simplicial import _is_int
 
 __all__ = [
     "SeparationQuery",
@@ -72,7 +67,7 @@ class SeparationQuery:
     def __post_init__(self):
         for name in ("set_a", "set_b", "given"):
             nodes = tuple(getattr(self, name))
-            if not all(isinstance(i, Integral) and not isinstance(i, bool) for i in nodes):
+            if not all(map(_is_int, nodes)):
                 raise ValueError(f"{name} must hold integer node indices, got {list(nodes)}")
             object.__setattr__(self, name, tuple(int(i) for i in nodes))
         a, b, s = set(self.set_a), set(self.set_b), set(self.given)
@@ -131,14 +126,6 @@ def _reachable(adj: Sequence[Sequence[int]], sources: Iterable[int],
     return reached
 
 
-def _warn_if_empty(query: SeparationQuery) -> None:
-    """Warn at the line that called the public function calling this."""
-    if not (query.set_a and query.set_b):
-        warnings.warn(
-            "empty query set: separation holds vacuously", stacklevel=3
-        )
-
-
 def _separated(
     graph: CmrfGraph,
     query: SeparationQuery,
@@ -148,6 +135,8 @@ def _separated(
     for i in (*query.set_a, *query.set_b, *query.given):
         if not 0 <= i < graph.num_nodes:
             raise ValueError(f"node index {i} outside 0..{graph.num_nodes - 1}")
+    if not (query.set_a and query.set_b):  # public functions call this directly
+        warnings.warn("empty query set: separation holds vacuously", stacklevel=3)
     return all(
         _reachable(adj, query.set_a, query.given).isdisjoint(query.set_b)
         for adj in adjacencies
@@ -156,9 +145,7 @@ def _separated(
 
 def is_graph_separated(graph: CmrfGraph, query: SeparationQuery) -> bool:
     """True when deleting S leaves no path from A to B in the union graph."""
-    separated = _separated(graph, query, [graph._adjacency])
-    _warn_if_empty(query)
-    return separated
+    return _separated(graph, query, [graph._adjacency])
 
 
 def is_color_separated(
@@ -166,10 +153,7 @@ def is_color_separated(
 ) -> bool:
     """True when no monochromatic path joins A to B, for either color."""
     query = SeparationQuery(set_a=tuple(set_a), set_b=tuple(set_b))
-    separated = _separated(graph, query,
-                           [graph._lower_adjacency, graph._upper_adjacency])
-    _warn_if_empty(query)
-    return separated
+    return _separated(graph, query, [graph._lower_adjacency, graph._upper_adjacency])
 
 
 def _separated_pair_indices(graph: CmrfGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +219,6 @@ def verify_marginal_independence(
             f"A={list(query.set_a)} and B={list(query.set_b)} are joined "
             "by a monochromatic path"
         )
-    _warn_if_empty(query)
     return _report("marginal", MARGINAL_RTOL, prec, query)
 
 
@@ -254,7 +237,6 @@ def verify_conditional_independence(
             f"S={list(query.given)} does not separate A={list(query.set_a)} "
             f"from B={list(query.set_b)}"
         )
-    _warn_if_empty(query)
     return _report("conditional", CONDITIONAL_RTOL, prec, query)
 
 
@@ -263,8 +245,9 @@ def scan_singleton_pairs(prec: EdgePrecision, graph: CmrfGraph) -> SingletonScan
 
     Gives per pair the residual and tolerance that
     verify_marginal_independence reports for ({i}, {j}), bit for bit,
-    from the same shared covariance, and reads all residuals with one
-    gather.  With no pair to check nothing is inverted.
+    from the same covariance (see :mod:`cmrf.model` for when it is
+    inverted), and reads all residuals with one gather.  With no pair to
+    check nothing is inverted.
     """
     _check_sizes(prec, graph)
     rows, cols = _separated_pair_indices(graph)

@@ -16,7 +16,10 @@ The three matrices satisfy, exactly in exact arithmetic,
 
 where the product and inverse rules rely on b1 @ b2 == 0.  All three are
 positive definite iff k exceeds the largest eigenvalue of the subtracted
-part, which is how :func:`min_valid_k` chooses k.
+part, lambda_max.  In double precision one rule decides whether k is
+admissible: the smallest eigenvalue of omega, k - lambda_max, must exceed
+the floor 1e-9 * k.  :func:`build_precision` applies it, and
+:func:`min_valid_k` refuses a margin that would not clear it.
 
 The colored graph of the model has the edges of the complex as nodes and
 two link colors read off the symbolic support of the coupling terms: a
@@ -71,7 +74,7 @@ __all__ = [
 ]
 
 # A precision matrix counts as positive definite when its smallest
-# eigenvalue exceeds this fraction of k.
+# eigenvalue exceeds this fraction of k: the one admissibility rule for k.
 _PD_RTOL = 1e-9
 
 # An off-diagonal entry of omega counts as an exact cancellation when it
@@ -214,27 +217,29 @@ def min_valid_k(
 ) -> float:
     """Smallest admissible k for the given couplings, plus a margin.
 
-    Returns lambda_max(a_d + a_u) + margin, the threshold above which all
-    three precision matrices are positive definite.  Raises ValueError
-    when the complex has no edges, since there is no edge signal to model,
-    and when a nonzero margin vanishes next to lambda_max in double
-    precision, since k would then sit on the threshold itself.
+    Returns lambda_max(a_d + a_u) + margin.  Raises ValueError when the
+    complex has no edges, and when a positive margin does not clear the
+    floor 1e-9 * k of build_precision, as when a huge lambda_max absorbs
+    it.  Margin 0 returns lambda_max; a negative margin is left for
+    build_precision to refuse.
     """
     a_d, a_u = _coupling_parts(inc, _coefficients(d_v), _coefficients(d_t))
     lam_max = float(np.linalg.eigvalsh(a_d + a_u)[-1])
-    if margin and lam_max + margin == lam_max:
+    k = lam_max + margin
+    if 0 < margin < np.inf and k - lam_max <= _PD_RTOL * k:
         raise ValueError(
             f"coefficients too large for the margin: lambda_max={lam_max:.6g} "
-            f"absorbs margin {margin:g} in double precision"
+            f"needs a margin above the floor {_PD_RTOL:g}*k = {_PD_RTOL * k:.3g}, "
+            f"got {margin:g}"
         )
-    return lam_max + margin
+    return k
 
 
 def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
     """Assemble (omega, omega_d, omega_u) and verify positive definiteness.
 
     Raises NotPositiveDefinite when the smallest eigenvalue of omega is
-    not above 1e-9 * k, decided by a Cholesky factorization of
+    not above the floor 1e-9 * k, decided by a Cholesky factorization of
     omega - 1e-9 * k * I; omega_d and omega_u are then automatically
     positive definite as well.  The three matrices come back frozen
     (see EdgePrecision).
@@ -249,9 +254,11 @@ def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
         np.linalg.cholesky(omega - _PD_RTOL * k_eye)
     except np.linalg.LinAlgError:
         lam_min = float(np.linalg.eigvalsh(omega)[0])
+        lam_max = float(np.linalg.eigvalsh(a_d + a_u)[-1])
+        need = (f"need k > {lam_max:.6g}" if params.k <= lam_max else
+                f"need it above the floor {_PD_RTOL:g}*k = {_PD_RTOL * params.k:.3e}")
         raise NotPositiveDefinite(
-            f"k={params.k:.6g} gives smallest eigenvalue {lam_min:.3e}; "
-            f"need k > {min_valid_k(inc, params.d_v, params.d_t, 0.0):.6g}"
+            f"k={params.k:.6g} gives smallest eigenvalue {lam_min:.3e}; {need}"
         ) from None
     # one matrix and its frozen copy at a time: the copies would
     # otherwise raise the peak memory of a build by three E x E arrays
@@ -416,7 +423,7 @@ def sample(
     Returns an array of shape (n, num_edges).  Reproducible for a fixed
     integer seed; pass a Generator to continue an existing stream.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     chol = covariance_cholesky(prec)
     z = rng.standard_normal((n, prec.num_edges))
     return z @ chol.T
@@ -440,7 +447,7 @@ def draw_params(
     """
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError(f"sparsity must lie in [0, 1], got {sparsity}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     nv = inc.b1.shape[0]
     nt = inc.b2.shape[1]
     d_v = rng.uniform(dv_bounds[0], dv_bounds[1], size=nv)

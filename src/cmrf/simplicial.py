@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -66,6 +67,9 @@ __all__ = [
 # Relative singular value cutoff for the least-squares projections in
 # hodge_decompose.
 _RCOND = 1e-12
+
+# Triangle selections random_2sc tries on one graph before resampling it.
+_SELECTION_ATTEMPTS = 60
 
 
 @dataclass(frozen=True)
@@ -253,18 +257,20 @@ def hodge_decompose(
     return irr, sol, har
 
 
+def _incidence_ranks(inc: IncidencePair) -> tuple[int, int]:
+    """(rank(b1), rank(b2)), each 0 when its matrix has no columns."""
+    rank_b1 = np.linalg.matrix_rank(inc.b1.astype(float)) if inc.b1.shape[1] else 0
+    rank_b2 = np.linalg.matrix_rank(inc.b2.astype(float)) if inc.b2.shape[1] else 0
+    return int(rank_b1), int(rank_b2)
+
+
 def harmonic_dimension(inc: IncidencePair) -> int:
     """Dimension of ker(L1_down + L1_up), i.e. the first Betti number.
 
     Equals num_edges - rank(b1) - rank(b2) by the rank-nullity theorem
     combined with orthogonality of im(b1.T) and im(b2).
     """
-    num_edges = inc.b1.shape[1]
-    rank_b1 = np.linalg.matrix_rank(inc.b1.astype(float)) if num_edges else 0
-    rank_b2 = (
-        np.linalg.matrix_rank(inc.b2.astype(float)) if inc.b2.shape[1] else 0
-    )
-    return int(num_edges - rank_b1 - rank_b2)
+    return inc.b1.shape[1] - sum(_incidence_ranks(inc))
 
 
 def _shared_face_pairs(incmat: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -333,7 +339,6 @@ def random_2sc(
     num_edges: int | None = None,
     require_trivial_homology: bool = True,
     max_attempts: int = 2000,
-    selection_attempts: int = 60,
 ) -> SimplicialComplex2:
     """Sample a random 2-complex on an Erdos-Renyi graph.
 
@@ -348,7 +353,7 @@ def random_2sc(
     * the graph must contain at least ``triangle_budget`` 3-cliques,
     * if ``require_trivial_homology`` is set (the default, since the
       signal models downstream assume it), the filled complex must have
-      an empty harmonic space; up to ``selection_attempts`` triangle
+      an empty harmonic space; up to ``_SELECTION_ATTEMPTS`` triangle
       selections are tried per graph before resampling.
 
     Raises GenerationFailed when ``max_attempts`` graphs were sampled
@@ -395,7 +400,7 @@ def random_2sc(
             f"{num_vertices} vertices{edges} (at most {most})"
         )
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     for _ in range(max_attempts):
         edges = _sample_er_graph(num_vertices, er_probability, rng)
@@ -404,7 +409,7 @@ def random_2sc(
         cliques = _enumerate_3cliques(num_vertices, edges)
         if len(cliques) < triangle_budget:
             continue
-        for _ in range(selection_attempts):
+        for _ in range(_SELECTION_ATTEMPTS):
             pick = rng.choice(len(cliques), size=triangle_budget, replace=False)
             sc = build_complex(
                 range(num_vertices), edges, [cliques[i] for i in sorted(pick)]
@@ -420,12 +425,16 @@ def random_2sc(
     )
 
 
+# The package's one rule for integers and numbers, in documents, configs
+# and queries alike: bools are neither.  Exact builtin types go first, as
+# an abstract-class check costs several times more per document value.
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return type(x) in (float, int) or (
+        isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
 def _is_list_of(ok, size: int | None = None):

@@ -144,8 +144,36 @@ class TestModelCommands:
         code, text, err = run_cli(capsys, "model", "build", str(triangle_doc),
                                   "--dv", "1e200", "--dt", "1e200", "-o", str(out))
         assert code == 2 and text == "" and not out.exists()
-        assert err == ("error: coefficients too large for the margin: "
-                       "lambda_max=3e+200 absorbs margin 0.1 in double precision\n")
+        assert err == ("error: coefficients too large for the margin: lambda_max=3e+200 "
+                       "needs a margin above the floor 1e-09*k = 3e+191, got 0.1\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        # k = lambda_max + 0.1 exceeds lambda_max, but by less than 1e-9 * k
+        (["--dv", "1e8", "--dt", "1e8"],
+         "coefficients too large for the margin: lambda_max=3e+08 "
+         "needs a margin above the floor 1e-09*k = 0.3, got 0.1"),
+        (["--dv", "1e10", "--dt", "1e10"],
+         "coefficients too large for the margin: lambda_max=3e+10 "
+         "needs a margin above the floor 1e-09*k = 30, got 0.1"),
+        # a negative margin reaches build_precision with k below lambda_max
+        (["--dv", "0", "--dt", "1", "--margin", "-1"],
+         "k=2 gives smallest eigenvalue -1.000e+00; need k > 3"),
+    ], ids=["1e8", "1e10", "negative-margin"])
+    def test_build_refuses_a_k_under_the_floor(self, tmp_path, capsys, triangle_doc,
+                                               flags, message):
+        out = tmp_path / "model.json"
+        code, text, err = run_cli(capsys, "model", "build", str(triangle_doc),
+                                  *flags, "-o", str(out))
+        assert code == 2 and text == "" and not out.exists()
+        assert err == f"error: {message}\n"
+
+    def test_build_keeps_a_margin_above_the_floor(self, tmp_path, capsys, triangle_doc):
+        # the floor is 1e-9 * 3e7 = 0.03, below the default margin 0.1
+        out = tmp_path / "model.json"
+        code, text, err = run_cli(capsys, "model", "build", str(triangle_doc),
+                                  "--dv", "1e7", "--dt", "1e7", "-o", str(out))
+        assert code == 0 and err == "" and out.exists()
+        assert "k=3e+07" in text
 
     def test_build_and_check(self, tmp_path, capsys, triangle_doc):
         out = tmp_path / "model.json"
@@ -671,6 +699,26 @@ def test_config_seed_writes_flag_bytes(tmp_path, capsys, triangle_doc, section):
                                {"seed": 2})
     assert code == 0
     assert by_config.read_bytes() == by_flag.read_bytes()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["model", "build", "{complex}", "--dv", "1,2", "--dt", "1", "-o", "{out}"], None,
+     "--dv needs 1 or 3 values, got 2"),
+    (["--config", "{config}", "model", "build", "{complex}", "--seed", "1", "-o", "{out}"],
+     {"model": [1]}, "config section 'model' must be an object"),
+    (["verify", "{model}"], None,
+     "verify requires --set-a and --set-b (or --scan-singletons)"),
+    (["model", "build", "{complex}", "--dv", "1", "--dt", "1", "--margin", "inf",
+      "-o", "{out}"], None, "k must be positive and finite"),
+], ids=["dv-length", "model-section-not-object", "verify-without-sets", "infinite-margin"])
+def test_bad_arguments_exit_2(tmp_path, capsys, triangle_doc, clustered_model_doc,
+                              argv, config, message):
+    paths = {"complex": triangle_doc, "model": clustered_model_doc,
+             "config": tmp_path / "config.json", "out": tmp_path / "out.json"}
+    paths["config"].write_text(json.dumps(config))
+    code, text, err = run_cli(capsys, *[a.format(**paths) for a in argv])
+    assert code == 2 and text == "" and err == f"error: {message}\n"
+    assert not paths["out"].exists()
 
 
 def test_config_must_be_an_object(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from cmrf import (
     ExperimentConfig,
     VARIANTS,
+    VariantSpec,
     build_complex,
     build_precision,
     combination_weights,
@@ -81,6 +82,8 @@ class TestVariants:
             coupling_matrix(prec, "atc_plain"), prec.k * np.eye(prec.num_edges)
         )
         assert coupling_matrix(prec, "centralized_cmrf") is prec.omega
+        # no table variant uses the upper term alone, but a spec may
+        assert coupling_matrix(prec, VariantSpec("up", False, True, True)) is prec.omega_u
 
 
 class TestGenerateRound:
@@ -385,6 +388,11 @@ class TestStepSizes:
         _, prec = bench_model
         config = ExperimentConfig(step_size_overrides={"atc_plain": 1e-4})
         assert step_sizes(prec, config)["atc_plain"] == 1e-4
+
+    def test_override_keys_must_be_names(self):
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(step_size_overrides={1: 1e-3})
+        assert str(info.value) == "step_size_overrides keys must be names, got 1"
 
 
 class TestExperiment:

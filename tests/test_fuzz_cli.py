@@ -13,6 +13,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from cmrf.cli import main
 
@@ -131,26 +132,28 @@ def test_cli_survives_fuzzed_documents(tmp_path, capsys):
              for name in ("complex", "model", "config", "built", "generated")}
     paths["csv"] = str(tmp_path / "msd.csv")
     codes = set()
-    for case in range(CASES):
-        # every vertex and edge count of 0-4 comes up, then random ones
-        nv, ne = (case % 5, case // 5) if case < 25 else rng.integers(0, 5, 2)
-        nt = int(rng.integers(0, 5))
-        cdoc = _complex_doc(rng, int(nv))
-        with open(paths["complex"], "w") as f:
-            json.dump(cdoc, f)
-        triangles = cdoc.get("triangles")
-        num_t = len(triangles) if isinstance(triangles, list) else 0
-        with open(paths["model"], "w") as f:
-            json.dump(_model_doc(rng, int(nv), num_t), f)
-        with open(paths["config"], "w") as f:
-            json.dump(_config_doc(rng), f)
-        for argv in _commands(rng, paths, int(nv), int(ne), nt):
-            code = main(argv)
-            err = capsys.readouterr().err
-            assert code in (0, 1, 2), (argv, code)
-            assert "Traceback" not in err, (argv, err)
-            if code == 2:
-                assert "error:" in err, (argv, err)
-            codes.add(code)
+    # an empty --set-a or --set-b warns by design; other warnings pass through
+    with pytest.warns(UserWarning, match="empty query set"):
+        for case in range(CASES):
+            # every vertex and edge count of 0-4 comes up, then random ones
+            nv, ne = (case % 5, case // 5) if case < 25 else rng.integers(0, 5, 2)
+            nt = int(rng.integers(0, 5))
+            cdoc = _complex_doc(rng, int(nv))
+            with open(paths["complex"], "w") as f:
+                json.dump(cdoc, f)
+            triangles = cdoc.get("triangles")
+            num_t = len(triangles) if isinstance(triangles, list) else 0
+            with open(paths["model"], "w") as f:
+                json.dump(_model_doc(rng, int(nv), num_t), f)
+            with open(paths["config"], "w") as f:
+                json.dump(_config_doc(rng), f)
+            for argv in _commands(rng, paths, int(nv), int(ne), nt):
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (argv, code)
+                assert "Traceback" not in err, (argv, err)
+                if code == 2:
+                    assert "error:" in err, (argv, err)
+                codes.add(code)
     # the documents reach the checks, not only the input errors
     assert codes == {0, 1, 2}

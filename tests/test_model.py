@@ -52,6 +52,28 @@ class TestPrecisionConstruction:
         # margin 0 asks for the threshold itself, which is what it gets
         assert min_valid_k(inc, *huge, margin=0.0) == 3e200
 
+    @pytest.mark.parametrize("scale", [1.0, 1e7, 1e8, 1e10, 1e200])
+    @pytest.mark.parametrize("margin", [1e-12, 1e-8, 0.1, 10.0])
+    def test_min_valid_k_gives_only_a_k_that_builds(self, filled_triangle, scale, margin):
+        # one floor for both: k - lambda_max must exceed 1e-9 * k
+        inc = incidence(filled_triangle)
+        d_v, d_t = np.full(3, scale), np.array([scale])  # lambda_max = 3 * scale
+        if margin <= 1e-9 * 3 * scale:
+            with pytest.raises(ValueError, match="needs a margin above the floor"):
+                min_valid_k(inc, d_v, d_t, margin)
+        else:
+            k = min_valid_k(inc, d_v, d_t, margin)
+            build_precision(inc, SgmParams(k=k, d_v=d_v, d_t=d_t))
+
+    def test_refusal_above_lambda_max_names_the_floor(self, filled_triangle):
+        inc = incidence(filled_triangle)
+        params = SgmParams(k=3e10 + 0.1, d_v=np.full(3, 1e10), d_t=np.array([1e10]))
+        with pytest.raises(NotPositiveDefinite) as info:
+            build_precision(inc, params)
+        message = str(info.value)
+        assert message.startswith("k=3e+10 gives smallest eigenvalue ")
+        assert message.endswith("; need it above the floor 1e-09*k = 3.000e+01")
+
     def test_rejects_k_at_threshold(self, filled_triangle):
         inc = incidence(filled_triangle)
         with pytest.raises(NotPositiveDefinite):

@@ -228,6 +228,15 @@ class TestRandom2sc:
         c = random_2sc(8, 0.5, 3, seed=43)
         assert a != c  # overwhelmingly likely for this density
 
+    @pytest.mark.parametrize("p, nt, message", [
+        (0.5, -1, "triangle_budget must be nonnegative"),
+        (None, 0, "need er_probability or num_edges"),
+    ], ids=["negative-budget", "no-density"])
+    def test_bad_arguments_refused(self, p, nt, message):
+        with pytest.raises(ValueError) as info:
+            random_2sc(4, p, nt, seed=0)
+        assert str(info.value) == message
+
     def test_unreachable_edge_target_fails(self):
         with pytest.raises(GenerationFailed):
             random_2sc(5, 0.0, 0, seed=1, num_edges=3, max_attempts=20)
