@@ -1,4 +1,4 @@
-"""Time the simulator's combine step, dense against factored, and a simulate command before and after a change.
+"""Time the simulator's combine step, dense against factored, and a simulate command and its per-run set-up before and after a change.
 
     python scripts/bench_combine.py --before OLD_CHECKOUT -o OUT.json
 
@@ -31,6 +31,13 @@ The script records:
   columns, and the largest change of msd_std relative to msd_mean (the
   std of few runs cancels where the runs agree, which inflates its
   relative difference).
+* ``setup``: per scale, the per-run set-up stages of the simulator, in
+  the same child processes and rounds as ``simulate``: ``min_valid_k``,
+  ``build_precision``, the noise factor (``covariance_cholesky`` of a
+  fresh precision where the side has no ``model._block_covariance_cholesky``)
+  and the whole ``diffusion._setup_run``, each timed once per model for
+  ``SETUP_MODELS`` models ``draw_params(inc, seed)`` with seeds 0, 1, ...
+  on the scale's complex, in milliseconds as [q1, median, q3].
 
 Times are medians.  The output also holds the machine record of the
 benchmark runner (perfbench/run.py).
@@ -61,6 +68,8 @@ ROUNDS = 6
 REPEATS = 5
 SIM_RUNS, SIM_ITERATIONS = 2, 100
 SIM_ARGS = ["--seed", "1", "--runs", str(SIM_RUNS), "--iterations", str(SIM_ITERATIONS)]
+SETUP_MODELS = 5
+SETUP_STAGES = ("min_valid_k", "build_precision", "noise_factor", "setup_run")
 
 
 def _complex(nv: int, ne: int, nt: int):
@@ -126,6 +135,41 @@ def measure_simulate(inputs: Path, outputs: Path) -> dict:
     return out
 
 
+def measure_setup() -> dict:
+    """Milliseconds of each per-run set-up stage, per scale, one entry per model."""
+    import numpy as np
+
+    import cmrf
+    from cmrf import diffusion, model
+
+    config = diffusion.ExperimentConfig(seed=1, num_runs=SIM_RUNS,
+                                        num_iterations=SIM_ITERATIONS)
+    slots = [s for s in diffusion.VARIANTS.values()
+             if (s.uses_lower_term or s.uses_upper_term) and not s.is_centralized]
+    block = getattr(model, "_block_covariance_cholesky", None)
+    out = {}
+    for nv, ne, nt in SIM_SCALES:
+        sc = _complex(nv, ne, nt)
+        inc = cmrf.incidence(sc)
+        times = {stage: [] for stage in SETUP_STAGES}
+        for seed in range(SETUP_MODELS):
+            params = cmrf.draw_params(inc, seed)
+            prec = cmrf.build_precision(inc, params)  # fresh, so no kept covariance
+            run_seed = np.random.SeedSequence(seed)
+            for stage, fn in [
+                ("min_valid_k", lambda: cmrf.min_valid_k(inc, params.d_v, params.d_t)),
+                ("build_precision", lambda: cmrf.build_precision(inc, params)),
+                ("noise_factor", (lambda: cmrf.covariance_cholesky(prec)) if block is None
+                 else (lambda: block(inc, params))),
+                ("setup_run", lambda: diffusion._setup_run(config, sc, run_seed, slots, True)),
+            ]:
+                start = time.perf_counter()
+                fn()
+                times[stage].append(1e3 * (time.perf_counter() - start))
+        out[f"{nv}/{ne}/{nt}"] = times
+    return out
+
+
 def _child(checkout: Path, args: list[str], env: dict | None = None) -> dict:
     env = dict(os.environ if env is None else env, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run([sys.executable, __file__, *args],
@@ -164,7 +208,8 @@ def main() -> int:
         print(json.dumps(measure_kernel()))
         return 0
     if args.simulate:
-        print(json.dumps(measure_simulate(*args.simulate)))
+        print(json.dumps({"simulate": measure_simulate(*args.simulate),
+                          "setup": measure_setup()}))
         return 0
     if args.before is None or args.out is None:
         parser.error("--before and --out are required")
@@ -183,7 +228,8 @@ def main() -> int:
 
     before_side, after_side = args.before.resolve(), ROOT
     times = {"before": {}, "after": {}}
-    simulate = {}
+    stages = {"before": {}, "after": {}}
+    simulate, setup = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for side in ("inputs", "before", "after"):
@@ -194,8 +240,11 @@ def main() -> int:
         for r in range(ROUNDS):
             for side, checkout in sides if r % 2 == 0 else sides[::-1]:
                 got = _child(checkout, ["--simulate", str(tmp / "inputs"), str(tmp / side)])
-                for scale, seconds in got.items():
+                for scale, seconds in got["simulate"].items():
                     times[side].setdefault(scale, []).extend(seconds)
+                for scale, per_stage in got["setup"].items():
+                    for stage, ms in per_stage.items():
+                        stages[side].setdefault(scale, {}).setdefault(stage, []).extend(ms)
         for nv, ne, nt in SIM_SCALES:
             scale, csv = f"{nv}/{ne}/{nt}", f"{nv}-{ne}-{nt}.csv"
             old, new = times["before"][scale], times["after"][scale]
@@ -209,10 +258,16 @@ def main() -> int:
                 == (tmp / "after" / csv).read_bytes(),
                 "max_rel_diff": _max_rel_diff(tmp / "before" / csv, tmp / "after" / csv),
             }
+            setup[scale] = {
+                stage: {"before_ms": _quartiles(stages["before"][scale][stage]),
+                        "after_ms": _quartiles(stages["after"][scale][stage])}
+                for stage in SETUP_STAGES
+            }
 
     doc = {
         "what": "diffusion combine step: dense uniform weights against the factored "
-                "incidence operator, and a simulate command before and after",
+                "incidence operator, and a simulate command and its per-run set-up "
+                "stages before and after",
         "complexes": f"random_2sc(V, None, T, seed={SEED}, num_edges=E)",
         "kernel_shape": f"one run, {COMBINING} combining variants, m = {DIM}; "
                         "microseconds per round",
@@ -223,6 +278,8 @@ def main() -> int:
         "machine": machine(),
         "kernel": kernel,
         "simulate": simulate,
+        "setup_models": f"draw_params(inc, seed) for seed in range({SETUP_MODELS})",
+        "setup": setup,
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(doc, indent=2))

@@ -214,6 +214,7 @@ def cmd_model_check(args) -> int:
         )
     spectrum = np.linalg.eigvalsh(prec.omega)
     lam_min = float(spectrum[0])
+    cond_lower, cond_upper = model._factor_condition_numbers(inc, params)
     cancels = model.find_cancellations(inc, params)
     passed = all(r < tol for r, tol in checks.values())
     payload = {
@@ -221,6 +222,8 @@ def cmd_model_check(args) -> int:
         "k": params.k,
         "smallest_eigenvalue": lam_min,
         "condition_number": float(spectrum[-1]) / lam_min,
+        "condition_number_lower": cond_lower,
+        "condition_number_upper": cond_upper,
         "residuals": {k_: r for k_, (r, _) in checks.items()},
         "tolerances": {k_: tol for k_, (_, tol) in checks.items()},
         "cancellations": [list(p) for p in cancels],

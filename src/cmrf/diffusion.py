@@ -5,7 +5,10 @@ Each edge e of a complex observes, at every round t, a linear measurement
     y_e[t] = u_e[t].T @ theta0 + n_e[t]
 
 with i.i.d. Gaussian regressors u_e and noise n[t] drawn jointly across
-edges from the structured model N(0, inv(omega)).  The network objective
+edges from the structured model N(0, inv(omega)).  Each run draws its
+noise with a Cholesky factor of inv(omega) that ``model`` builds from the
+Hodge blocks, one V x V and one T x T inverse, so no run inverts an
+E x E matrix.  The network objective
 
     J(theta) = 0.5 * E[ r.T @ omega @ r ],    r_e = y_e - u_e.T @ theta
 
@@ -53,7 +56,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import EdgePrecision, build_precision, covariance_cholesky, draw_params
+from .model import EdgePrecision, build_precision, draw_params
+from .model import _block_covariance_cholesky
 from .simplicial import (
     IncidencePair,
     SimplicialComplex2,
@@ -489,7 +493,7 @@ def _setup_run(
     )
     prec = build_precision(inc, params)
     theta0 = rng.standard_normal(config.dim)
-    mats = [covariance_cholesky(prec)]
+    mats = [_block_covariance_cholesky(inc, params)]
     mats += [coupling_matrix(prec, spec) for spec in slots]
     unsigned = None
     if own_complex and combines:

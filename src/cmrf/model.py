@@ -21,6 +21,18 @@ admissible: the smallest eigenvalue of omega, k - lambda_max, must exceed
 the floor 1e-9 * k.  :func:`build_precision` applies it, and
 :func:`min_valid_k` refuses a margin that would not clear it.
 
+Both rest on the Hodge blocks of the couplings.  With U_d = b1.T @
+diag(sqrt(d_v)) (E x V) and U_u = b2 @ diag(sqrt(d_t)) (E x T), the
+subtracted parts are U_d @ U_d.T and U_u @ U_u.T, and b1 @ b2 == 0 makes
+their ranges orthogonal.  So the spectrum of omega is
+
+    {k - eig(G_d)} + {k - eig(G_u)} + {k},   G_d = U_d.T @ U_d,  G_u = U_u.T @ U_u
+
+lambda_max is the larger top eigenvalue of the V x V and T x T Grams,
+and the floor holds iff (1 - 1e-9) * k * I - G is positive definite on
+each side.  A side works in its Gram only while V (or T) is below E;
+otherwise it uses its E x E coupling matrix (see _Side).
+
 The colored graph of the model has the edges of the complex as nodes and
 two link colors read off the symbolic support of the coupling terms: a
 lower link joins two edges sharing a vertex u with d_v[u] != 0, an upper
@@ -33,12 +45,14 @@ which :func:`find_cancellations` reports.
 bytes.  That lets one module-level slot keep the covariance of the last
 built precision a check asked for (``_shared_covariance``): the same
 living precision object with the same frozen omega cannot have changed.
-Every reader of inv(omega) in the package goes through that slot (the
+Every check that reads inv(omega) goes through that slot (the
 independence checks, the singleton scan, :func:`identity_residuals` and
 :func:`covariance_cholesky`), so one rule holds for all of them: a built
 precision is inverted once while it is the last one checked, its
 covariance dies with it, and a precision built by hand from ordinary
-arrays is inverted on every call.
+arrays is inverted on every call.  The simulator inverts no E x E
+matrix: it draws its noise with a factor built from the Hodge blocks
+(``_block_covariance_cholesky``).
 """
 
 from __future__ import annotations
@@ -195,18 +209,103 @@ def _coupling_parts(
 
     Raises ValueError when the complex has no edges: there is no edge
     signal to model, and every k and every precision passes through here.
+    Also raises ValueError when a coupling overflows in double precision.
     """
-    if inc.b1.shape[1] == 0:
-        raise ValueError("the complex has an empty edge set: a model needs at least one edge")
+    _check_edges(inc)
     b1 = inc.b1.astype(float)
     b2 = inc.b2.astype(float)
-    a_d = b1.T @ (d_v[:, None] * b1)
-    a_u = (b2 * d_t) @ b2.T
-    # Enforce exact symmetry so eigensolvers and bitwise comparisons
-    # downstream never see BLAS rounding asymmetry.
-    a_d = 0.5 * (a_d + a_d.T)
-    a_u = 0.5 * (a_u + a_u.T)
-    return a_d, a_u
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_d = b1.T @ (d_v[:, None] * b1)
+        a_u = (b2 * d_t) @ b2.T
+        # Enforce exact symmetry so eigensolvers and bitwise comparisons
+        # downstream never see BLAS rounding asymmetry.
+        a_d = 0.5 * (a_d + a_d.T)
+        a_u = 0.5 * (a_u + a_u.T)
+    return _finite(a_d), _finite(a_u)
+
+
+def _check_edges(inc: IncidencePair) -> None:
+    if inc.b1.shape[1] == 0:
+        raise ValueError("the complex has an empty edge set: a model needs at least one edge")
+
+
+def _finite(coupling: np.ndarray) -> np.ndarray:
+    """``coupling`` itself once every entry is finite, before an eigensolver sees it."""
+    if not np.isfinite(coupling).all():
+        raise ValueError(
+            "the couplings overflow in double precision: the coefficients d_v "
+            "and d_t are too large"
+        )
+    return coupling
+
+
+class _Side(NamedTuple):
+    """One Hodge side of the couplings: lower (vertices) or upper (triangles).
+
+    ``factor`` is U, with U @ U.T the side's E x E coupling matrix:
+    U_d = b1.T @ diag(sqrt(d_v)) is E x V and U_u = b2 @ diag(sqrt(d_t))
+    is E x T.  ``gram`` is U.T @ U, whose nonzero eigenvalues are those
+    of the coupling.  A side whose width (V or T) is not below E keeps no
+    factor, and its ``gram`` is the E x E coupling matrix itself.
+    """
+
+    factor: np.ndarray | None
+    gram: np.ndarray
+
+
+def _sides(
+    inc: IncidencePair,
+    d_v: np.ndarray,
+    d_t: np.ndarray,
+    parts: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[_Side, _Side]:
+    """The lower and upper sides of the couplings, each in its smaller form.
+
+    ``parts`` is (a_d, a_u) from _coupling_parts when the caller holds
+    it; a side in E x E form takes its matrix from there.  Raises
+    ValueError as _coupling_parts does.
+    """
+    _check_edges(inc)
+    ne = inc.b1.shape[1]
+    sides = []
+    for i, (b, d) in enumerate(((inc.b1.T, d_v), (inc.b2, d_t))):
+        if b.shape[1] < ne:
+            factor = b * np.sqrt(d)
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = factor.T @ factor
+            sides.append(_Side(factor, _finite(gram)))
+        else:
+            if parts is None:
+                parts = _coupling_parts(inc, d_v, d_t)
+            sides.append(_Side(None, parts[i]))
+    return sides[0], sides[1]
+
+
+def _spectrum_ends(sides: tuple[_Side, _Side]) -> list[tuple[float, float]]:
+    """(smallest, largest) eigenvalue of each side's E x E coupling matrix.
+
+    A side with a factor has rank below E, so its smallest eigenvalue is
+    0; a side without vertices or triangles couples nothing.
+    """
+    ends = []
+    for side in sides:
+        lam = np.linalg.eigvalsh(side.gram)
+        if lam.size == 0:
+            ends.append((0.0, 0.0))
+        else:
+            ends.append((0.0 if side.factor is not None else float(lam[0]), float(lam[-1])))
+    return ends
+
+
+def _k_minus(k: float, coupling: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """k*I - coupling, into ``out`` when given, without forming an identity.
+
+    Subtracting from 0.0 and then adding k on the diagonal gives the bits
+    of ``k * np.eye(n) - coupling``, signed zeros included.
+    """
+    out = np.subtract(0.0, coupling, out=out)
+    out.flat[:: out.shape[0] + 1] += k
+    return out
 
 
 def min_valid_k(
@@ -217,14 +316,15 @@ def min_valid_k(
 ) -> float:
     """Smallest admissible k for the given couplings, plus a margin.
 
-    Returns lambda_max(a_d + a_u) + margin.  Raises ValueError when the
-    complex has no edges, and when a positive margin does not clear the
-    floor 1e-9 * k of build_precision, as when a huge lambda_max absorbs
-    it.  Margin 0 returns lambda_max; a negative margin is left for
-    build_precision to refuse.
+    Returns lambda_max(a_d + a_u) + margin, with lambda_max the larger of
+    the two sides' top eigenvalues.  Raises ValueError when the complex
+    has no edges, when the couplings overflow, and when a positive margin
+    does not clear the floor 1e-9 * k of build_precision, as when a huge
+    lambda_max absorbs it.  Margin 0 returns lambda_max; a negative
+    margin is left for build_precision to refuse.
     """
-    a_d, a_u = _coupling_parts(inc, _coefficients(d_v), _coefficients(d_t))
-    lam_max = float(np.linalg.eigvalsh(a_d + a_u)[-1])
+    sides = _sides(inc, _coefficients(d_v), _coefficients(d_t))
+    lam_max = max(hi for _, hi in _spectrum_ends(sides))
     k = lam_max + margin
     if 0 < margin < np.inf and k - lam_max <= _PD_RTOL * k:
         raise ValueError(
@@ -235,37 +335,50 @@ def min_valid_k(
     return k
 
 
+def _factor_condition_numbers(inc: IncidencePair, params: SgmParams) -> tuple[float, float]:
+    """Condition numbers of omega_d and omega_u, read off the block spectra.
+
+    omega_d's eigenvalues are k minus those of a_d, and likewise above.
+    """
+    k = params.k
+    sides = _sides(inc, params.d_v, params.d_t)
+    lower, upper = ((k - lo) / (k - hi) for lo, hi in _spectrum_ends(sides))
+    return lower, upper
+
+
 def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
     """Assemble (omega, omega_d, omega_u) and verify positive definiteness.
 
-    Raises NotPositiveDefinite when the smallest eigenvalue of omega is
-    not above the floor 1e-9 * k, decided by a Cholesky factorization of
-    omega - 1e-9 * k * I; omega_d and omega_u are then automatically
-    positive definite as well.  The three matrices come back frozen
-    (see EdgePrecision).
+    Raises NotPositiveDefinite when the smallest eigenvalue of omega,
+    k - lambda_max, is not above the floor 1e-9 * k.  A Cholesky
+    factorization of (1 - 1e-9) * k * I - G on each side decides it, with
+    G the side's Gram matrix (or its coupling, see _Side); omega_d and
+    omega_u are then positive definite as well.  The three matrices come
+    back frozen (see EdgePrecision).
     """
     _check_params(inc, params)
+    k = params.k
     a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
-    ne = inc.b1.shape[1]
-    k_eye = params.k * np.eye(ne)
-    omega = k_eye - a_d - a_u
-
+    sides = _sides(inc, params.d_v, params.d_t, (a_d, a_u))
     try:
-        np.linalg.cholesky(omega - _PD_RTOL * k_eye)
+        for side in sides:
+            np.linalg.cholesky(_k_minus((1.0 - _PD_RTOL) * k, side.gram))
     except np.linalg.LinAlgError:
-        lam_min = float(np.linalg.eigvalsh(omega)[0])
-        lam_max = float(np.linalg.eigvalsh(a_d + a_u)[-1])
-        need = (f"need k > {lam_max:.6g}" if params.k <= lam_max else
-                f"need it above the floor {_PD_RTOL:g}*k = {_PD_RTOL * params.k:.3e}")
+        lam_max = max(hi for _, hi in _spectrum_ends(sides))
+        need = (f"need k > {lam_max:.6g}" if k <= lam_max else
+                f"need it above the floor {_PD_RTOL:g}*k = {_PD_RTOL * k:.3e}")
         raise NotPositiveDefinite(
-            f"k={params.k:.6g} gives smallest eigenvalue {lam_min:.3e}; {need}"
+            f"k={k:.6g} gives smallest eigenvalue {k - lam_max:.3e}; {need}"
         ) from None
-    # one matrix and its frozen copy at a time: the copies would
-    # otherwise raise the peak memory of a build by three E x E arrays
+    del sides
+    # one matrix and its frozen copy at a time, each built over a coupling
+    # that is no longer needed: no E x E identity and no extra copy
+    omega = _k_minus(k, a_d)
+    omega -= a_u
     omega = _frozen(omega)
-    omega_d = _frozen(k_eye - a_d)
-    omega_u = _frozen(k_eye - a_u)
-    return EdgePrecision(omega=omega, omega_d=omega_d, omega_u=omega_u, k=params.k)
+    omega_d = _frozen(_k_minus(k, a_d, out=a_d))
+    omega_u = _frozen(_k_minus(k, a_u, out=a_u))
+    return EdgePrecision(omega=omega, omega_d=omega_d, omega_u=omega_u, k=k)
 
 
 def _frozen(matrix: np.ndarray) -> np.ndarray:
@@ -335,6 +448,36 @@ def _mean_variance(cov: np.ndarray) -> float:
 def covariance_cholesky(prec: EdgePrecision) -> np.ndarray:
     """Lower Cholesky factor of the covariance, for drawing samples."""
     return np.linalg.cholesky(_shared_covariance(prec))
+
+
+def _block_covariance_cholesky(inc: IncidencePair, params: SgmParams) -> np.ndarray:
+    """Lower Cholesky factor of inv(omega), with no E x E inverse.
+
+    By the Woodbury identity, inv(k*I - U @ U.T) = I/k + U @ M @ U.T / k
+    with M = inv(k*I - U.T @ U), so the inverse rule gives
+
+        inv(omega) = I/k + (U_d @ M_d @ U_d.T + U_u @ M_u @ U_u.T) / k
+
+    from one V x V and one T x T inverse.  A side in E x E form (see
+    _Side) adds inv(k*I - a) - I/k instead.  The simulator draws its
+    noise with this factor; covariance_cholesky stays the dense check.
+    """
+    k = params.k
+    ne = inc.b1.shape[1]
+    sides = _sides(inc, params.d_v, params.d_t)
+    factors, solved = [np.empty((ne, 0))], [np.empty((ne, 0))]
+    for side in sides:
+        if side.factor is not None:
+            factors.append(side.factor)
+            solved.append(side.factor @ np.linalg.inv(_k_minus(k, side.gram)))
+    cov = np.hstack(solved) @ np.hstack(factors).T
+    cov.flat[:: ne + 1] += 1.0
+    cov /= k
+    for side in sides:
+        if side.factor is None:
+            cov += np.linalg.inv(_k_minus(k, side.gram))
+            cov.flat[:: ne + 1] -= 1.0 / k
+    return np.linalg.cholesky(cov)
 
 
 class IdentityResiduals(NamedTuple):

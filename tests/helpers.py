@@ -47,7 +47,7 @@ from cmrf import (
 )
 from cmrf.diffusion import _measure
 from cmrf.independence import CONDITIONAL_RTOL, MARGINAL_RTOL, IndependenceReport
-from cmrf.model import _CANCEL_RTOL, _coupling_parts
+from cmrf.model import _CANCEL_RTOL, _block_covariance_cholesky, _coupling_parts
 
 
 def draw_sparse_model(inc, seed, sparsity=0.5):
@@ -397,7 +397,7 @@ def _oracle_run(config, sc, run_seed):
                          dt_bounds=config.dt_bounds, margin=config.k_margin)
     prec = build_precision(inc, params)
     theta0 = rng.standard_normal(config.dim)
-    chol = covariance_cholesky(prec)
+    chol = _block_covariance_cholesky(inc, params)
     combine = combination_weights(line_graph(sc), config.combine_rule)
     steps = step_sizes(prec, config)
     couplings = {v: coupling_matrix(prec, v) for v in config.variants}

@@ -136,6 +136,17 @@ class TestModelCommands:
                 "precision (k=1e+308)\n"
             )
 
+    def test_build_refuses_overflowing_couplings(self, tmp_path, triangle_doc):
+        out = tmp_path / "model.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmrf.cli", "model", "build", str(triangle_doc),
+             "--dv", "1e308", "--dt", "1e308", "-o", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
+        assert proc.stderr == ("error: the couplings overflow in double precision: "
+                               "the coefficients d_v and d_t are too large\n")
+
     def test_build_refuses_coefficients_that_absorb_the_margin(
         self, tmp_path, capsys, triangle_doc
     ):
@@ -196,6 +207,26 @@ class TestModelCommands:
         omega = build_precision(incidence(sc), params).omega
         assert doc["condition_number"] == pytest.approx(np.linalg.cond(omega), rel=1e-9)
         assert doc["condition_number"] >= 1.0
+        prec = build_precision(incidence(sc), params)
+        for key, factor in [("lower", prec.omega_d), ("upper", prec.omega_u)]:
+            got = doc[f"condition_number_{key}"]
+            assert got == pytest.approx(np.linalg.cond(factor), rel=1e-9) and got > 1.0
+
+    def test_check_json_reports_ill_conditioned_factors(self, tmp_path, capsys, triangle_doc):
+        # a_d + a_u = 3e7 * I, so omega is well conditioned while omega_d
+        # and omega_u have eigenvalues k - 3e7 and k (or k - 0)
+        out = tmp_path / "model.json"
+        run_cli(capsys, "model", "build", str(triangle_doc), "--dv", "1e7", "--dt", "1e7",
+                "-o", str(out))
+        code, text, _ = run_cli(capsys, "model", "check", str(out), "--json")
+        doc = json.loads(text)
+        assert doc["condition_number"] == pytest.approx(1.0, rel=1e-9)
+        # np.linalg.cond and the blocks each carry an error of about
+        # 1e-16 * 3e8 here; compare with the exact value instead
+        exact = doc["k"] / (doc["k"] - 3e7)
+        assert 2.99e8 < exact < 3.01e8
+        assert doc["condition_number_lower"] == pytest.approx(exact, rel=1e-7)
+        assert doc["condition_number_upper"] == pytest.approx(exact, rel=1e-7)
 
     @pytest.mark.parametrize("coeffs, calls", [
         ((), 1), (("--dv", "1.5"), 2), (("--dv", "1.5", "--dt", "0.5"), 1),
@@ -395,7 +426,7 @@ class TestSimulateCommand:
         code, _, _ = run_cli(capsys, "simulate", "--seed", "1", "--runs", "4",
                              "--iterations", "200", "-o", str(out))
         assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest().startswith("844db74219487ff3")
+        assert hashlib.sha256(out.read_bytes()).hexdigest().startswith("0d8b8e4db36d65ac")
 
     def test_small_run_writes_csv_and_summary(self, tmp_path, capsys):
         out = tmp_path / "msd.csv"
