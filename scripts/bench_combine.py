@@ -34,7 +34,8 @@ The script records:
 * ``setup``: per scale, the per-run set-up stages of the simulator, in
   the same child processes and rounds as ``simulate``: ``min_valid_k``,
   ``build_precision``, the noise factor (``covariance_cholesky`` of a
-  fresh precision where the side has no ``model._block_covariance_cholesky``)
+  fresh precision where the side has no ``model._noise_factor``, else
+  that function on freshly formed ``model._sides``)
   and the whole ``diffusion._setup_run``, each timed once per model for
   ``SETUP_MODELS`` models ``draw_params(inc, seed)`` with seeds 0, 1, ...
   on the scale's complex, in milliseconds as [q1, median, q3].
@@ -146,7 +147,7 @@ def measure_setup() -> dict:
                                         num_iterations=SIM_ITERATIONS)
     slots = [s for s in diffusion.VARIANTS.values()
              if (s.uses_lower_term or s.uses_upper_term) and not s.is_centralized]
-    block = getattr(model, "_block_covariance_cholesky", None)
+    block = getattr(model, "_noise_factor", None)
     out = {}
     for nv, ne, nt in SIM_SCALES:
         sc = _complex(nv, ne, nt)
@@ -160,7 +161,7 @@ def measure_setup() -> dict:
                 ("min_valid_k", lambda: cmrf.min_valid_k(inc, params.d_v, params.d_t)),
                 ("build_precision", lambda: cmrf.build_precision(inc, params)),
                 ("noise_factor", (lambda: cmrf.covariance_cholesky(prec)) if block is None
-                 else (lambda: block(inc, params))),
+                 else (lambda: block(params.k, model._sides(inc, params.d_v, params.d_t)))),
                 ("setup_run", lambda: diffusion._setup_run(config, sc, run_seed, slots, True)),
             ]:
                 start = time.perf_counter()

@@ -7,8 +7,8 @@ Each edge e of a complex observes, at every round t, a linear measurement
 with i.i.d. Gaussian regressors u_e and noise n[t] drawn jointly across
 edges from the structured model N(0, inv(omega)).  Each run draws its
 noise with a Cholesky factor of inv(omega) that ``model`` builds from the
-Hodge blocks, one V x V and one T x T inverse, so no run inverts an
-E x E matrix.  The network objective
+Hodge blocks, with one V x V and one T x T inverse; no run inverts
+omega.  The network objective
 
     J(theta) = 0.5 * E[ r.T @ omega @ r ],    r_e = y_e - u_e.T @ theta
 
@@ -56,8 +56,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import EdgePrecision, build_precision, draw_params
-from .model import _block_covariance_cholesky
+from .model import EdgePrecision, _draw_run_model
 from .simplicial import (
     IncidencePair,
     SimplicialComplex2,
@@ -484,16 +483,10 @@ def _setup_run(
     if own_complex:
         sc = _sample_complex(config, rng)
     inc = incidence(sc)
-    params = draw_params(
-        inc,
-        rng,
-        dv_bounds=config.dv_bounds,
-        dt_bounds=config.dt_bounds,
-        margin=config.k_margin,
-    )
-    prec = build_precision(inc, params)
+    prec, noise = _draw_run_model(inc, rng, config.dv_bounds, config.dt_bounds,
+                                  config.k_margin)
     theta0 = rng.standard_normal(config.dim)
-    mats = [_block_covariance_cholesky(inc, params)]
+    mats = [noise]
     mats += [coupling_matrix(prec, spec) for spec in slots]
     unsigned = None
     if own_complex and combines:

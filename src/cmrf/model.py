@@ -30,8 +30,8 @@ their ranges orthogonal.  So the spectrum of omega is
 
 lambda_max is the larger top eigenvalue of the V x V and T x T Grams,
 and the floor holds iff (1 - 1e-9) * k * I - G is positive definite on
-each side.  A side works in its Gram only while V (or T) is below E;
-otherwise it uses its E x E coupling matrix (see _Side).
+each side.  A Gram wider than E only adds zeros to the spectrum, so this
+holds whatever the sizes of V, E and T.
 
 The colored graph of the model has the edges of the complex as nodes and
 two link colors read off the symbolic support of the coupling terms: a
@@ -50,9 +50,9 @@ independence checks, the singleton scan, :func:`identity_residuals` and
 :func:`covariance_cholesky`), so one rule holds for all of them: a built
 precision is inverted once while it is the last one checked, its
 covariance dies with it, and a precision built by hand from ordinary
-arrays is inverted on every call.  The simulator inverts no E x E
-matrix: it draws its noise with a factor built from the Hodge blocks
-(``_block_covariance_cholesky``).
+arrays is inverted on every call.  The simulator never inverts omega:
+it draws its noise with a factor built from the Hodge blocks
+(``_noise_factor``).
 """
 
 from __future__ import annotations
@@ -244,57 +244,44 @@ class _Side(NamedTuple):
 
     ``factor`` is U, with U @ U.T the side's E x E coupling matrix:
     U_d = b1.T @ diag(sqrt(d_v)) is E x V and U_u = b2 @ diag(sqrt(d_t))
-    is E x T.  ``gram`` is U.T @ U, whose nonzero eigenvalues are those
-    of the coupling.  A side whose width (V or T) is not below E keeps no
-    factor, and its ``gram`` is the E x E coupling matrix itself.
+    is E x T.  ``gram`` is U.T @ U, which shares the coupling's nonzero
+    eigenvalues.
     """
 
-    factor: np.ndarray | None
+    factor: np.ndarray
     gram: np.ndarray
 
 
-def _sides(
-    inc: IncidencePair,
-    d_v: np.ndarray,
-    d_t: np.ndarray,
-    parts: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[_Side, _Side]:
-    """The lower and upper sides of the couplings, each in its smaller form.
+def _sides(inc: IncidencePair, d_v: np.ndarray, d_t: np.ndarray) -> tuple[_Side, _Side]:
+    """The lower and upper sides of the couplings.
 
-    ``parts`` is (a_d, a_u) from _coupling_parts when the caller holds
-    it; a side in E x E form takes its matrix from there.  Raises
-    ValueError as _coupling_parts does.
+    Raises ValueError as _coupling_parts does.
     """
     _check_edges(inc)
-    ne = inc.b1.shape[1]
-    sides = []
-    for i, (b, d) in enumerate(((inc.b1.T, d_v), (inc.b2, d_t))):
-        if b.shape[1] < ne:
-            factor = b * np.sqrt(d)
-            with np.errstate(over="ignore", invalid="ignore"):
-                gram = factor.T @ factor
-            sides.append(_Side(factor, _finite(gram)))
-        else:
-            if parts is None:
-                parts = _coupling_parts(inc, d_v, d_t)
-            sides.append(_Side(None, parts[i]))
-    return sides[0], sides[1]
+    factors = (inc.b1.T * np.sqrt(d_v), inc.b2 * np.sqrt(d_t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = [u.T @ u for u in factors]
+    lower, upper = (_Side(u, _finite(g)) for u, g in zip(factors, grams))
+    return lower, upper
 
 
-def _spectrum_ends(sides: tuple[_Side, _Side]) -> list[tuple[float, float]]:
-    """(smallest, largest) eigenvalue of each side's E x E coupling matrix.
+def _spectrum_ends(side: _Side) -> tuple[float, float]:
+    """(smallest, largest) eigenvalue of the side's E x E coupling matrix.
 
-    A side with a factor has rank below E, so its smallest eigenvalue is
-    0; a side without vertices or triangles couples nothing.
+    A Gram whose width (V or T) is at least E holds the coupling's E
+    eigenvalues and width - E zeros, so the coupling's smallest is the
+    Gram's (width - E)-th; a narrower side leaves the coupling singular,
+    with smallest eigenvalue 0.  A side of width 0 couples nothing.
     """
-    ends = []
-    for side in sides:
-        lam = np.linalg.eigvalsh(side.gram)
-        if lam.size == 0:
-            ends.append((0.0, 0.0))
-        else:
-            ends.append((0.0 if side.factor is not None else float(lam[0]), float(lam[-1])))
-    return ends
+    lam = np.linalg.eigvalsh(side.gram)
+    ne, width = side.factor.shape
+    if width == 0:
+        return 0.0, 0.0
+    return (float(lam[width - ne]) if width >= ne else 0.0), float(lam[-1])
+
+
+def _lambda_max(sides: tuple[_Side, _Side]) -> float:
+    return max(_spectrum_ends(side)[1] for side in sides)
 
 
 def _k_minus(k: float, coupling: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -323,8 +310,12 @@ def min_valid_k(
     lambda_max absorbs it.  Margin 0 returns lambda_max; a negative
     margin is left for build_precision to refuse.
     """
-    sides = _sides(inc, _coefficients(d_v), _coefficients(d_t))
-    lam_max = max(hi for _, hi in _spectrum_ends(sides))
+    return _k_above(_sides(inc, _coefficients(d_v), _coefficients(d_t)), margin)
+
+
+def _k_above(sides: tuple[_Side, _Side], margin: float) -> float:
+    """min_valid_k on the sides of the couplings."""
+    lam_max = _lambda_max(sides)
     k = lam_max + margin
     if 0 < margin < np.inf and k - lam_max <= _PD_RTOL * k:
         raise ValueError(
@@ -341,8 +332,8 @@ def _factor_condition_numbers(inc: IncidencePair, params: SgmParams) -> tuple[fl
     omega_d's eigenvalues are k minus those of a_d, and likewise above.
     """
     k = params.k
-    sides = _sides(inc, params.d_v, params.d_t)
-    lower, upper = ((k - lo) / (k - hi) for lo, hi in _spectrum_ends(sides))
+    lower, upper = ((k - lo) / (k - hi) for lo, hi in
+                    map(_spectrum_ends, _sides(inc, params.d_v, params.d_t)))
     return lower, upper
 
 
@@ -352,25 +343,33 @@ def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
     Raises NotPositiveDefinite when the smallest eigenvalue of omega,
     k - lambda_max, is not above the floor 1e-9 * k.  A Cholesky
     factorization of (1 - 1e-9) * k * I - G on each side decides it, with
-    G the side's Gram matrix (or its coupling, see _Side); omega_d and
-    omega_u are then positive definite as well.  The three matrices come
-    back frozen (see EdgePrecision).
+    G the side's Gram matrix; omega_d and omega_u are then positive
+    definite as well.  The three matrices come back frozen (see
+    EdgePrecision).
     """
     _check_params(inc, params)
-    k = params.k
-    a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
-    sides = _sides(inc, params.d_v, params.d_t, (a_d, a_u))
+    _gate(params.k, _sides(inc, params.d_v, params.d_t))
+    return _assemble(inc, params)
+
+
+def _gate(k: float, sides: tuple[_Side, _Side]) -> None:
+    """Raise NotPositiveDefinite unless k clears the floor on both sides."""
     try:
         for side in sides:
             np.linalg.cholesky(_k_minus((1.0 - _PD_RTOL) * k, side.gram))
     except np.linalg.LinAlgError:
-        lam_max = max(hi for _, hi in _spectrum_ends(sides))
+        lam_max = _lambda_max(sides)
         need = (f"need k > {lam_max:.6g}" if k <= lam_max else
                 f"need it above the floor {_PD_RTOL:g}*k = {_PD_RTOL * k:.3e}")
         raise NotPositiveDefinite(
             f"k={k:.6g} gives smallest eigenvalue {k - lam_max:.3e}; {need}"
         ) from None
-    del sides
+
+
+def _assemble(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
+    """The three frozen matrices of a k that passed the gate."""
+    k = params.k
+    a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
     # one matrix and its frozen copy at a time, each built over a coupling
     # that is no longer needed: no E x E identity and no extra copy
     omega = _k_minus(k, a_d)
@@ -450,33 +449,22 @@ def covariance_cholesky(prec: EdgePrecision) -> np.ndarray:
     return np.linalg.cholesky(_shared_covariance(prec))
 
 
-def _block_covariance_cholesky(inc: IncidencePair, params: SgmParams) -> np.ndarray:
-    """Lower Cholesky factor of inv(omega), with no E x E inverse.
+def _noise_factor(k: float, sides: tuple[_Side, _Side]) -> np.ndarray:
+    """Lower Cholesky factor of inv(omega), without inverting omega.
 
     By the Woodbury identity, inv(k*I - U @ U.T) = I/k + U @ M @ U.T / k
     with M = inv(k*I - U.T @ U), so the inverse rule gives
 
         inv(omega) = I/k + (U_d @ M_d @ U_d.T + U_u @ M_u @ U_u.T) / k
 
-    from one V x V and one T x T inverse.  A side in E x E form (see
-    _Side) adds inv(k*I - a) - I/k instead.  The simulator draws its
-    noise with this factor; covariance_cholesky stays the dense check.
+    from one V x V and one T x T inverse.  The simulator draws its noise
+    with this factor; covariance_cholesky stays the dense check.
     """
-    k = params.k
-    ne = inc.b1.shape[1]
-    sides = _sides(inc, params.d_v, params.d_t)
-    factors, solved = [np.empty((ne, 0))], [np.empty((ne, 0))]
-    for side in sides:
-        if side.factor is not None:
-            factors.append(side.factor)
-            solved.append(side.factor @ np.linalg.inv(_k_minus(k, side.gram)))
-    cov = np.hstack(solved) @ np.hstack(factors).T
+    ne = sides[0].factor.shape[0]
+    solved = [side.factor @ np.linalg.inv(_k_minus(k, side.gram)) for side in sides]
+    cov = np.hstack(solved) @ np.hstack([side.factor for side in sides]).T
     cov.flat[:: ne + 1] += 1.0
     cov /= k
-    for side in sides:
-        if side.factor is None:
-            cov += np.linalg.inv(_k_minus(k, side.gram))
-            cov.flat[:: ne + 1] -= 1.0 / k
     return np.linalg.cholesky(cov)
 
 
@@ -591,15 +579,47 @@ def draw_params(
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError(f"sparsity must lie in [0, 1], got {sparsity}")
     rng = np.random.default_rng(seed)
-    nv = inc.b1.shape[0]
-    nt = inc.b2.shape[1]
-    d_v = rng.uniform(dv_bounds[0], dv_bounds[1], size=nv)
-    d_t = rng.uniform(dt_bounds[0], dt_bounds[1], size=nt)
+    d_v, d_t = _draw_coefficients(inc, rng, dv_bounds, dt_bounds)
     if sparsity > 0.0:
-        d_v = np.where(rng.random(nv) < sparsity, 0.0, d_v)
-        d_t = np.where(rng.random(nt) < sparsity, 0.0, d_t)
+        d_v = np.where(rng.random(d_v.size) < sparsity, 0.0, d_v)
+        d_t = np.where(rng.random(d_t.size) < sparsity, 0.0, d_t)
     k = min_valid_k(inc, d_v, d_t, margin)
     return SgmParams(k=k, d_v=d_v, d_t=d_t)
+
+
+def _draw_coefficients(
+    inc: IncidencePair,
+    rng: np.random.Generator,
+    dv_bounds: tuple[float, float],
+    dt_bounds: tuple[float, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    d_v = rng.uniform(dv_bounds[0], dv_bounds[1], size=inc.b1.shape[0])
+    d_t = rng.uniform(dt_bounds[0], dt_bounds[1], size=inc.b2.shape[1])
+    return d_v, d_t
+
+
+def _draw_run_model(
+    inc: IncidencePair,
+    rng: np.random.Generator,
+    dv_bounds: tuple[float, float],
+    dt_bounds: tuple[float, float],
+    margin: float,
+) -> tuple[EdgePrecision, np.ndarray]:
+    """draw_params and build_precision for one simulator run, and its noise factor.
+
+    Returns the precision and the lower Cholesky factor of inv(omega)
+    (see _noise_factor).  Each side's Gram is formed once and serves k,
+    the positive-definiteness gate and the factor, and is dropped before
+    the E x E matrices are assembled; the results are bit for bit those
+    of draw_params (without sparsity), build_precision and _noise_factor.
+    """
+    d_v, d_t = _draw_coefficients(inc, rng, dv_bounds, dt_bounds)
+    sides = _sides(inc, d_v, d_t)
+    params = SgmParams(k=_k_above(sides, margin), d_v=d_v, d_t=d_t)
+    _gate(params.k, sides)
+    noise = _noise_factor(params.k, sides)
+    del sides
+    return _assemble(inc, params), noise
 
 
 def save_model(

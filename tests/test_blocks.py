@@ -1,15 +1,15 @@
 """The Hodge blocks against the dense E x E path.
 
 min_valid_k, the positive-definiteness gate of build_precision and the
-simulator's noise factor work in vertex and triangle space: each side of
-the couplings through its V x V or T x T Gram matrix while that is the
-smaller form, else through its E x E coupling.  Every check here compares
-them with the dense quantities built from _coupling_parts: lambda_max of
-a_d + a_u, a Cholesky of omega - 1e-9 * k * I, inv(omega) and the
-condition numbers of omega_d and omega_u.  The complexes cover both
-forms on each side: the three benchmark scales (V, T < E), K18 with every
-triangle filled (T > E), a forest-like complex (V > E) and K5 beside
-isolated vertices (V = T = E).
+simulator's noise factor work in vertex and triangle space, each side of
+the couplings through its V x V or T x T Gram matrix.  Every check here
+compares them with the dense quantities built from _coupling_parts:
+the couplings themselves, lambda_max of a_d + a_u, a Cholesky of
+omega - 1e-9 * k * I, inv(omega) and the condition numbers of omega_d
+and omega_u.  The complexes put each side's width on both sides of E:
+the three benchmark scales (V, T < E), K18 with every triangle filled
+(T > E), a forest-like complex (V > E) and K5 beside isolated vertices
+(V = T = E).
 """
 
 import itertools
@@ -29,9 +29,10 @@ from cmrf import (
 )
 from cmrf.model import (
     _PD_RTOL,
-    _block_covariance_cholesky,
     _coupling_parts,
+    _draw_run_model,
     _factor_condition_numbers,
+    _noise_factor,
     _sides,
 )
 
@@ -44,8 +45,7 @@ def _forest_like():
 
 
 def _k5_and_isolated_vertices():
-    """K5 with every triangle filled and 5 isolated vertices: V = E = T = 10,
-    so both sides take their E x E form."""
+    """K5 with every triangle filled and 5 isolated vertices: V = E = T = 10."""
     pairs = list(itertools.combinations(range(1, 6), 2))
     triples = list(itertools.combinations(range(1, 6), 3))
     return build_complex(range(1, 11), pairs, triples)
@@ -95,14 +95,25 @@ def _dense_accepts(inc, params):
     return True
 
 
-def test_complexes_cover_both_forms_on_each_side():
-    forms = set()
+def _block_factor(inc, params):
+    return _noise_factor(params.k, _sides(inc, params.d_v, params.d_t))
+
+
+def test_complexes_put_each_width_on_both_sides_of_e():
+    # _spectrum_ends reads the coupling's smallest eigenvalue from the
+    # Gram's spectrum differently below E and from E on
+    widths = set()
     for make in COMPLEXES.values():
-        inc = incidence(make())
-        nv, ne = inc.b1.shape
-        sides = _sides(inc, np.ones(nv), np.ones(inc.b2.shape[1]))
-        forms |= {(name, side.factor is None) for name, side in zip("du", sides)}
-    assert forms == {("d", False), ("d", True), ("u", False), ("u", True)}
+        nv, ne = (inc := incidence(make())).b1.shape
+        widths |= {("d", nv < ne), ("u", inc.b2.shape[1] < ne)}
+    assert widths == {("d", False), ("d", True), ("u", False), ("u", True)}
+
+
+def test_sides_keep_the_couplings(coefficients):
+    inc, d_v, d_t = coefficients
+    for side, coupling in zip(_sides(inc, d_v, d_t), _coupling_parts(inc, d_v, d_t)):
+        scale = max(np.abs(coupling).max(), 1.0)
+        assert np.abs(side.factor @ side.factor.T - coupling).max() <= 1e-13 * scale
 
 
 def test_lambda_max_matches_dense(coefficients):
@@ -128,7 +139,7 @@ def test_gate_decides_as_the_dense_cholesky(coefficients, shift, accepted):
 def test_noise_factor_matches_dense_inverse(coefficients):
     inc, d_v, d_t = coefficients
     params = SgmParams(k=min_valid_k(inc, d_v, d_t), d_v=d_v, d_t=d_t)
-    chol = _block_covariance_cholesky(inc, params)
+    chol = _block_factor(inc, params)
     assert np.array_equal(chol, np.tril(chol))
     cov = np.linalg.inv(build_precision(inc, params).omega)
     mean_variance = np.trace(cov) / cov.shape[0]
@@ -155,12 +166,25 @@ def test_factor_condition_numbers_match_dense(coefficients):
     assert upper == pytest.approx(np.linalg.cond(prec.omega_u), rel=1e-9)
 
 
+def test_condition_number_of_a_nonsingular_lower_coupling():
+    # on a path with positive d_v the lower coupling is nonsingular, so
+    # omega_d's condition number needs the coupling's smallest eigenvalue
+    inc = incidence(build_complex(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5)]))
+    d_v, d_t = np.linspace(1.0, 3.0, 5), np.zeros(0)
+    params = SgmParams(k=min_valid_k(inc, d_v, d_t), d_v=d_v, d_t=d_t)
+    prec = build_precision(inc, params)
+    assert np.linalg.eigvalsh(params.k * np.eye(4) - prec.omega_d)[0] > 0.1
+    lower, upper = _factor_condition_numbers(inc, params)
+    assert lower == pytest.approx(np.linalg.cond(prec.omega_d), rel=1e-9)
+    assert upper == 1.0
+
+
 def test_edgeless_complex_is_refused():
     inc = incidence(build_complex([1, 2], []))
     params = SgmParams(k=1.0, d_v=np.ones(2), d_t=np.zeros(0))
     for call in (lambda: min_valid_k(inc, params.d_v, params.d_t),
                  lambda: build_precision(inc, params),
-                 lambda: _block_covariance_cholesky(inc, params)):
+                 lambda: _block_factor(inc, params)):
         with pytest.raises(ValueError, match="empty edge set"):
             call()
 
@@ -173,6 +197,22 @@ def test_overflowing_couplings_are_refused_without_warnings(filled_triangle, d_v
     with np.errstate(all="raise"):
         for call in (lambda: min_valid_k(inc, *coefficients),
                      lambda: build_precision(inc, params),
-                     lambda: _block_covariance_cholesky(inc, params)):
+                     lambda: _block_factor(inc, params)):
             with pytest.raises(ValueError, match="couplings overflow"):
                 call()
+
+
+@pytest.mark.parametrize("scale", ["10/21/12", "K18", "forest-like"])
+def test_run_model_is_the_public_steps_bit_for_bit(scale):
+    inc = incidence(COMPLEXES[scale]())
+    bounds = ((0.5, 2.0), (0.1, 3.0))
+    run_rng = np.random.default_rng(5)
+    prec, noise = _draw_run_model(inc, run_rng, *bounds, 0.2)
+    rng = np.random.default_rng(5)
+    params = draw_params(inc, rng, dv_bounds=bounds[0], dt_bounds=bounds[1], margin=0.2)
+    want = build_precision(inc, params)
+    assert prec.k == want.k
+    for name in ("omega", "omega_d", "omega_u"):
+        assert getattr(prec, name).tobytes() == getattr(want, name).tobytes()
+    assert noise.tobytes() == _block_factor(inc, params).tobytes()
+    assert run_rng.standard_normal() == rng.standard_normal()  # the same draws
