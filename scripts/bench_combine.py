@@ -33,12 +33,15 @@ The script records:
   relative difference).
 * ``setup``: per scale, the per-run set-up stages of the simulator, in
   the same child processes and rounds as ``simulate``: ``min_valid_k``,
-  ``build_precision``, the noise factor (``covariance_cholesky`` of a
-  fresh precision where the side has no ``model._noise_factor``, else
-  that function on freshly formed ``model._sides``)
-  and the whole ``diffusion._setup_run``, each timed once per model for
+  ``build_precision``, the noise factor and the whole
+  ``diffusion._setup_run``, each timed once per model for
   ``SETUP_MODELS`` models ``draw_params(inc, seed)`` with seeds 0, 1, ...
-  on the scale's complex, in milliseconds as [q1, median, q3].
+  on the scale's complex, in milliseconds as [q1, median, q3].  The
+  noise factor is the side's simulator path: ``model._noise_factor`` on
+  freshly formed ``model._sides`` where the side has it, else
+  ``covariance_cholesky`` of a precision built before the clock starts,
+  which reads the precision's Hodge blocks where the side keeps them
+  and inverts omega where it does not.
 
 Times are medians.  The output also holds the machine record of the
 benchmark runner (perfbench/run.py).
@@ -147,7 +150,10 @@ def measure_setup() -> dict:
                                         num_iterations=SIM_ITERATIONS)
     slots = [s for s in diffusion.VARIANTS.values()
              if (s.uses_lower_term or s.uses_upper_term) and not s.is_centralized]
-    block = getattr(model, "_noise_factor", None)
+    # the simulator's noise factor: model._noise_factor where the side has
+    # it, else covariance_cholesky, which reads a built precision's Hodge
+    # blocks (or inverts omega, on sides that have neither)
+    sides_factor = getattr(model, "_noise_factor", None)
     out = {}
     for nv, ne, nt in SIM_SCALES:
         sc = _complex(nv, ne, nt)
@@ -155,13 +161,14 @@ def measure_setup() -> dict:
         times = {stage: [] for stage in SETUP_STAGES}
         for seed in range(SETUP_MODELS):
             params = cmrf.draw_params(inc, seed)
-            prec = cmrf.build_precision(inc, params)  # fresh, so no kept covariance
+            prec = cmrf.build_precision(inc, params)
             run_seed = np.random.SeedSequence(seed)
             for stage, fn in [
                 ("min_valid_k", lambda: cmrf.min_valid_k(inc, params.d_v, params.d_t)),
                 ("build_precision", lambda: cmrf.build_precision(inc, params)),
-                ("noise_factor", (lambda: cmrf.covariance_cholesky(prec)) if block is None
-                 else (lambda: block(params.k, model._sides(inc, params.d_v, params.d_t)))),
+                ("noise_factor", (lambda: cmrf.covariance_cholesky(prec))
+                 if sides_factor is None else
+                 (lambda: sides_factor(params.k, model._sides(inc, params.d_v, params.d_t)))),
                 ("setup_run", lambda: diffusion._setup_run(config, sc, run_seed, slots, True)),
             ]:
                 start = time.perf_counter()

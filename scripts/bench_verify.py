@@ -15,19 +15,21 @@ Per scale and side the script records:
 * ``loop_ms_per_pair``: one ``verify_marginal_independence`` call per
   pair on a fixed sample of at most 200 pairs of one model, the path
   the scan took before the one-inversion scan.  Each call gets its own
-  copy of the precision object, so each call inverts omega on either
-  side, also where verify_* calls share one covariance per precision;
+  copy of the precision object (``dataclasses.replace``), which carries
+  no kept covariance and no Hodge blocks, so each call inverts omega on
+  either side, as the loop did before either existed;
 * ``scan_s``: one ``scan_singleton_pairs`` call over every pair, when
-  the side has it.  Each timed call gets its own copy of the precision
-  object, built before the clock starts, so each scan inverts omega on
-  either side, also where the scan shares the covariance of verify_*;
+  the side has it.  Each timed call gets its own such copy, built
+  before the clock starts, so each scan inverts omega on either side;
 * ``cli_scan_s``: ``cmrf verify MODEL --scan-singletons --json`` in
   process, loading and JSON output included, when the estimate from
   the loop stays under ``CLI_LIMIT_S`` seconds (else null);
 * ``conditional_ms_per_query``: ``is_graph_separated`` and, when
   separated, ``verify_conditional_independence`` for each of
-  ``QUERIES`` queries on a freshly built precision and graph, so one
-  inversion and the first-use adjacency build are inside the time.  The
+  ``QUERIES`` queries on a freshly built precision and graph, so the
+  first-use adjacency build is inside the time, and so is the one
+  inversion of omega on a side that keeps one covariance per model (a
+  side with Hodge blocks inverts nothing per query).  The
   queries are the benchmark's conditional mix (``make_queries`` in
   perfbench/run.py, seeded with ``[SEED, 0]``): half Markov-blanket
   queries, half random ones with |S| <= 3.
@@ -115,8 +117,8 @@ def measure() -> dict:
         sample = [pairs[n] for n in order]
 
         def loop():
-            # a new precision object per call, so that every call inverts
-            # omega even where verify_* share one covariance per precision
+            # a new precision object per call, without Hodge blocks or a
+            # kept covariance, so that every call inverts omega
             for i, j in sample:
                 independence.verify_marginal_independence(
                     dataclasses.replace(prec), graph, [i], [j])

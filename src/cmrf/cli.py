@@ -173,9 +173,7 @@ def cmd_model_build(args) -> int:
     model.save_model(params, args.complex, args.out)
 
     cancels = model.find_cancellations(inc, params)
-    diag_const = bool(
-        np.allclose(prec.omega, prec.k * np.eye(prec.num_edges), atol=0.0)
-    )
+    diag_const = np.array_equal(prec.omega, prec.k * np.eye(prec.num_edges))
     payload = {
         "out": str(args.out),
         "k": float(params.k),

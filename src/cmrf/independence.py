@@ -20,11 +20,11 @@ and B, conditioned on S by the Schur complement when S is non-empty,
 against a tolerance scaled by the mean marginal variance
 trace(cov)/num_edges.
 
-The covariance is inv(omega), which the verify_* functions and
-scan_singleton_pairs read through model._shared_covariance; the
-docstring of :mod:`cmrf.model` states when it is inverted and how long
-it is kept.  scan_singleton_pairs checks every color-separated singleton
-pair of a model with that covariance and one gather.
+The covariance is inv(omega), which a built precision answers from its
+Hodge blocks (see :mod:`cmrf.model`), exactly 0.0 wherever the colors
+separate two edges: the verify_* functions read the rows and columns of
+A, B and S only, and scan_singleton_pairs checks every color-separated
+singleton pair of a model with the whole matrix and one gather.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NotColorSeparated, NotSeparated, OverlappingSets
-from .model import CmrfGraph, EdgePrecision, _mean_variance, _shared_covariance
+from .model import CmrfGraph, EdgePrecision, _covariance_of
 from .simplicial import _is_int
 
 __all__ = [
@@ -186,17 +186,18 @@ def _report(kind: str, rtol: float, prec: EdgePrecision,
 
     With S empty this is the plain cross-covariance cov[A, B].
     """
-    cov = _shared_covariance(prec)
-    a, b, s = list(query.set_a), list(query.set_b), list(query.given)
+    a, b, s = query.set_a, query.set_b, query.given
+    cov, mean_variance = _covariance_of(prec, [*a, *b, *s])
+    na, nab = len(a), len(a) + len(b)
     residual = 0.0
     if a and b:
-        cross = cov[np.ix_(a, b)]
+        cross = cov[:na, na:nab]
         if s:
-            cross = cross - cov[np.ix_(a, s)] @ np.linalg.solve(
-                cov[np.ix_(s, s)], cov[np.ix_(s, b)]
+            cross = cross - cov[:na, nab:] @ np.linalg.solve(
+                cov[nab:, nab:], cov[nab:, na:nab]
             )
         residual = float(np.abs(cross).max())
-    tolerance = rtol * _mean_variance(cov)
+    tolerance = rtol * mean_variance
     return IndependenceReport(kind=kind, passed=residual < tolerance,
                               residual=residual, tolerance=tolerance, query=query)
 
@@ -244,10 +245,10 @@ def scan_singleton_pairs(prec: EdgePrecision, graph: CmrfGraph) -> SingletonScan
     """Check zero cross-covariance on every color-separated singleton pair.
 
     Gives per pair the residual and tolerance that
-    verify_marginal_independence reports for ({i}, {j}), bit for bit,
-    from the same covariance (see :mod:`cmrf.model` for when it is
-    inverted), and reads all residuals with one gather.  With no pair to
-    check nothing is inverted.
+    verify_marginal_independence reports for ({i}, {j}) (bit for bit on
+    a precision without blocks, and 0.0 on a built precision with its
+    own graph), reading all residuals from one covariance with one
+    gather.  With no pair to check no covariance is formed.
     """
     _check_sizes(prec, graph)
     rows, cols = _separated_pair_indices(graph)
@@ -255,9 +256,9 @@ def scan_singleton_pairs(prec: EdgePrecision, graph: CmrfGraph) -> SingletonScan
     if not pairs:
         return SingletonScan(pairs=[], residuals=np.zeros(0), tolerance=None,
                              max_residual=0.0, passed=True)
-    cov = _shared_covariance(prec)
+    cov, mean_variance = _covariance_of(prec)
     residuals = np.abs(cov[rows, cols])
-    tolerance = MARGINAL_RTOL * _mean_variance(cov)
+    tolerance = MARGINAL_RTOL * mean_variance
     return SingletonScan(
         pairs=pairs,
         residuals=residuals,

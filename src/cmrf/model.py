@@ -41,25 +41,22 @@ support of omega is contained in the union of the two colors; strict
 inclusion happens only when lower and upper contributions cancel exactly,
 which :func:`find_cancellations` reports.
 
-:func:`build_precision` returns frozen matrices, read-only over immutable
-bytes.  That lets one module-level slot keep the covariance of the last
-built precision a check asked for (``_shared_covariance``): the same
-living precision object with the same frozen omega cannot have changed.
-Every check that reads inv(omega) goes through that slot (the
-independence checks, the singleton scan, :func:`identity_residuals` and
-:func:`covariance_cholesky`), so one rule holds for all of them: a built
-precision is inverted once while it is the last one checked, its
-covariance dies with it, and a precision built by hand from ordinary
-arrays is inverted on every call.  The simulator never inverts omega:
-it draws its noise with a factor built from the Hodge blocks
-(``_noise_factor``).
+:func:`build_precision` returns the three matrices frozen, read-only over
+immutable bytes, and keeps with them the Hodge blocks of the couplings
+(``_HodgeBlocks``).  By the Woodbury identity every reader of inv(omega)
+takes it from the blocks through ``_covariance_of`` and none inverts an
+E x E matrix: the independence checks read only their query's rows and
+columns, the singleton scan and :func:`covariance_cholesky` (and so
+:func:`sample` and the simulator's noise) the whole matrix, formed per
+call and not kept.  A precision built by hand has no blocks and is
+inverted on every call; :func:`covariance` and :func:`identity_residuals`
+(``cmrf model check``) stay on the dense ``np.linalg.inv(omega)``.
 """
 
 from __future__ import annotations
 
 import json
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -128,14 +125,18 @@ class EdgePrecision:
     """The precision matrix of an edge signal and its two factors.
 
     build_precision returns the three matrices frozen: read-only copies
-    over immutable bytes, which numpy refuses to make writeable again, so
-    a built precision stays the matrix it was checked and inverted as.
+    over immutable bytes, which numpy refuses to make writeable again.
+    It also keeps, in a private field left out of construction,
+    comparison and repr, the Hodge blocks that answer inv(omega); a
+    precision constructed or copied (``dataclasses.replace``) has none.
     """
 
     omega: np.ndarray
     omega_d: np.ndarray
     omega_u: np.ndarray
     k: float
+    _blocks: _HodgeBlocks | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     @property
     def num_edges(self) -> int:
@@ -344,16 +345,40 @@ def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
     k - lambda_max, is not above the floor 1e-9 * k.  A Cholesky
     factorization of (1 - 1e-9) * k * I - G on each side decides it, with
     G the side's Gram matrix; omega_d and omega_u are then positive
-    definite as well.  The three matrices come back frozen (see
-    EdgePrecision).
+    definite as well.  The three matrices come back frozen, with the
+    Hodge blocks that answer inv(omega) (see EdgePrecision).
     """
     _check_params(inc, params)
-    _gate(params.k, _sides(inc, params.d_v, params.d_t))
-    return _assemble(inc, params)
+    blocks = _hodge_blocks(inc, params, _sides(inc, params.d_v, params.d_t))
+    return _assemble(inc, params, blocks)
 
 
-def _gate(k: float, sides: tuple[_Side, _Side]) -> None:
-    """Raise NotPositiveDefinite unless k clears the floor on both sides."""
+class _HodgeBlocks(NamedTuple):
+    """What a built precision keeps to answer inv(omega), all frozen.
+
+    By the Woodbury identity, inv(k*I - U @ U.T) = I/k + U @ M @ U.T / k
+    with M = inv(k*I - U.T @ U), so the inverse rule gives
+
+        inv(omega) = I/k + (U_d @ M_d @ U_d.T + U_u @ M_u @ U_u.T) / k
+
+    ``inverses`` is (M_d, M_u), V x V and T x T.  U_d = b1.T @
+    diag(roots[0]) and U_u = b2 @ diag(roots[1]) are formed from the
+    int8 incidence when read, so no E x E or E x (V + T) float array is
+    kept.  ``mean_variance`` is trace(inv(omega))/E, which is
+    (E + sum(M_d * G_d) + sum(M_u * G_u)) / (k * E).
+    """
+
+    b1: np.ndarray
+    b2: np.ndarray
+    roots: tuple[np.ndarray, np.ndarray]
+    inverses: tuple[np.ndarray, np.ndarray]
+    mean_variance: float
+
+
+def _hodge_blocks(inc: IncidencePair, params: SgmParams,
+                  sides: tuple[_Side, _Side]) -> _HodgeBlocks:
+    """The blocks of the couplings; NotPositiveDefinite unless k clears the floor."""
+    k = params.k
     try:
         for side in sides:
             np.linalg.cholesky(_k_minus((1.0 - _PD_RTOL) * k, side.gram))
@@ -364,10 +389,20 @@ def _gate(k: float, sides: tuple[_Side, _Side]) -> None:
         raise NotPositiveDefinite(
             f"k={k:.6g} gives smallest eigenvalue {k - lam_max:.3e}; {need}"
         ) from None
+    inverses = [np.linalg.inv(_k_minus(k, side.gram)) for side in sides]
+    ne = inc.b1.shape[1]
+    traces = sum(float(np.sum(m * side.gram)) for m, side in zip(inverses, sides))
+    return _HodgeBlocks(
+        b1=_frozen(inc.b1.astype(np.int8)),
+        b2=_frozen(inc.b2.astype(np.int8)),
+        roots=(_frozen(np.sqrt(params.d_v)), _frozen(np.sqrt(params.d_t))),
+        inverses=(_frozen(inverses[0]), _frozen(inverses[1])),
+        mean_variance=(ne + traces) / (k * ne),
+    )
 
 
-def _assemble(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
-    """The three frozen matrices of a k that passed the gate."""
+def _assemble(inc: IncidencePair, params: SgmParams, blocks: _HodgeBlocks) -> EdgePrecision:
+    """The three frozen matrices of a k that passed the gate, with its blocks."""
     k = params.k
     a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
     # one matrix and its frozen copy at a time, each built over a coupling
@@ -376,8 +411,11 @@ def _assemble(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
     omega -= a_u
     omega = _frozen(omega)
     omega_d = _frozen(_k_minus(k, a_d, out=a_d))
+    del a_d
     omega_u = _frozen(_k_minus(k, a_u, out=a_u))
-    return EdgePrecision(omega=omega, omega_d=omega_d, omega_u=omega_u, k=k)
+    prec = EdgePrecision(omega=omega, omega_d=omega_d, omega_u=omega_u, k=k)
+    object.__setattr__(prec, "_blocks", blocks)
+    return prec
 
 
 def _frozen(matrix: np.ndarray) -> np.ndarray:
@@ -385,58 +423,35 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
     return np.frombuffer(matrix.tobytes(), dtype=matrix.dtype).reshape(matrix.shape)
 
 
-def _is_frozen(array: np.ndarray) -> bool:
-    """True when array's memory is an immutable bytes object, as _frozen makes it."""
-    base = array
-    while isinstance(base, np.ndarray):
-        base = base.base
-    return isinstance(base, bytes)
-
-
 def covariance(prec: EdgePrecision) -> np.ndarray:
     """The covariance matrix inv(omega), inverted afresh.
 
-    The package's own readers take it from _shared_covariance, which
-    calls this on a miss.
+    The package's own readers take it from the Hodge blocks of a built
+    precision instead (see _covariance_of); this is the dense reference.
     """
     return np.linalg.inv(prec.omega)
 
 
-# (weak reference to a precision, its omega, inv(omega)) for the last
-# precision with a frozen omega that _shared_covariance was asked for.  A
-# reader takes the tuple once and checks it against its own precision, so
-# a concurrent writer can cost a lost entry, never a wrong covariance.
-_slot: tuple[weakref.ref, np.ndarray, np.ndarray] | None = None
+def _covariance_of(prec: EdgePrecision,
+                   idx: list[int] | None = None) -> tuple[np.ndarray, float]:
+    """(inv(omega)[idx, idx], trace(inv(omega))/E); the whole matrix when idx is None.
 
-
-def _empty_slot(ref: weakref.ref) -> None:
-    """Drop the kept covariance once its precision is collected."""
-    global _slot
-    if _slot is not None and _slot[0] is ref:
-        _slot = None
-
-
-def _shared_covariance(prec: EdgePrecision) -> np.ndarray:
-    """covariance(prec), kept in one slot for the next call on the same model.
-
-    The slot answers only for the same, still living precision object
-    whose omega is the same frozen array as before, so its contents
-    cannot have changed; any other precision is inverted afresh and,
-    when its omega is frozen, replaces the slot.  At most one E x E
-    covariance is kept, and none beyond the life of its precision.
+    A built precision answers from its Hodge blocks and inverts nothing;
+    the matrix is formed for the call and not kept.  A precision without
+    blocks is inverted afresh.
     """
-    global _slot
-    omega = prec.omega
-    slot = _slot
-    if slot is not None and slot[0]() is prec and slot[1] is omega:
-        return slot[2]
-    # free the old covariance first, so that the new one can take its memory
-    slot = _slot = None
-    cov = covariance(prec)
-    if _is_frozen(omega):
-        cov.flags.writeable = False
-        _slot = (weakref.ref(prec, _empty_slot), omega, cov)
-    return cov
+    blocks = prec._blocks
+    if blocks is None:
+        cov = covariance(prec)
+        return (cov if idx is None else cov[np.ix_(idx, idx)]), _mean_variance(cov)
+    b1, b2 = (blocks.b1, blocks.b2) if idx is None else (blocks.b1[:, idx], blocks.b2[idx])
+    factors = [b1.T * blocks.roots[0], b2 * blocks.roots[1]]
+    solved = np.hstack([u @ m for u, m in zip(factors, blocks.inverses)])
+    factors = np.hstack(factors)  # the parts go: one E x (V + T) float copy at a time
+    cov = solved @ factors.T
+    cov.flat[:: cov.shape[0] + 1] += 1.0
+    cov /= prec.k
+    return cov, blocks.mean_variance
 
 
 def _mean_variance(cov: np.ndarray) -> float:
@@ -446,26 +461,7 @@ def _mean_variance(cov: np.ndarray) -> float:
 
 def covariance_cholesky(prec: EdgePrecision) -> np.ndarray:
     """Lower Cholesky factor of the covariance, for drawing samples."""
-    return np.linalg.cholesky(_shared_covariance(prec))
-
-
-def _noise_factor(k: float, sides: tuple[_Side, _Side]) -> np.ndarray:
-    """Lower Cholesky factor of inv(omega), without inverting omega.
-
-    By the Woodbury identity, inv(k*I - U @ U.T) = I/k + U @ M @ U.T / k
-    with M = inv(k*I - U.T @ U), so the inverse rule gives
-
-        inv(omega) = I/k + (U_d @ M_d @ U_d.T + U_u @ M_u @ U_u.T) / k
-
-    from one V x V and one T x T inverse.  The simulator draws its noise
-    with this factor; covariance_cholesky stays the dense check.
-    """
-    ne = sides[0].factor.shape[0]
-    solved = [side.factor @ np.linalg.inv(_k_minus(k, side.gram)) for side in sides]
-    cov = np.hstack(solved) @ np.hstack([side.factor for side in sides]).T
-    cov.flat[:: ne + 1] += 1.0
-    cov /= k
-    return np.linalg.cholesky(cov)
+    return np.linalg.cholesky(_covariance_of(prec)[0])
 
 
 class IdentityResiduals(NamedTuple):
@@ -485,8 +481,7 @@ class IdentityResiduals(NamedTuple):
 def identity_residuals(prec: EdgePrecision) -> IdentityResiduals:
     """Evaluate the decomposition identities on a built precision.
 
-    Inverts omega_u and omega_d once each and reads inv(omega) through
-    the shared slot.
+    Inverts omega_u, omega_d and omega once each, on the dense path.
     """
     k = prec.k
     eye = np.eye(prec.num_edges)
@@ -500,7 +495,7 @@ def identity_residuals(prec: EdgePrecision) -> IdentityResiduals:
     inv_sum = (
         np.linalg.inv(prec.omega_u) + np.linalg.inv(prec.omega_d) - eye / k
     )
-    cov = _shared_covariance(prec)
+    cov = covariance(prec)
     return IdentityResiduals(
         sum_rule=float(sum_rule),
         product_rule=float(product_rule),
@@ -607,19 +602,19 @@ def _draw_run_model(
 ) -> tuple[EdgePrecision, np.ndarray]:
     """draw_params and build_precision for one simulator run, and its noise factor.
 
-    Returns the precision and the lower Cholesky factor of inv(omega)
-    (see _noise_factor).  Each side's Gram is formed once and serves k,
-    the positive-definiteness gate and the factor, and is dropped before
-    the E x E matrices are assembled; the results are bit for bit those
-    of draw_params (without sparsity), build_precision and _noise_factor.
+    Returns the precision and covariance_cholesky of it.  Each side's
+    Gram is formed once and serves k, the positive-definiteness gate and
+    the Hodge blocks, and is dropped before the E x E matrices are
+    assembled; the results are bit for bit those of draw_params (without
+    sparsity), build_precision and covariance_cholesky.
     """
     d_v, d_t = _draw_coefficients(inc, rng, dv_bounds, dt_bounds)
     sides = _sides(inc, d_v, d_t)
     params = SgmParams(k=_k_above(sides, margin), d_v=d_v, d_t=d_t)
-    _gate(params.k, sides)
-    noise = _noise_factor(params.k, sides)
+    blocks = _hodge_blocks(inc, params, sides)
     del sides
-    return _assemble(inc, params), noise
+    prec = _assemble(inc, params, blocks)
+    return prec, covariance_cholesky(prec)
 
 
 def save_model(

@@ -35,6 +35,7 @@ from cmrf import (
     build_cmrf,
     combination_weights,
     coupling_matrix,
+    covariance_cholesky,
     draw_params,
     get_variant,
     incidence,
@@ -46,7 +47,7 @@ from cmrf import (
 )
 from cmrf.diffusion import _measure
 from cmrf.independence import CONDITIONAL_RTOL, MARGINAL_RTOL, IndependenceReport
-from cmrf.model import _CANCEL_RTOL, _coupling_parts, _noise_factor, _sides
+from cmrf.model import _CANCEL_RTOL, _coupling_parts
 
 
 def draw_sparse_model(inc, seed, sparsity=0.5):
@@ -396,7 +397,7 @@ def _oracle_run(config, sc, run_seed):
                          dt_bounds=config.dt_bounds, margin=config.k_margin)
     prec = build_precision(inc, params)
     theta0 = rng.standard_normal(config.dim)
-    chol = _noise_factor(params.k, _sides(inc, params.d_v, params.d_t))
+    chol = covariance_cholesky(prec)
     combine = combination_weights(line_graph(sc), config.combine_rule)
     steps = step_sizes(prec, config)
     couplings = {v: coupling_matrix(prec, v) for v in config.variants}

@@ -1,8 +1,9 @@
 """The Hodge blocks against the dense E x E path.
 
 min_valid_k, the positive-definiteness gate of build_precision and the
-simulator's noise factor work in vertex and triangle space, each side of
-the couplings through its V x V or T x T Gram matrix.  Every check here
+covariance of a built precision (covariance_cholesky of it is the
+simulator's noise factor) work in vertex and triangle space, each side
+of the couplings through its V x V or T x T Gram matrix.  Every check here
 compares them with the dense quantities built from _coupling_parts:
 the couplings themselves, lambda_max of a_d + a_u, a Cholesky of
 omega - 1e-9 * k * I, inv(omega) and the condition numbers of omega_d
@@ -22,6 +23,7 @@ from cmrf import (
     SgmParams,
     build_complex,
     build_precision,
+    covariance_cholesky,
     draw_params,
     incidence,
     min_valid_k,
@@ -32,7 +34,6 @@ from cmrf.model import (
     _coupling_parts,
     _draw_run_model,
     _factor_condition_numbers,
-    _noise_factor,
     _sides,
 )
 
@@ -96,7 +97,7 @@ def _dense_accepts(inc, params):
 
 
 def _block_factor(inc, params):
-    return _noise_factor(params.k, _sides(inc, params.d_v, params.d_t))
+    return covariance_cholesky(build_precision(inc, params))
 
 
 def test_complexes_put_each_width_on_both_sides_of_e():

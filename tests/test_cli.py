@@ -117,7 +117,9 @@ class TestModelCommands:
         monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
         code, text, _ = run_cli(capsys, "model", "check", str(clustered_model_doc))
         assert code == 0 and text.endswith("PASS\n")
-        assert len(calls) == 3  # omega_u, omega_d and omega
+        # omega_u, omega_d and omega (7 edges); the rest are the Hodge blocks
+        # of the build, 6 x 6 (vertices) and 2 x 2 (triangles)
+        assert calls.count((7, 7)) == 3 and sorted(set(calls)) == [(2, 2), (6, 6), (7, 7)]
 
     def test_check_refuses_an_overflowing_model(self, tmp_path, triangle_doc):
         path = tmp_path / "huge_k.json"
@@ -261,6 +263,23 @@ class TestModelCommands:
         assert code == 0
         assert "omega = k*I" in text
 
+    @pytest.mark.parametrize("dv, identity", [("1e-7", False), ("0", True)])
+    def test_build_decides_omega_is_k_identity_exactly(self, tmp_path, capsys, dv, identity):
+        # two disjoint edges: d_v = 1e-7 moves only the diagonal of omega, by
+        # less than a relative tolerance of 1e-5 would notice
+        cpath = tmp_path / "matching.json"
+        cpath.write_text(json.dumps(
+            {"vertices": [0, 1, 2, 3], "edges": [[0, 1], [2, 3]], "triangles": []}))
+        argv = ["model", "build", str(cpath), "--dv", dv, "--dt", "0",
+                "-o", str(tmp_path / "model.json")]
+        code, text, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        payload = json.loads(text)
+        assert payload["omega_is_k_identity"] is identity
+        assert payload["num_lower_nonzero"] == (0 if identity else 4)
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == 0 and ("omega = k*I (no couplings)" in text) == identity
+
     def test_build_reports_exact_cancellation(self, tmp_path, capsys, triangle_doc):
         out = tmp_path / "model.json"
         code, text, _ = run_cli(
@@ -329,14 +348,14 @@ class TestVerifyCommand:
         assert doc["passed"] is True
         assert [0, 3] in doc["pairs"] and doc["num_pairs"] >= 4
 
-    def test_scan_inverts_once(self, capsys, monkeypatch, clustered_model_doc):
+    def test_scan_inverts_no_edge_matrix(self, capsys, monkeypatch, clustered_model_doc):
         inv, calls = np.linalg.inv, []
         monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
         code, text, _ = run_cli(
             capsys, "verify", str(clustered_model_doc), "--scan-singletons", "--json",
         )
         assert code == 0 and json.loads(text)["num_pairs"] >= 4
-        assert calls == [(7, 7)]
+        assert calls == [(6, 6), (2, 2)]  # the Hodge blocks of the build, not omega
 
     def test_scan_without_pairs(self, tmp_path, capsys, triangle_doc):
         out = tmp_path / "model.json"
