@@ -1,4 +1,4 @@
-"""Time the singleton scan and conditional queries of ``cmrf verify`` before and after a change.
+"""Time the singleton scan, pair checks and conditional queries of ``cmrf verify`` before and after a change.
 
     OPENBLAS_NUM_THREADS=1 python scripts/bench_verify.py --before OLD_CHECKOUT -o OUT.json
 
@@ -24,6 +24,11 @@ Per scale and side the script records:
 * ``cli_scan_s``: ``cmrf verify MODEL --scan-singletons --json`` in
   process, loading and JSON output included, when the estimate from
   the loop stays under ``CLI_LIMIT_S`` seconds (else null);
+* ``cli_pair_ms``: ``cmrf verify MODEL --set-a i --set-b j --json`` in
+  process, loading and JSON output included, per call, on a fixed sample
+  of at most ``PAIR_SAMPLE`` color-separated pairs (seeded with
+  ``PAIR_SEED``); the benchmark's ``marginal_checks_per_s`` runs the
+  same command;
 * ``conditional_ms_per_query``: ``is_graph_separated`` and, when
   separated, ``verify_conditional_independence`` for each of
   ``QUERIES`` queries on a freshly built precision and graph, so the
@@ -34,7 +39,10 @@ Per scale and side the script records:
   perfbench/run.py, seeded with ``[SEED, 0]``): half Markov-blanket
   queries, half random ones with |S| <= 3.
 
-Times are medians of ``REPEATS`` runs.  The output also holds the
+Times are medians of ``REPEATS`` runs.  Each side is measured twice, in
+the order before, after, after, before, so that a drift of the machine's
+speed during the script weighs on both sides alike, and each figure is
+the smaller of the side's two readings.  The output also holds the
 machine record of the benchmark runner (perfbench/run.py).
 """
 
@@ -58,6 +66,8 @@ SCALES = [(10, 21, 12), (30, 120, 60), (60, 400, 200)]
 SEED = 5
 SPARSITY = 0.5
 SAMPLE = 200
+PAIR_SAMPLE = 20
+PAIR_SEED = 1
 REPEATS = 5
 CLI_LIMIT_S = 10.0
 QUERIES = 200
@@ -135,17 +145,26 @@ def measure() -> dict:
         with tempfile.TemporaryDirectory() as tmp:
             cmrf.save_complex(sc, Path(tmp) / "complex.json")
             cmrf.save_model(params, "complex.json", Path(tmp) / "model.json")
-            argv = ["verify", str(Path(tmp) / "model.json"), "--scan-singletons", "--json"]
+            path = str(Path(tmp) / "model.json")
 
-            def command():
+            def command(*argv):
                 with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main(argv)
+                    code = cli.main(["verify", path, *argv, "--json"])
                 if code != 0:
-                    raise SystemExit(f"cmrf {' '.join(argv)} exited {code}")
+                    raise SystemExit(f"cmrf verify {path} {' '.join(argv)} exited {code}")
 
             estimate = entry.get("scan_s", loop_s * len(pairs))
-            entry["cli_scan_s"] = (_median_time(command)
+            entry["cli_scan_s"] = (_median_time(lambda: command("--scan-singletons"))
                                    if estimate < CLI_LIMIT_S else None)
+            order = np.random.default_rng(PAIR_SEED).permutation(len(pairs))[:PAIR_SAMPLE]
+            pair_sample = [pairs[n] for n in order]
+
+            def pair_commands():
+                for i, j in pair_sample:
+                    command("--set-a", str(i), "--set-b", str(j))
+
+            entry["cli_pair_ms"] = (1e3 * _median_time(pair_commands) / len(pair_sample)
+                                    if pair_sample else None)
         queries = [q for _, q in make_queries(graph, np.random.default_rng([SEED, 0]),
                                               QUERIES)]
         per_query_s, separated = _conditional(inc, params, queries)
@@ -165,6 +184,13 @@ def run_side(checkout: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def _smaller(first: dict, second: dict) -> dict:
+    """Per scale and field, the smaller of two readings of one side."""
+    return {scale: {name: (None if value is None else min(value, second[scale][name]))
+                    for name, value in entry.items()}
+            for scale, entry in first.items()}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", type=Path, help="checkout of the earlier commit")
@@ -180,8 +206,10 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from run import machine
 
-    before = run_side(args.before.resolve())
-    after = run_side(ROOT)
+    readings = {"before": [], "after": []}
+    for side in ("before", "after", "after", "before"):
+        readings[side].append(run_side(args.before.resolve() if side == "before" else ROOT))
+    before, after = (_smaller(*readings[side]) for side in ("before", "after"))
     scales = {}
     for name, old in before.items():
         new = after[name]
@@ -194,10 +222,12 @@ def main() -> int:
                                  if new["num_pairs"] else None),
             "conditional_speedup": (old["conditional_ms_per_query"]
                                     / new["conditional_ms_per_query"]),
+            "cli_pair_speedup": (old["cli_pair_ms"] / new["cli_pair_ms"]
+                                 if new["num_pairs"] else None),
         }
     doc = {
-        "what": "cmrf verify: singleton scan (per-pair loop against one-inversion scan) "
-                "and conditional queries on one model",
+        "what": "cmrf verify: singleton scan (per-pair loop against one-inversion scan), "
+                "pair commands and conditional queries on one model",
         "models": f"random_2sc(V, None, T, seed={SEED}, num_edges=E), "
                   f"draw_params(..., {SEED}, sparsity={SPARSITY})",
         "repeats": REPEATS,

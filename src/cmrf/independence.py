@@ -30,6 +30,7 @@ singleton pair of a model with the whole matrix and one gather.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -58,7 +59,7 @@ CONDITIONAL_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class SeparationQuery:
-    """Disjoint node index sets (A, B) and an optional conditioning set S."""
+    """Disjoint sets (A, B) and an optional conditioning set S of distinct node indices."""
 
     set_a: tuple[int, ...]
     set_b: tuple[int, ...]
@@ -69,7 +70,12 @@ class SeparationQuery:
             nodes = tuple(getattr(self, name))
             if not all(map(_is_int, nodes)):
                 raise ValueError(f"{name} must hold integer node indices, got {list(nodes)}")
-            object.__setattr__(self, name, tuple(int(i) for i in nodes))
+            nodes = tuple(int(i) for i in nodes)
+            # a repeat would make cov[S, S] singular in the Schur complement
+            if len(set(nodes)) < len(nodes):
+                repeat = next(i for i, n in Counter(nodes).items() if n > 1)
+                raise ValueError(f"{name} repeats node index {repeat}, got {list(nodes)}")
+            object.__setattr__(self, name, nodes)
         a, b, s = set(self.set_a), set(self.set_b), set(self.given)
         if a & b or a & s or b & s:
             raise OverlappingSets(

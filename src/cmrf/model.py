@@ -41,21 +41,26 @@ support of omega is contained in the union of the two colors; strict
 inclusion happens only when lower and upper contributions cancel exactly,
 which :func:`find_cancellations` reports.
 
-:func:`build_precision` returns the three matrices frozen, read-only over
-immutable bytes, and keeps with them the Hodge blocks of the couplings
-(``_HodgeBlocks``).  By the Woodbury identity every reader of inv(omega)
-takes it from the blocks through ``_covariance_of`` and none inverts an
-E x E matrix: the independence checks read only their query's rows and
-columns, the singleton scan and :func:`covariance_cholesky` (and so
-:func:`sample` and the simulator's noise) the whole matrix, formed per
-call and not kept.  A precision built by hand has no blocks and is
-inverted on every call; :func:`covariance` and :func:`identity_residuals`
-(``cmrf model check``) stay on the dense ``np.linalg.inv(omega)``.
+:func:`build_precision` returns a precision that holds only the Hodge
+blocks of the couplings (``_HodgeBlocks``) and frozen copies of d_v and
+d_t.  By the Woodbury identity every reader of inv(omega) takes it from
+the blocks through ``_covariance_of`` and none inverts an E x E matrix:
+the independence checks read only their query's rows and columns, the
+singleton scan and :func:`covariance_cholesky` (and so :func:`sample`
+and the simulator's noise) the whole matrix, formed per call and not
+kept.  omega, omega_d and omega_u are formed together on the first read
+of any of them, read-only over immutable bytes, and kept; no ``cmrf
+verify`` path reads them, the simulator forms them once per run for its
+coupling matrices.  A precision built by hand has no blocks and is
+inverted on every call; :func:`covariance` and
+:func:`identity_residuals` (``cmrf model check``) stay on the dense
+``np.linalg.inv(omega)``.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -64,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .simplicial import IncidencePair, SimplicialComplex2, incidence, load_complex
+from .simplicial import IncidencePair, SimplicialComplex2, load_complex
 from .simplicial import _is_list_of, _is_number, _read_document, _shared_face_pairs
 
 __all__ = [
@@ -120,15 +125,23 @@ class SgmParams:
             raise ValueError("k must be positive and finite")
 
 
+# The E x E matrices of a precision, which a built one forms on first read,
+# one thread at a time.
+_MATRICES = ("omega", "omega_d", "omega_u")
+_FORMING = threading.Lock()
+
+
 @dataclass(frozen=True)
 class EdgePrecision:
     """The precision matrix of an edge signal and its two factors.
 
-    build_precision returns the three matrices frozen: read-only copies
-    over immutable bytes, which numpy refuses to make writeable again.
-    It also keeps, in a private field left out of construction,
-    comparison and repr, the Hodge blocks that answer inv(omega); a
-    precision constructed or copied (``dataclasses.replace``) has none.
+    build_precision returns a precision that holds, in a private field
+    left out of construction, comparison and repr, the Hodge blocks that
+    answer inv(omega), and forms the three matrices together on the
+    first read of any of them: read-only copies over immutable bytes,
+    which numpy refuses to make writeable again, kept for every later
+    read.  A precision constructed or copied (``dataclasses.replace``)
+    holds its matrices and no blocks.
     """
 
     omega: np.ndarray
@@ -138,9 +151,21 @@ class EdgePrecision:
     _blocks: _HodgeBlocks | None = field(default=None, init=False, repr=False,
                                          compare=False)
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: on a built
+        # precision, the three matrices until the first read of one
+        if name in _MATRICES and self._blocks is not None:
+            with _FORMING:
+                if name not in self.__dict__:  # or another thread formed them
+                    for key, matrix in zip(_MATRICES, _assemble(self.k, self._blocks)):
+                        object.__setattr__(self, key, matrix)
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
     @property
     def num_edges(self) -> int:
-        return self.omega.shape[0]
+        blocks = self._blocks
+        return self.omega.shape[0] if blocks is None else blocks.b1.shape[1]
 
 
 @dataclass(frozen=True)
@@ -190,16 +215,14 @@ def _neighbors(num_nodes: int,
     return tuple(map(tuple, adj))
 
 
-def _check_params(inc: IncidencePair, params: SgmParams) -> None:
-    nv, ne = inc.b1.shape
-    nt = inc.b2.shape[1]
-    if params.d_v.shape != (nv,):
+def _check_params(params: SgmParams, num_vertices: int, num_triangles: int) -> None:
+    if params.d_v.shape != (num_vertices,):
         raise DimensionMismatch(
-            f"d_v has shape {params.d_v.shape}, expected ({nv},)"
+            f"d_v has shape {params.d_v.shape}, expected ({num_vertices},)"
         )
-    if params.d_t.shape != (nt,):
+    if params.d_t.shape != (num_triangles,):
         raise DimensionMismatch(
-            f"d_t has shape {params.d_t.shape}, expected ({nt},)"
+            f"d_t has shape {params.d_t.shape}, expected ({num_triangles},)"
         )
 
 
@@ -339,18 +362,47 @@ def _factor_condition_numbers(inc: IncidencePair, params: SgmParams) -> tuple[fl
 
 
 def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
-    """Assemble (omega, omega_d, omega_u) and verify positive definiteness.
+    """Verify positive definiteness and keep what answers the model's queries.
 
     Raises NotPositiveDefinite when the smallest eigenvalue of omega,
     k - lambda_max, is not above the floor 1e-9 * k.  A Cholesky
     factorization of (1 - 1e-9) * k * I - G on each side decides it, with
     G the side's Gram matrix; omega_d and omega_u are then positive
-    definite as well.  The three matrices come back frozen, with the
-    Hodge blocks that answer inv(omega) (see EdgePrecision).
+    definite as well.  The precision holds the Hodge blocks that answer
+    inv(omega) and forms its three frozen matrices on first read (see
+    EdgePrecision); every error of that assembly is raised here.
     """
-    _check_params(inc, params)
-    blocks = _hodge_blocks(inc, params, _sides(inc, params.d_v, params.d_t))
-    return _assemble(inc, params, blocks)
+    _check_params(params, inc.b1.shape[0], inc.b2.shape[1])
+    return _built(inc, params, _sides(inc, params.d_v, params.d_t))
+
+
+# Below this k a passed gate keeps every sum of the assembly finite.
+_K_ASSEMBLES_FINITE = 2.0 ** 1023
+
+
+def _built(inc: IncidencePair, params: SgmParams,
+           sides: tuple[_Side, _Side]) -> EdgePrecision:
+    """The precision of ``params`` on the sides of its couplings.
+
+    The gate also bounds the assembly.  a_d and a_u are positive
+    semidefinite, so no entry exceeds their top eigenvalue, which a
+    passed gate puts below k (rounding is far under the floor).  Each
+    diagonal entry is a sum of nonnegative coefficients and each other
+    entry one signed coefficient (two edges share at most one vertex and
+    one triangle), so no partial sum exceeds an entry either.  The largest
+    magnitudes the assembly forms are twice an entry (the symmetrization
+    a + a.T) and the sum of a lower and an upper entry, under 2k: finite
+    whenever 2k is.  From k = 2**1023 up they may overflow, and only
+    there are the couplings formed here, to refuse them as the assembly
+    would.
+    """
+    blocks = _hodge_blocks(inc, params, sides)
+    if params.k >= _K_ASSEMBLES_FINITE:
+        _coupling_parts(inc, params.d_v, params.d_t)
+    prec = object.__new__(EdgePrecision)
+    object.__setattr__(prec, "k", params.k)
+    object.__setattr__(prec, "_blocks", blocks)
+    return prec
 
 
 class _HodgeBlocks(NamedTuple):
@@ -365,7 +417,8 @@ class _HodgeBlocks(NamedTuple):
     diag(roots[0]) and U_u = b2 @ diag(roots[1]) are formed from the
     int8 incidence when read, so no E x E or E x (V + T) float array is
     kept.  ``mean_variance`` is trace(inv(omega))/E, which is
-    (E + sum(M_d * G_d) + sum(M_u * G_u)) / (k * E).
+    (E + sum(M_d * G_d) + sum(M_u * G_u)) / (k * E).  ``coefficients``
+    is (d_v, d_t), from which the precision's matrices are assembled.
     """
 
     b1: np.ndarray
@@ -373,6 +426,7 @@ class _HodgeBlocks(NamedTuple):
     roots: tuple[np.ndarray, np.ndarray]
     inverses: tuple[np.ndarray, np.ndarray]
     mean_variance: float
+    coefficients: tuple[np.ndarray, np.ndarray]
 
 
 def _hodge_blocks(inc: IncidencePair, params: SgmParams,
@@ -398,13 +452,13 @@ def _hodge_blocks(inc: IncidencePair, params: SgmParams,
         roots=(_frozen(np.sqrt(params.d_v)), _frozen(np.sqrt(params.d_t))),
         inverses=(_frozen(inverses[0]), _frozen(inverses[1])),
         mean_variance=(ne + traces) / (k * ne),
+        coefficients=(_frozen(params.d_v), _frozen(params.d_t)),
     )
 
 
-def _assemble(inc: IncidencePair, params: SgmParams, blocks: _HodgeBlocks) -> EdgePrecision:
-    """The three frozen matrices of a k that passed the gate, with its blocks."""
-    k = params.k
-    a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
+def _assemble(k: float, blocks: _HodgeBlocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frozen (omega, omega_d, omega_u) of a k that passed the gate."""
+    a_d, a_u = _coupling_parts(IncidencePair(blocks.b1, blocks.b2), *blocks.coefficients)
     # one matrix and its frozen copy at a time, each built over a coupling
     # that is no longer needed: no E x E identity and no extra copy
     omega = _k_minus(k, a_d)
@@ -413,9 +467,7 @@ def _assemble(inc: IncidencePair, params: SgmParams, blocks: _HodgeBlocks) -> Ed
     omega_d = _frozen(_k_minus(k, a_d, out=a_d))
     del a_d
     omega_u = _frozen(_k_minus(k, a_u, out=a_u))
-    prec = EdgePrecision(omega=omega, omega_d=omega_d, omega_u=omega_u, k=k)
-    object.__setattr__(prec, "_blocks", blocks)
-    return prec
+    return omega, omega_d, omega_u
 
 
 def _frozen(matrix: np.ndarray) -> np.ndarray:
@@ -511,7 +563,7 @@ def build_cmrf(inc: IncidencePair, params: SgmParams) -> CmrfGraph:
     are nonzero, never on float magnitudes, so exact cancellations in
     omega do not remove links.
     """
-    _check_params(inc, params)
+    _check_params(params, inc.b1.shape[0], inc.b2.shape[1])
     lower = _shared_face_pairs(inc.b1, params.d_v != 0)
     upper = _shared_face_pairs(inc.b2.T, params.d_t != 0)
     return CmrfGraph(
@@ -530,7 +582,7 @@ def find_cancellations(
     the colored graph; conditional independence statements read off the
     colors are then conservative but still valid.  Pairs come sorted.
     """
-    _check_params(inc, params)
+    _check_params(params, inc.b1.shape[0], inc.b2.shape[1])
     a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
     # Two edges share at most one vertex and one triangle, so each
     # off-diagonal entry of a_d and a_u is exactly +-d or 0: scale > 0
@@ -604,16 +656,16 @@ def _draw_run_model(
 
     Returns the precision and covariance_cholesky of it.  Each side's
     Gram is formed once and serves k, the positive-definiteness gate and
-    the Hodge blocks, and is dropped before the E x E matrices are
-    assembled; the results are bit for bit those of draw_params (without
+    the Hodge blocks, and is dropped before the noise factor is formed;
+    the precision forms its E x E matrices at the run's first read of
+    them.  The results are bit for bit those of draw_params (without
     sparsity), build_precision and covariance_cholesky.
     """
     d_v, d_t = _draw_coefficients(inc, rng, dv_bounds, dt_bounds)
     sides = _sides(inc, d_v, d_t)
     params = SgmParams(k=_k_above(sides, margin), d_v=d_v, d_t=d_t)
-    blocks = _hodge_blocks(inc, params, sides)
+    prec = _built(inc, params, sides)
     del sides
-    prec = _assemble(inc, params, blocks)
     return prec, covariance_cholesky(prec)
 
 
@@ -648,5 +700,5 @@ def load_model(path: str | Path) -> tuple[SimplicialComplex2, SgmParams]:
         ref = path.parent / ref
     sc = load_complex(ref)
     params = SgmParams(k=float(doc["k"]), d_v=doc["d_v"], d_t=doc["d_t"])
-    _check_params(incidence(sc), params)
+    _check_params(params, sc.num_vertices, sc.num_triangles)
     return sc, params

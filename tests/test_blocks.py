@@ -203,6 +203,22 @@ def test_overflowing_couplings_are_refused_without_warnings(filled_triangle, d_v
                 call()
 
 
+def test_assembly_overflow_is_refused_at_build():
+    # near the top of the float range the Gram and the gate pass, yet the
+    # assembly's symmetrization a_d + a_d.T overflows: build_precision
+    # refuses the model, although it forms no E x E matrix otherwise
+    inc = incidence(build_complex([1, 2], [(1, 2)]))
+    for k, d in [(1.79e308, 1.7e308), (1e308, 0.9e308)]:
+        params = SgmParams(k=k, d_v=np.array([d, 0.0]), d_t=np.zeros(0))
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="couplings overflow"):
+            build_precision(inc, params)
+    # below k = 2**1023 a passed gate keeps the assembly finite
+    params = SgmParams(k=8.9e307, d_v=np.array([8.8e307, 0.0]), d_t=np.zeros(0))
+    with np.errstate(all="raise"):
+        omega = build_precision(inc, params).omega
+    assert omega.tobytes() == np.array([[8.9e307 - 8.8e307]]).tobytes()
+
+
 @pytest.mark.parametrize("scale", ["10/21/12", "K18", "forest-like"])
 def test_run_model_is_the_public_steps_bit_for_bit(scale):
     inc = incidence(COMPLEXES[scale]())

@@ -390,6 +390,26 @@ class TestVerifyCommand:
         assert code == 2 and text == ""
         assert err.startswith("error:") and "--scan-singletons" in err
 
+    def test_repeated_index_is_refused(self, tmp_path, capsys):
+        # a repeat in S made cov[S, S] singular in the Schur complement, and
+        # the separated query below read residual 8.4e-4 and exited 1
+        complex_doc, model_doc = tmp_path / "c.json", tmp_path / "model0.json"
+        run_cli(capsys, "complex", "generate", "--vertices", "10", "--edges", "21",
+                "--triangles", "12", "--seed", "1000", "-o", str(complex_doc))
+        run_cli(capsys, "model", "build", str(complex_doc), "--seed", "1000",
+                "--sparsity", "0.5", "-o", str(model_doc))
+        code, text, _ = run_cli(capsys, "verify", str(model_doc), "--set-a", "6",
+                                "--set-b", "0", "--given", "2,8,11,18,19", "--json")
+        assert code == 0 and json.loads(text)["residual"] == 0.0
+        for query, refusal in [
+            (("--set-a", "6", "--set-b", "0", "--given", "2,8,11,18,19,2"),
+             "given repeats node index 2, got [2, 8, 11, 18, 19, 2]"),
+            (("--set-a", "6,6", "--set-b", "0"), "set_a repeats node index 6, got [6, 6]"),
+            (("--set-a", "6", "--set-b", "0,1,0"), "set_b repeats node index 0, got [0, 1, 0]"),
+        ]:
+            code, text, err = run_cli(capsys, "verify", str(model_doc), *query)
+            assert (code, text, err) == (2, "", f"error: {refusal}\n")
+
     def test_overlapping_sets_error(self, capsys, clustered_model_doc):
         code, _, err = run_cli(
             capsys, "verify", str(clustered_model_doc),

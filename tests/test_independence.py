@@ -79,6 +79,17 @@ class TestSeparationDecisions:
         with pytest.raises(OverlappingSets):
             SeparationQuery(set_a=(0,), set_b=(2,), given=(0,))
 
+    @pytest.mark.parametrize("name", ["set_a", "set_b", "given"])
+    def test_repeated_index_rejected(self, clustered_model, name):
+        prec, graph = clustered_model
+        sets = {"set_a": (0,), "set_b": (3, 4), "given": (1, 2)}
+        sets[name] = (*sets[name], sets[name][0])
+        with pytest.raises(ValueError, match=f"^{name} repeats node index {sets[name][0]}, "):
+            SeparationQuery(**sets)
+        if name != "given":
+            with pytest.raises(ValueError, match=f"^{name} repeats node index"):
+                verify_marginal_independence(prec, graph, sets["set_a"], sets["set_b"])
+
     def test_empty_set_is_vacuously_separated_with_warning(self, clustered_model):
         _, graph = clustered_model
         with pytest.warns(UserWarning):

@@ -10,12 +10,17 @@ and is inverted on every call.  Results on built precisions must match
 those from an inverse of omega made for them alone
 (report_by_fresh_inverse in tests/helpers.py and _read_fresh below):
 the same verdicts, and floats within 1e-11 of the mean variance; on a
-hand-built precision they must be equal bit for bit.  The colored graph
-builds its adjacency sets once.
+hand-built precision they must be equal bit for bit.  A built precision
+forms omega, omega_d and omega_u once, on the first read of any of them,
+and no ``cmrf verify`` path reads them.  The colored graph builds its
+adjacency sets once.
 """
 
+import concurrent.futures
 import dataclasses
 import gc
+import json
+import sys
 import weakref
 
 import numpy as np
@@ -29,6 +34,7 @@ from cmrf import (
     SeparationQuery,
     build_cmrf,
     build_precision,
+    cli,
     color_separated_singleton_pairs,
     covariance_cholesky,
     draw_params,
@@ -40,6 +46,8 @@ from cmrf import (
     random_2sc,
     run_experiment,
     sample,
+    save_complex,
+    save_model,
     scan_singleton_pairs,
     verify_conditional_independence,
     verify_marginal_independence,
@@ -399,6 +407,98 @@ def test_kept_covariance_dies_with_its_precision(inversions):
     del prec, blocks, floats
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+@pytest.fixture()
+def assemblies(monkeypatch):
+    """The edge count of each assembly of omega, omega_d and omega_u."""
+    assemble, calls = model._assemble, []
+    monkeypatch.setattr(model, "_assemble",
+                        lambda k, blocks: calls.append(blocks.b1.shape[1]) or assemble(k, blocks))
+    return calls
+
+
+def _eager(inc, params):
+    """(omega, omega_d, omega_u) as an eager assembly forms them."""
+    a_d, a_u = model._coupling_parts(inc, params.d_v, params.d_t)
+    k_eye = params.k * np.eye(a_d.shape[0])
+    return k_eye - a_d - a_u, k_eye - a_d, k_eye - a_u
+
+
+@pytest.mark.parametrize("scale", [(10, 21, 12), (30, 120, 60), (60, 400, 200)],
+                         ids=["21", "120", "400"])
+def test_matrices_are_formed_together_on_first_read(assemblies, scale):
+    nv, ne, nt = scale
+    inc = incidence(random_2sc(nv, None, nt, seed=5, num_edges=ne,
+                               require_trivial_homology=ne == 21))
+    params = draw_params(inc, 5, sparsity=0.5)
+    want = _eager(inc, params)
+    prec = build_precision(inc, params)
+    # the precision keeps its own coefficients
+    params.d_v[:] = 0.0
+    params.d_t[:] = 0.0
+    assert prec.num_edges == ne and assemblies == []
+    assert not set(model._MATRICES) & set(vars(prec))
+    first = prec.omega_u
+    assert assemblies == [ne]
+    formed = (prec.omega, prec.omega_d, prec.omega_u)
+    assert formed[2] is first
+    for got, expected in zip(formed, want):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got.flags.writeable = True
+    assert all(a is b for a, b in zip(formed, (prec.omega, prec.omega_d, prec.omega_u)))
+    copy = dataclasses.replace(prec)
+    assert copy._blocks is None and copy == prec and repr(copy) == repr(prec)
+    assert assemblies == [ne]
+
+
+def test_threads_form_the_matrices_once(assemblies):
+    (prec, _), = _models(30, 120, 60, seeds=(5,))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(getattr, prec, name) for name in model._MATRICES * 4]
+            _, pending = concurrent.futures.wait(futures, timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not pending
+    assert assemblies == [120]
+    assert all(f.result() is getattr(prec, name)
+               for f, name in zip(futures, model._MATRICES * 4))
+
+
+def test_verify_forms_no_edge_matrix(assemblies, tmp_path, capsys):
+    sc = random_2sc(30, None, 60, seed=5, num_edges=120, require_trivial_homology=False)
+    inc = incidence(sc)
+    params = draw_params(inc, 5, sparsity=0.5)
+    save_complex(sc, tmp_path / "complex.json")
+    path = str(tmp_path / "model.json")
+    save_model(params, "complex.json", path)
+    graph = build_cmrf(inc, params)
+    a, b = color_separated_singleton_pairs(graph)[0]
+    blanket = sorted(graph._adjacency[a])
+    far = next(j for j in range(graph.num_nodes) if j != a and j not in blanket)
+    for query in (["--set-a", str(a), "--set-b", str(b)],
+                  ["--set-a", str(a), "--set-b", str(far),
+                   "--given", ",".join(map(str, blanket))],
+                  ["--scan-singletons"]):
+        assert cli.main(["verify", path, *query, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert assemblies == []
+    # the commands that read the matrices form them once
+    assert cli.main(["model", "check", path]) == 0
+    assert assemblies == [120]
+    assert cli.main(["model", "build", str(tmp_path / "complex.json"), "--seed", "5",
+                     "-o", str(tmp_path / "built.json")]) == 0
+    assert assemblies == [120, 120]
+
+
+def test_simulator_assembles_once_per_run(assemblies):
+    run_experiment(ExperimentConfig(seed=2, num_runs=3, num_iterations=5))
+    assert assemblies == [21, 21, 21]
 
 
 def test_adjacency_built_once_per_graph(monkeypatch):
