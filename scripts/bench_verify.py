@@ -29,6 +29,18 @@ Per scale and side the script records:
   of at most ``PAIR_SAMPLE`` color-separated pairs (seeded with
   ``PAIR_SEED``); the benchmark's ``marginal_checks_per_s`` runs the
   same command;
+* ``pair_stages_ms``: the same pair calls split into their stages, each
+  timed alone over the same pairs, in ms per call: ``parser`` (what
+  ``cli.main`` spends on its parser: building it where main builds one
+  per call, and parsing), ``load_model``, ``incidence``,
+  ``build_precision``, ``build_cmrf``, ``separation``
+  (``is_color_separated`` on a graph built for that call alone, so any
+  search structure a graph forms on first use is inside the time) and
+  ``report`` (the residual against its tolerance, from the precision's
+  own covariance reader);
+* ``build_cmrf_ms`` and ``find_cancellations_ms``: one call of each on
+  the model (``model build`` and ``model check`` call
+  ``find_cancellations``);
 * ``conditional_ms_per_query``: ``is_graph_separated`` and, when
   separated, ``verify_conditional_independence`` for each of
   ``QUERIES`` queries on a freshly built precision and graph, so the
@@ -104,6 +116,37 @@ def _conditional(inc, params, queries) -> tuple[float, int]:
     return seconds / len(queries), answer(*models.pop())
 
 
+def _pair_stages(path: str, pairs: list) -> dict:
+    """Median ms per pair call of each stage of ``cmrf verify PATH --set-a i --set-b j --json``."""
+    from cmrf import cli, independence, model, simplicial
+
+    parser = getattr(cli, "_parser", cli.build_parser)  # a side without it builds per call
+    parser()  # a parser built once per process is built before the clock
+    sc, params = model.load_model(path)
+    inc = simplicial.incidence(sc)
+    prec = model.build_precision(inc, params)
+    graphs = iter([model.build_cmrf(inc, params) for _ in range(REPEATS * len(pairs))])
+    stages = {
+        "parser": lambda i, j: parser().parse_args(
+            ["verify", path, "--set-a", str(i), "--set-b", str(j), "--json"]),
+        "load_model": lambda i, j: model.load_model(path),
+        "incidence": lambda i, j: simplicial.incidence(sc),
+        "build_precision": lambda i, j: model.build_precision(inc, params),
+        "build_cmrf": lambda i, j: model.build_cmrf(inc, params),
+        "separation": lambda i, j: independence.is_color_separated(next(graphs), [i], [j]),
+        "report": lambda i, j: independence._report(
+            "marginal", independence.MARGINAL_RTOL, prec,
+            independence.SeparationQuery((i,), (j,))),
+    }
+
+    def calls(stage):
+        for i, j in pairs:  # each result dropped, as a command drops it
+            stage(i, j)
+
+    return {name: 1e3 * _median_time(lambda: calls(stage)) / len(pairs)
+            for name, stage in stages.items()}
+
+
 def measure() -> dict:
     """Measurements of the cmrf importable in this process, one entry per scale."""
     import numpy as np
@@ -165,6 +208,10 @@ def measure() -> dict:
 
             entry["cli_pair_ms"] = (1e3 * _median_time(pair_commands) / len(pair_sample)
                                     if pair_sample else None)
+            entry["pair_stages_ms"] = _pair_stages(path, pair_sample) if pair_sample else None
+        entry["build_cmrf_ms"] = 1e3 * _median_time(lambda: cmrf.build_cmrf(inc, params))
+        entry["find_cancellations_ms"] = 1e3 * _median_time(
+            lambda: cmrf.find_cancellations(inc, params))
         queries = [q for _, q in make_queries(graph, np.random.default_rng([SEED, 0]),
                                               QUERIES)]
         per_query_s, separated = _conditional(inc, params, queries)
@@ -184,11 +231,11 @@ def run_side(checkout: Path) -> dict:
     return json.loads(proc.stdout)
 
 
-def _smaller(first: dict, second: dict) -> dict:
-    """Per scale and field, the smaller of two readings of one side."""
-    return {scale: {name: (None if value is None else min(value, second[scale][name]))
-                    for name, value in entry.items()}
-            for scale, entry in first.items()}
+def _smaller(first, second):
+    """Field by field, nested ones too, the smaller of two readings of one side."""
+    if isinstance(first, dict):
+        return {name: _smaller(value, second[name]) for name, value in first.items()}
+    return None if first is None else min(first, second)
 
 
 def main() -> int:
@@ -227,7 +274,8 @@ def main() -> int:
         }
     doc = {
         "what": "cmrf verify: singleton scan (per-pair loop against one-inversion scan), "
-                "pair commands and conditional queries on one model",
+                "pair commands and their stages, graph and cancellation builds, and "
+                "conditional queries on one model",
         "models": f"random_2sc(V, None, T, seed={SEED}, num_edges=E), "
                   f"draw_params(..., {SEED}, sparsity={SPARSITY})",
         "repeats": REPEATS,

@@ -16,6 +16,7 @@ check fails (for ``simulate``: a variant diverged), 2 on errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -460,9 +461,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process.
+
+    Parsing leaves a parser as it was, so calls share it.  This helps
+    only callers of main within one process: a fresh ``cmrf`` process
+    still builds it, and spends most of its start on importing numpy.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CmrfError, ValueError, OSError) as exc:

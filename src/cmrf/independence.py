@@ -11,10 +11,13 @@ Two kinds of separation are distinguished on a :class:`~cmrf.model.CmrfGraph`:
   independence, because the coupling factors split by color and each
   factor's inverse respects its own color's connectivity.
 
-Both are decided by one search, the nodes reachable from A without
-entering S, run on the union graph or on each color over adjacency sets
-that the graph builds once and keeps; the singleton scan labels
-components with the same search.  The verify_* functions share one
+Graph separation is decided by a search for the nodes reachable from A
+without entering S, over the union adjacency that the graph builds once
+and keeps.  Color separation needs no search: with S empty, A and B are
+separated in a color iff no component of that color holds nodes of
+both, which each color's component labels decide; the graph computes
+them once from its link arrays and keeps them, and the singleton scan
+compares the same labels pair by pair.  The verify_* functions share one
 numerical check on the model covariance: the max |cross-covariance| of A
 and B, conditioned on S by the Schur complement when S is non-empty,
 against a tolerance scaled by the mean marginal variance
@@ -132,45 +135,46 @@ def _reachable(adj: Sequence[Sequence[int]], sources: Iterable[int],
     return reached
 
 
-def _separated(
-    graph: CmrfGraph,
-    query: SeparationQuery,
-    adjacencies: Iterable[Sequence[Sequence[int]]],
-) -> bool:
-    """True when, in each adjacency, no path from A avoiding S reaches B."""
+def _check_nodes(graph: CmrfGraph, query: SeparationQuery) -> None:
+    """Refuse a node index outside the graph; warn on an empty A or B."""
     for i in (*query.set_a, *query.set_b, *query.given):
         if not 0 <= i < graph.num_nodes:
             raise ValueError(f"node index {i} outside 0..{graph.num_nodes - 1}")
     if not (query.set_a and query.set_b):  # public functions call this directly
-        warnings.warn("empty query set: separation holds vacuously", stacklevel=3)
-    return all(
-        _reachable(adj, query.set_a, query.given).isdisjoint(query.set_b)
-        for adj in adjacencies
-    )
+        warnings.warn("empty query set: separation holds vacuously", stacklevel=4)
+
+
+def _graph_separated(graph: CmrfGraph, query: SeparationQuery) -> bool:
+    """True when no path from A avoiding S reaches B in the union graph."""
+    _check_nodes(graph, query)
+    return _reachable(graph._adjacency, query.set_a, query.given).isdisjoint(query.set_b)
+
+
+def _color_separated(graph: CmrfGraph, query: SeparationQuery) -> bool:
+    """True when, in each color, no component holds nodes of both A and B."""
+    _check_nodes(graph, query)
+    a, b = list(query.set_a), list(query.set_b)
+    return all(set(labels[a].tolist()).isdisjoint(labels[b].tolist())
+               for labels in graph._labels)
 
 
 def is_graph_separated(graph: CmrfGraph, query: SeparationQuery) -> bool:
     """True when deleting S leaves no path from A to B in the union graph."""
-    return _separated(graph, query, [graph._adjacency])
+    return _graph_separated(graph, query)
 
 
 def is_color_separated(
     graph: CmrfGraph, set_a: Sequence[int], set_b: Sequence[int]
 ) -> bool:
     """True when no monochromatic path joins A to B, for either color."""
-    query = SeparationQuery(set_a=tuple(set_a), set_b=tuple(set_b))
-    return _separated(graph, query, [graph._lower_adjacency, graph._upper_adjacency])
+    return _color_separated(graph, SeparationQuery(set_a=tuple(set_a), set_b=tuple(set_b)))
 
 
 def _separated_pair_indices(graph: CmrfGraph) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (rows, cols) of color_separated_singleton_pairs."""
     rows, cols = np.triu_indices(graph.num_nodes, 1)
     keep = np.ones(rows.size, dtype=bool)
-    for adj in (graph._lower_adjacency, graph._upper_adjacency):
-        labels = np.full(graph.num_nodes, -1)
-        for start in range(graph.num_nodes):
-            if labels[start] < 0:
-                labels[list(_reachable(adj, [start]))] = start
+    for labels in graph._labels:
         keep &= labels[rows] != labels[cols]
     return rows[keep], cols[keep]
 
@@ -221,7 +225,7 @@ def verify_marginal_independence(
     """
     query = SeparationQuery(set_a=tuple(set_a), set_b=tuple(set_b))
     _check_sizes(prec, graph)
-    if not _separated(graph, query, [graph._lower_adjacency, graph._upper_adjacency]):
+    if not _color_separated(graph, query):
         raise NotColorSeparated(
             f"A={list(query.set_a)} and B={list(query.set_b)} are joined "
             "by a monochromatic path"
@@ -239,7 +243,7 @@ def verify_conditional_independence(
     NotSeparated when S does not separate A from B in the union graph.
     """
     _check_sizes(prec, graph)
-    if not _separated(graph, query, [graph._adjacency]):
+    if not _graph_separated(graph, query):
         raise NotSeparated(
             f"S={list(query.given)} does not separate A={list(query.set_a)} "
             f"from B={list(query.set_b)}"

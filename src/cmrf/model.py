@@ -39,7 +39,10 @@ lower link joins two edges sharing a vertex u with d_v[u] != 0, an upper
 link joins two edges lying in a common triangle t with d_t[t] != 0.  The
 support of omega is contained in the union of the two colors; strict
 inclusion happens only when lower and upper contributions cancel exactly,
-which :func:`find_cancellations` reports.
+which :func:`find_cancellations` reports.  Both read the links of each
+color as an (L, 2) array generated from each face's edges
+(``simplicial._shared_face_pairs``), with the face each link shares; no
+E x E array is formed for them.
 
 :func:`build_precision` returns a precision that holds only the Hodge
 blocks of the couplings (``_HodgeBlocks``) and frozen copies of d_v and
@@ -168,51 +171,102 @@ class EdgePrecision:
         return self.omega.shape[0] if blocks is None else blocks.b1.shape[1]
 
 
+# The link sets of a graph from build_cmrf, formed on first read.
+_LINK_SETS = ("lower_links", "upper_links")
+
+
 @dataclass(frozen=True)
 class CmrfGraph:
     """Colored conditional-dependence graph over the edges of a complex.
 
     Nodes are edge indices 0..num_nodes-1; links are unordered index
-    pairs (i, j) with i < j.  A pair may carry both colors.  The union of
-    the link sets and the adjacency of each link set are built on first
-    use and kept with the graph; they are not fields, so construction
-    and equality see only the three fields.
+    pairs (i, j) with i < j.  A pair may carry both colors.
+
+    A graph from build_cmrf keeps each color's links as an (L, 2) index
+    array (``_pairs``), and forms ``lower_links`` and ``upper_links`` as
+    frozensets only on the first read of each; a graph constructed from
+    frozensets reads its arrays off them.  Each color's component labels
+    and the union adjacency are built from the arrays on first use and
+    kept.  None of these is a field: construction, equality and hash see
+    only the three fields.
     """
 
     num_nodes: int
     lower_links: frozenset[tuple[int, int]]
     upper_links: frozenset[tuple[int, int]]
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: on a graph
+        # from build_cmrf, a link set until its first read
+        pairs = self.__dict__.get("_pairs")
+        if name in _LINK_SETS and pairs is not None:
+            links = frozenset(map(tuple, pairs[_LINK_SETS.index(name)].tolist()))
+            object.__setattr__(self, name, links)
+            return links
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
     @cached_property
     def links(self) -> frozenset[tuple[int, int]]:
         return self.lower_links | self.upper_links
 
     @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (lower, upper) links as (L, 2) index arrays."""
+        return tuple(np.array(list(links), dtype=np.intp).reshape(-1, 2)
+                     for links in (self.lower_links, self.upper_links))
+
+    @cached_property
+    def _labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per color, the component label of each node (see _components)."""
+        return tuple(_components(self.num_nodes, pairs) for pairs in self._pairs)
+
+    @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbors of each node along links of either color."""
-        return _neighbors(self.num_nodes, self.links)
-
-    @cached_property
-    def _lower_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return _neighbors(self.num_nodes, self.lower_links)
-
-    @cached_property
-    def _upper_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return _neighbors(self.num_nodes, self.upper_links)
+        return _neighbors(self.num_nodes, np.concatenate(self._pairs))
 
 
-def _neighbors(num_nodes: int,
-               links: frozenset[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    """Neighbors of each node 0..num_nodes-1 along the given links.
+def _components(num_nodes: int, pairs: np.ndarray) -> np.ndarray:
+    """Each node's label along the (L, 2) links: the smallest node of its component.
 
-    Tuples, not sets: a graph keeps three of these, and at 400 edges
-    tuples take about a sixth of the memory of frozensets.
+    Min-label propagation with pointer jumping.  Every label is a node
+    of the same component and no larger than the node it labels.  Each
+    round hooks, for every link whose ends carry different labels, the
+    larger label onto the smaller, then points every node at the root
+    of its label; it stops when no link joins two labels.  A label that
+    survives a round is smaller than every label it shared a link with,
+    so each round at least halves the labels of a component.
     """
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for i, j in links:
-        adj[i].append(j)
-        adj[j].append(i)
-    return tuple(map(tuple, adj))
+    labels = np.arange(num_nodes)
+    ends = pairs.T
+    while True:
+        tail, head = labels[ends]
+        apart = tail != head
+        if not apart.any():
+            return labels
+        tail, head = tail[apart], head[apart]
+        np.minimum.at(labels, np.maximum(tail, head), np.minimum(tail, head))
+        while True:
+            root = labels[labels]
+            if np.array_equal(root, labels):
+                break
+            labels = root
+
+
+def _neighbors(num_nodes: int, pairs: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Neighbors of each node 0..num_nodes-1 along the (L, 2) links, ascending.
+
+    A link given twice, in one order or both, counts once.  Tuples, not
+    sets: at 400 edges tuples take about a sixth of the memory of
+    frozensets.
+    """
+    codes = np.sort(np.minimum(*pairs.T) * num_nodes + np.maximum(*pairs.T))
+    low, high = np.divmod(codes[np.diff(codes, prepend=-1) != 0], num_nodes)
+    # each node's lower neighbors, then its higher ones, each ascending
+    src, dst = np.concatenate([high, low]), np.concatenate([low, high])
+    dst = dst[np.argsort(src, kind="stable")].tolist()
+    bounds = np.cumsum(np.bincount(src, minlength=num_nodes)).tolist()
+    return tuple(tuple(dst[a:b]) for a, b in zip([0, *bounds], bounds))
 
 
 def _check_params(params: SgmParams, num_vertices: int, num_triangles: int) -> None:
@@ -561,16 +615,22 @@ def build_cmrf(inc: IncidencePair, params: SgmParams) -> CmrfGraph:
 
     Links depend only on the incidence pattern and on which coefficients
     are nonzero, never on float magnitudes, so exact cancellations in
-    omega do not remove links.
+    omega do not remove links.  The graph keeps each color's links as
+    the (L, 2) array of _shared_face_pairs (see CmrfGraph).
     """
     _check_params(params, inc.b1.shape[0], inc.b2.shape[1])
-    lower = _shared_face_pairs(inc.b1, params.d_v != 0)
-    upper = _shared_face_pairs(inc.b2.T, params.d_t != 0)
-    return CmrfGraph(
-        num_nodes=inc.b1.shape[1],
-        lower_links=frozenset(map(tuple, lower.tolist())),
-        upper_links=frozenset(map(tuple, upper.tolist())),
-    )
+    graph = object.__new__(CmrfGraph)
+    object.__setattr__(graph, "num_nodes", inc.b1.shape[1])
+    object.__setattr__(graph, "_pairs", tuple(
+        _shared_face_pairs(incmat, d != 0)[0]
+        for incmat, d in ((inc.b1, params.d_v), (inc.b2.T, params.d_t))))
+    return graph
+
+
+# While every diagonal sum of a_d and a_u stays below this, no entry of
+# them (none exceeds its row's diagonal) overflows, even doubled by the
+# symmetrization in _coupling_parts.
+_COUPLINGS_FINITE = 2.0 ** 1022
 
 
 def find_cancellations(
@@ -581,16 +641,33 @@ def find_cancellations(
     For such pairs the Gaussian graph of omega is strictly smaller than
     the colored graph; conditional independence statements read off the
     colors are then conservative but still valid.  Pairs come sorted.
+
+    Two edges share at most one vertex and one triangle, so each
+    off-diagonal entry of a_d and a_u is exactly +-d or 0: the signed
+    coefficient of the one face a link shares, read per link off
+    _shared_face_pairs.  Only a link of both colors can cancel.  Raises
+    ValueError as _coupling_parts does: on a complex without edges, and
+    when the couplings overflow, which only their diagonal sums can
+    come near; only there are the dense couplings formed, to decide it
+    as they would.
     """
     _check_params(params, inc.b1.shape[0], inc.b2.shape[1])
-    a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
-    # Two edges share at most one vertex and one triangle, so each
-    # off-diagonal entry of a_d and a_u is exactly +-d or 0: scale > 0
-    # holds exactly on the colored links.
-    lo, up = np.triu(a_d, 1), np.triu(a_u, 1)
+    _check_edges(inc)
+    with np.errstate(over="ignore"):
+        diagonals = (np.abs(inc.b1).T @ params.d_v, np.abs(inc.b2) @ params.d_t)
+    if max(float(d.max()) for d in diagonals) >= _COUPLINGS_FINITE:
+        _coupling_parts(inc, params.d_v, params.d_t)
+    ne = inc.b1.shape[1]
+    codes, couplings = [], []
+    for incmat, d in ((inc.b1, params.d_v), (inc.b2.T, params.d_t)):
+        pairs, faces = _shared_face_pairs(incmat, d != 0)
+        codes.append(pairs[:, 0] * ne + pairs[:, 1])
+        couplings.append(incmat[faces, pairs[:, 0]] * incmat[faces, pairs[:, 1]] * d[faces])
+    both, at_lower, at_upper = np.intersect1d(*codes, assume_unique=True, return_indices=True)
+    lo, up = couplings[0][at_lower], couplings[1][at_upper]
     scale = np.maximum(np.abs(lo), np.abs(up))
-    rows, cols = np.nonzero((scale > 0) & (np.abs(lo + up) <= _CANCEL_RTOL * scale))
-    return list(zip(rows.tolist(), cols.tolist()))  # row-major, so sorted
+    rows, cols = np.divmod(both[np.abs(lo + up) <= _CANCEL_RTOL * scale], ne)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def sample(

@@ -181,21 +181,39 @@ def build_complex(
     )
 
 
+def _id_arrays(sc: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertices, edges and triangles as arrays of shape (V,), (E, 2) and (T, 3).
+
+    Of int64, or all three of Python integers when an id is beyond
+    int64: numpy would turn a list mixing negative ids with ids beyond
+    int64 into floats, on which distinct ids can round to one value.
+    """
+    simplices = ((sc.vertices, ()), (sc.edges, (2,)), (sc.triangles, (3,)))
+    try:
+        return tuple(np.array(s, dtype=np.int64).reshape(-1, *tail) for s, tail in simplices)
+    except OverflowError:
+        return tuple(np.array(s, dtype=object).reshape(-1, *tail) for s, tail in simplices)
+
+
 def incidence(sc: SimplicialComplex2) -> IncidencePair:
-    """Build the signed incidence matrices ``b1`` and ``b2`` of a complex."""
-    vidx = sc.vertex_index
-    eidx = sc.edge_index
+    """Build the signed incidence matrices ``b1`` and ``b2`` of a complex.
 
-    b1 = np.zeros((sc.num_vertices, sc.num_edges), dtype=np.int64)
-    for j, (u, v) in enumerate(sc.edges):
-        b1[vidx[u], j] = -1
-        b1[vidx[v], j] = +1
+    Each simplex finds its faces by binary search in the sorted vertices
+    and edges (see _id_arrays).
+    """
+    nv, ne, nt = sc.num_vertices, sc.num_edges, sc.num_triangles
+    vertices, edges, triangles = _id_arrays(sc)
+    ends, corners = np.searchsorted(vertices, edges), np.searchsorted(vertices, triangles)
 
-    b2 = np.zeros((sc.num_edges, sc.num_triangles), dtype=np.int64)
-    for j, (a, b, c) in enumerate(sc.triangles):
-        b2[eidx[(b, c)], j] = +1
-        b2[eidx[(a, c)], j] = -1
-        b2[eidx[(a, b)], j] = +1
+    b1 = np.zeros((nv, ne), dtype=np.int64)
+    b1[ends[:, 0], np.arange(ne)] = -1
+    b1[ends[:, 1], np.arange(ne)] = +1
+
+    # edges are sorted, so their codes tail * nv + head ascend
+    codes = ends[:, 0] * nv + ends[:, 1]
+    b2 = np.zeros((ne, nt), dtype=np.int64)
+    for (p, q), sign in (((1, 2), +1), ((0, 2), -1), ((0, 1), +1)):
+        b2[np.searchsorted(codes, corners[:, p] * nv + corners[:, q]), np.arange(nt)] = sign
 
     return IncidencePair(b1=b1, b2=b2)
 
@@ -273,16 +291,31 @@ def harmonic_dimension(inc: IncidencePair) -> int:
     return inc.b1.shape[1] - sum(_incidence_ranks(inc))
 
 
-def _shared_face_pairs(incmat: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Pairs of columns of ``incmat`` that share a kept row.
+def _shared_face_pairs(incmat: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of columns of ``incmat`` that share a kept row, and that row.
 
     ``incmat`` has one row per face (vertex or triangle) and one column
     per edge, ``keep`` is a boolean mask over the rows.  The pairs are
     the off-diagonal support of |B|.T @ diag(keep) @ |B|, returned as an
-    (m, 2) array of index pairs i < j in lexicographic order.
+    (L, 2) array of index pairs i < j in lexicographic order, with the
+    (L,) array of the row each pair shares.  Two edges share at most one
+    vertex and at most one triangle, so each pair has exactly one.
+
+    The pairs come from each kept row's nonzero columns, one row after
+    the other, without an E x E array: the entry at offset r of a row
+    with c entries pairs with the c - 1 - r entries after it.
     """
-    member = (incmat[keep] != 0).astype(float)
-    return np.argwhere(np.triu(member.T @ member > 0, 1))
+    faces = np.flatnonzero(keep)
+    # row-major, so columns ascend within a row
+    rows, cols = np.divmod(np.flatnonzero(incmat[faces] != 0), incmat.shape[1])
+    ends = np.cumsum(np.bincount(rows, minlength=faces.size))[rows]
+    later = ends - np.arange(rows.size) - 1
+    first = np.repeat(np.arange(rows.size), later)
+    starts = np.cumsum(later) - later
+    second = first + 1 + np.arange(first.size) - np.repeat(starts, later)
+    pairs = np.stack([cols[first], cols[second]], axis=1)
+    order = np.argsort(pairs[:, 0] * incmat.shape[1] + pairs[:, 1])
+    return pairs[order], faces[rows[first[order]]]
 
 
 def line_graph(sc: SimplicialComplex2) -> np.ndarray:
@@ -291,7 +324,7 @@ def line_graph(sc: SimplicialComplex2) -> np.ndarray:
     The diagonal is zero.  This is the communication topology used by the
     distributed estimators in :mod:`cmrf.diffusion`.
     """
-    pairs = _shared_face_pairs(incidence(sc).b1, np.ones(sc.num_vertices, bool))
+    pairs, _ = _shared_face_pairs(incidence(sc).b1, np.ones(sc.num_vertices, bool))
     adj = np.zeros((sc.num_edges, sc.num_edges), dtype=np.int64)
     adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = 1
     return adj

@@ -11,14 +11,18 @@ slice assembled from local_loss_terms, a different code path from the
 analytic coupling-row gradient.  draw_round draws one round of
 measurements through the simulator's own sampling kernel.  The
 link, line-graph and clique oracles enumerate pairs and triples of
-simplices directly instead of reading supports off incidence products.
+simplices directly instead of reading supports off incidence products;
+the incidence oracle fills b1 and b2 one simplex at a time.
 The per-agent view of an ATC round (agent_states) expands a vectorized
 round into the messages each agent receives, to test locality.  The
 singleton-scan oracles are a double loop over component labels, which
 it finds by its own recursive depth-first search, and the former
 per-pair loop of verify_marginal_independence calls; the
 independence-report oracle inverts omega afresh for every query; the
-cancellation oracle is the former per-link loop.  The
+cancellation oracles are a per-link loop and a scan of the dense E x E
+couplings.  The dense support oracle reads links off the E x E product
+|B|.T @ diag(keep) @ |B|, as the package did before it generated them
+from each face's edges.  The
 Monte Carlo oracle (msd_by_run_loop) runs the simulator one run, one
 variant and one iteration at a time with the ATC maths written out
 inline, against which the batched simulator must agree bit for bit.
@@ -249,6 +253,20 @@ def upper_links_by_loops(sc, d_t):
     return links
 
 
+def incidence_by_loops(sc):
+    """(b1, b2) filled one simplex at a time through the complex's index maps."""
+    b1 = np.zeros((sc.num_vertices, sc.num_edges), dtype=np.int64)
+    for j, (u, v) in enumerate(sc.edges):
+        b1[sc.vertex_index[u], j] = -1
+        b1[sc.vertex_index[v], j] = +1
+    b2 = np.zeros((sc.num_edges, sc.num_triangles), dtype=np.int64)
+    for j, (a, b, c) in enumerate(sc.triangles):
+        b2[sc.edge_index[(b, c)], j] = +1
+        b2[sc.edge_index[(a, c)], j] = -1
+        b2[sc.edge_index[(a, b)], j] = +1
+    return b1, b2
+
+
 def line_graph_by_loops(sc):
     """0/1 adjacency of edges that share a vertex, by pairwise comparison."""
     n = sc.num_edges
@@ -327,6 +345,21 @@ def report_by_fresh_inverse(prec, kind, query):
     tolerance = rtol * (float(np.trace(cov)) / cov.shape[0])
     return IndependenceReport(kind=kind, passed=residual < tolerance,
                               residual=residual, tolerance=tolerance, query=query)
+
+
+def shared_face_pairs_dense(incmat, keep):
+    """Pairs i < j of columns sharing a kept row, as the E x E product |B|.T @ diag(keep) @ |B|."""
+    member = (incmat[keep] != 0).astype(float)
+    return np.argwhere(np.triu(member.T @ member > 0, 1))
+
+
+def cancellations_dense(inc, params):
+    """Cancelling links from the dense couplings, by a scan of two E x E triangles."""
+    a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
+    lo, up = np.triu(a_d, 1), np.triu(a_u, 1)
+    scale = np.maximum(np.abs(lo), np.abs(up))
+    rows, cols = np.nonzero((scale > 0) & (np.abs(lo + up) <= _CANCEL_RTOL * scale))
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def cancellations_by_loop(inc, params):

@@ -16,6 +16,7 @@ from cmrf import (
     save_complex,
     save_model,
 )
+from cmrf import cli
 from cmrf.cli import main
 
 
@@ -818,3 +819,50 @@ def test_module_entry_point_missing_model_exits_2(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stdout == "" and proc.stderr.startswith("error:")
+
+
+def _session(capsys, argvs):
+    """(exit code, stdout, stderr) of each main(argv), one after the other in this process."""
+    out = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            code = exc.code
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_parser_built_once_parses_each_call_afresh(tmp_path, capsys, monkeypatch,
+                                                   triangle_doc, clustered_model_doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"seed": 4}}))
+    path, out = str(clustered_model_doc), str(tmp_path / "built.json")
+    # shared flags before and after the subcommand, then absent: an absent
+    # trailing flag keeps its default, never the value of an earlier call
+    argvs = [
+        ["--json", "verify", path, "--set-a", "0", "--set-b", "3"],
+        ["verify", path, "--set-a", "0", "--set-b", "3"],
+        ["verify", path, "--set-a", "0", "--set-b", "3", "--json"],
+        ["verify", path, "--set-a", "0", "--set-b", "3", "--no-such-flag"],
+        ["verify", path, "--scan-singletons"],
+        ["--config", str(config), "model", "build", str(triangle_doc), "-o", out],
+        ["model", "build", str(triangle_doc), "-o", out],
+        ["model", "build", str(triangle_doc), "-o", out, "--config", str(config), "--json"],
+        ["verify", path, "--set-a", "0", "--set-b", "1", "--json"],
+        ["model", "check", path],
+    ]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    cached = _session(capsys, argvs)
+    assert len(built) == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+    fresh = _session(capsys, argvs)
+    assert len(built) == 1 + len(argvs)
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 0, 2, 0, 0, 2, 0, 1, 0]
+    assert [text.startswith("{") for _, text, _ in cached[:3]] == [True, False, True]
+    assert "unrecognized arguments: --no-such-flag" in cached[3][2]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cmrf import (
+    CmrfGraph,
     DimensionMismatch,
     NotColorSeparated,
     NotSeparated,
@@ -12,6 +13,7 @@ from cmrf import (
     build_precision,
     color_separated_singleton_pairs,
     incidence,
+    random_2sc,
     is_color_separated,
     is_graph_separated,
     min_valid_k,
@@ -129,6 +131,34 @@ class TestSeparationDecisions:
         with pytest.raises(ValueError):
             is_color_separated(graph, [0], [99])
 
+    @pytest.mark.parametrize("bad", [-1, -7, 7, 8])
+    def test_out_of_range_node_refused_before_any_label(self, clustered_model, bad):
+        # a negative index would otherwise read another node's label
+        prec, graph = clustered_model
+        message = f"^node index {bad} outside 0..6$"
+        for set_a, set_b in (([bad], [0]), ([3, 4], [0, bad])):
+            with pytest.raises(ValueError, match=message):
+                is_color_separated(graph, set_a, set_b)
+            with pytest.raises(ValueError, match=message):
+                verify_marginal_independence(prec, graph, set_a, set_b)
+            with pytest.raises(ValueError, match=message):
+                is_graph_separated(graph, SeparationQuery(tuple(set_a), tuple(set_b)))
+        with pytest.raises(ValueError, match=message):
+            verify_conditional_independence(prec, graph, SeparationQuery((0,), (3,), (bad,)))
+
+    def test_sets_sharing_a_component_in_one_color(self):
+        # lower components {0, 1}, upper ones {2, 3}; the rest alone
+        graph = CmrfGraph(6, frozenset({(0, 1)}), frozenset({(2, 3)}))
+        cases = [([0, 2], [1, 4], False),  # joined by a lower link only
+                 ([0, 2], [3, 4], False),  # joined by an upper link only
+                 ([4, 1], [3, 0], False),
+                 ([0, 2], [4, 5], True),
+                 ([0, 3], [4, 5], True)]
+        for set_a, set_b, separated in cases:
+            assert is_color_separated(graph, set_a, set_b) is separated
+            assert is_color_separated(graph, set_b, set_a) is separated
+            assert color_separated_by_enumeration(graph, set_a, set_b) is separated
+
 
 class TestAgainstEnumerationOracle:
     def test_small_random_graphs(self):
@@ -160,6 +190,30 @@ class TestAgainstEnumerationOracle:
                 graph_separated_by_enumeration(graph, set_a, set_b, given)
             assert is_color_separated(graph, set_a, set_b) == \
                 color_separated_by_enumeration(graph, set_a, set_b)
+
+
+    @pytest.mark.parametrize("nv, ne, nt", [(10, 21, 12), (30, 120, 60)])
+    def test_hand_built_graphs_give_the_built_verdicts(self, nv, ne, nt):
+        inc = incidence(random_2sc(nv, None, nt, seed=5, num_edges=ne,
+                                   require_trivial_homology=ne == 21))
+        rng = np.random.default_rng(ne)
+        verdicts = set()
+        for seed in range(3):
+            params, prec, built = draw_sparse_model(inc, seed=seed)
+            hand = CmrfGraph(built.num_nodes, built.lower_links, built.upper_links)
+            assert color_separated_singleton_pairs(hand) == color_separated_singleton_pairs(built)
+            for _ in range(100):
+                nodes = rng.permutation(ne)[:6].tolist()
+                set_a, set_b, given = nodes[:2], nodes[2:4], nodes[4:]
+                color = is_color_separated(built, set_a, set_b)
+                verdicts.add(color)
+                assert is_color_separated(hand, set_a, set_b) == color
+                query = SeparationQuery(tuple(set_a), tuple(set_b), tuple(given))
+                assert is_graph_separated(hand, query) == is_graph_separated(built, query)
+                if color:
+                    assert (verify_marginal_independence(prec, hand, set_a, set_b)
+                            == verify_marginal_independence(prec, built, set_a, set_b))
+        assert verdicts == {True, False}
 
 
 class TestMonotonicity:

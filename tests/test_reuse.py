@@ -1,4 +1,4 @@
-"""Every reader of inv(omega) answers from the model's Hodge blocks; graphs keep one adjacency.
+"""Every reader of inv(omega) answers from the model's Hodge blocks; graphs keep their labels.
 
 build_precision keeps the Hodge blocks of the couplings with the
 precision, and verify_marginal_independence,
@@ -12,8 +12,8 @@ those from an inverse of omega made for them alone
 the same verdicts, and floats within 1e-11 of the mean variance; on a
 hand-built precision they must be equal bit for bit.  A built precision
 forms omega, omega_d and omega_u once, on the first read of any of them,
-and no ``cmrf verify`` path reads them.  The colored graph builds its
-adjacency sets once.
+and no ``cmrf verify`` path reads them.  The colored graph forms each
+color's component labels and its union adjacency once.
 """
 
 import concurrent.futures
@@ -504,17 +504,22 @@ def test_simulator_assembles_once_per_run(assemblies):
 def test_adjacency_built_once_per_graph(monkeypatch):
     (prec, graph), = _models(30, 120, 60, seeds=(5,))
     calls = []
-    build = model._neighbors
-    monkeypatch.setattr(model, "_neighbors",
-                        lambda n, links: calls.append(len(links)) or build(n, links))
+    for name in ("_components", "_neighbors"):
+        build = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda n, pairs, name=name, build=build:
+                            calls.append((name, len(pairs))) or build(n, pairs))
     rng = np.random.default_rng(2)
     for query in _queries(graph, rng, 60):
         _ask(prec, graph, query)
     color_separated_singleton_pairs(graph)
-    assert sorted(calls) == sorted(
-        map(len, (graph.lower_links, graph.upper_links, graph.links)))
+    # one labelling per color and one union adjacency, each over its links
+    lower, upper = len(graph.lower_links), len(graph.upper_links)
+    assert sorted(calls) == sorted([("_components", lower), ("_components", upper),
+                                    ("_neighbors", lower + upper)])
     assert graph.links is graph.links
+    assert graph.lower_links is graph.lower_links
     fresh = CmrfGraph(num_nodes=graph.num_nodes, lower_links=graph.lower_links,
                       upper_links=graph.upper_links)
     assert graph == fresh and hash(graph) == hash(fresh)
     assert graph._adjacency == fresh._adjacency
+    assert all(np.array_equal(a, b) for a, b in zip(graph._labels, fresh._labels))

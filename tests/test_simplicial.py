@@ -21,6 +21,8 @@ from cmrf import (
 )
 from cmrf.simplicial import _enumerate_3cliques, _max_triangles
 
+from helpers import incidence_by_loops
+
 
 def random_complexes(count, allow_holes=True):
     """A varied batch of small random complexes for property tests."""
@@ -87,6 +89,25 @@ class TestBuildComplex:
 
 
 class TestIncidence:
+    @pytest.mark.parametrize("nv, ne, nt", [(10, 21, 12), (30, 120, 60), (60, 400, 200)])
+    def test_matches_loop_oracle(self, nv, ne, nt):
+        sc = random_2sc(nv, None, nt, seed=5, num_edges=ne, require_trivial_homology=False)
+        for got, expected in zip(incidence(sc), incidence_by_loops(sc)):
+            assert np.array_equal(got, expected) and got.dtype == expected.dtype
+
+    @pytest.mark.parametrize("vertices", [
+        [-1, 2**63, 2**63 + 1],  # numpy would read these ids as floats
+        [2**53, 2**53 + 1, 2**63],
+        [-(2**70), -1, 0, 2**70],
+    ])
+    def test_ids_beyond_int64_match_loop_oracle(self, vertices):
+        sc = build_complex(vertices, list(itertools.combinations(vertices, 2)),
+                           list(itertools.combinations(vertices, 3)))
+        inc = incidence(sc)
+        for got, expected in zip(inc, incidence_by_loops(sc)):
+            assert np.array_equal(got, expected) and got.dtype == expected.dtype
+        assert not (inc.b1 @ inc.b2).any()
+
     def test_filled_triangle_matrices(self, filled_triangle):
         inc = incidence(filled_triangle)
         expected_b1 = np.array([[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
