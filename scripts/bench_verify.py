@@ -1,4 +1,4 @@
-"""Time the singleton scan, pair checks and conditional queries of ``cmrf verify`` before and after a change.
+"""Time the singleton scan, pair checks and conditional queries of ``cmrf verify``, and a model's assembly, before and after a change.
 
     OPENBLAS_NUM_THREADS=1 python scripts/bench_verify.py --before OLD_CHECKOUT -o OUT.json
 
@@ -41,6 +41,13 @@ Per scale and side the script records:
 * ``build_cmrf_ms`` and ``find_cancellations_ms``: one call of each on
   the model (``model build`` and ``model check`` call
   ``find_cancellations``);
+* ``assemble_ms``: one ``model._assemble`` on the built precision's
+  Hodge blocks, which forms omega, omega_d and omega_u (``model build``,
+  ``model check`` and every simulator run pay it once);
+* ``setup_run_ms``: one ``diffusion._setup_run`` on the scale's complex
+  with the default config and variants, which draws a simulator run's
+  coefficients, builds its model and noise factor and forms its
+  coupling matrices;
 * ``conditional_ms_per_query``: ``is_graph_separated`` and, when
   separated, ``verify_conditional_independence`` for each of
   ``QUERIES`` queries on a freshly built precision and graph, so the
@@ -51,10 +58,11 @@ Per scale and side the script records:
   perfbench/run.py, seeded with ``[SEED, 0]``): half Markov-blanket
   queries, half random ones with |S| <= 3.
 
-Times are medians of ``REPEATS`` runs.  Each side is measured twice, in
-the order before, after, after, before, so that a drift of the machine's
-speed during the script weighs on both sides alike, and each figure is
-the smaller of the side's two readings.  The output also holds the
+Times are medians of ``REPEATS`` runs; ``assemble_ms`` and
+``setup_run_ms`` each time ``LOOPS`` calls per run.  Each side is
+measured twice, in the order before, after, after, before, so that a
+drift of the machine's speed during the script weighs on both sides
+alike, and each figure is the smaller of the side's two readings.  The output also holds the
 machine record of the benchmark runner (perfbench/run.py).
 """
 
@@ -83,6 +91,7 @@ PAIR_SEED = 1
 REPEATS = 5
 CLI_LIMIT_S = 10.0
 QUERIES = 200
+LOOPS = 20
 
 
 def _median_time(fn) -> float:
@@ -92,6 +101,26 @@ def _median_time(fn) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
+
+
+def _assembly_and_setup(sc, prec) -> tuple[float, float]:
+    """(assemble_ms, setup_run_ms): ms per call of model._assemble and diffusion._setup_run."""
+    import numpy as np
+
+    from cmrf import diffusion, model
+
+    def per_call_ms(fn):
+        return 1e3 * _median_time(lambda: [fn() for _ in range(LOOPS)]) / LOOPS
+
+    config = diffusion.ExperimentConfig(seed=SEED, num_vertices=sc.num_vertices,
+                                        num_edges=sc.num_edges,
+                                        num_triangles=sc.num_triangles)
+    # the coupling slots run_experiment sets up for the default variants
+    slots = [spec for spec in diffusion.VARIANTS.values()
+             if (spec.uses_lower_term or spec.uses_upper_term) and not spec.is_centralized]
+    seed = np.random.SeedSequence(SEED)
+    return (per_call_ms(lambda: model._assemble(prec.k, prec._blocks)),
+            per_call_ms(lambda: diffusion._setup_run(config, sc, seed, slots, True)))
 
 
 def _conditional(inc, params, queries) -> tuple[float, int]:
@@ -212,6 +241,7 @@ def measure() -> dict:
         entry["build_cmrf_ms"] = 1e3 * _median_time(lambda: cmrf.build_cmrf(inc, params))
         entry["find_cancellations_ms"] = 1e3 * _median_time(
             lambda: cmrf.find_cancellations(inc, params))
+        entry["assemble_ms"], entry["setup_run_ms"] = _assembly_and_setup(sc, prec)
         queries = [q for _, q in make_queries(graph, np.random.default_rng([SEED, 0]),
                                               QUERIES)]
         per_query_s, separated = _conditional(inc, params, queries)
@@ -274,8 +304,9 @@ def main() -> int:
         }
     doc = {
         "what": "cmrf verify: singleton scan (per-pair loop against one-inversion scan), "
-                "pair commands and their stages, graph and cancellation builds, and "
-                "conditional queries on one model",
+                "pair commands and their stages, graph and cancellation builds, "
+                "conditional queries, the assembly of omega and one simulator run's "
+                "set-up on one model",
         "models": f"random_2sc(V, None, T, seed={SEED}, num_edges=E), "
                   f"draw_params(..., {SEED}, sparsity={SPARSITY})",
         "repeats": REPEATS,

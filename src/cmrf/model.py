@@ -36,13 +36,17 @@ holds whatever the sizes of V, E and T.
 The colored graph of the model has the edges of the complex as nodes and
 two link colors read off the symbolic support of the coupling terms: a
 lower link joins two edges sharing a vertex u with d_v[u] != 0, an upper
-link joins two edges lying in a common triangle t with d_t[t] != 0.  The
-support of omega is contained in the union of the two colors; strict
-inclusion happens only when lower and upper contributions cancel exactly,
-which :func:`find_cancellations` reports.  Both read the links of each
-color as an (L, 2) array generated from each face's edges
-(``simplicial._shared_face_pairs``), with the face each link shares; no
-E x E array is formed for them.
+link joins two edges lying in a common triangle t with d_t[t] != 0.  Two
+edges share at most one vertex and one triangle, so each off-diagonal
+coupling is the signed coefficient of the face a link shares.
+``_coupling_parts`` keeps each color as a sparse record: the (L, 2)
+links of ``simplicial._shared_face_pairs``, their coefficients and the
+diagonal.  :func:`build_cmrf`, :func:`find_cancellations` and the
+assembly of omega, omega_d and omega_u read the links and records, and
+no E x E incidence product is formed.  So the support of omega lies
+within the union of the two colors by construction, strictly only where
+lower and upper couplings cancel exactly, which
+:func:`find_cancellations` reports.
 
 :func:`build_precision` returns a precision that holds only the Hodge
 blocks of the couplings (``_HodgeBlocks``) and frozen copies of d_v and
@@ -51,13 +55,13 @@ the blocks through ``_covariance_of`` and none inverts an E x E matrix:
 the independence checks read only their query's rows and columns, the
 singleton scan and :func:`covariance_cholesky` (and so :func:`sample`
 and the simulator's noise) the whole matrix, formed per call and not
-kept.  omega, omega_d and omega_u are formed together on the first read
-of any of them, read-only over immutable bytes, and kept; no ``cmrf
-verify`` path reads them, the simulator forms them once per run for its
-coupling matrices.  A precision built by hand has no blocks and is
-inverted on every call; :func:`covariance` and
-:func:`identity_residuals` (``cmrf model check``) stay on the dense
-``np.linalg.inv(omega)``.
+kept.  omega, omega_d and omega_u are assembled together from the
+coupling records on the first read of any of them, read-only over
+immutable bytes, and kept; no ``cmrf verify`` path reads them, the
+simulator forms them once per run for its coupling matrices.  A
+precision built by hand has no blocks and is inverted on every call;
+:func:`covariance` and :func:`identity_residuals` (``cmrf model check``)
+stay on the dense ``np.linalg.inv(omega)``.
 """
 
 from __future__ import annotations
@@ -280,41 +284,50 @@ def _check_params(params: SgmParams, num_vertices: int, num_triangles: int) -> N
         )
 
 
+class _Coupling(NamedTuple):
+    """The coupling matrix a_d or a_u of one color as a sparse record (see _coupling_parts)."""
+
+    pairs: np.ndarray
+    values: np.ndarray
+    diagonal: np.ndarray
+
+
+# The one overflow rule: a diagonal entry of a_d or a_u at or above this is
+# refused.  No entry of a row exceeds its diagonal, so this refuses exactly
+# what the dense 0.5 * (a + a.T) overflows on; below it the assembly is finite.
+_COUPLING_LIMIT = 2.0 ** 1023
+_OVERFLOW = ("the couplings overflow in double precision: the coefficients d_v "
+             "and d_t are too large")
+
+
 def _coupling_parts(
     inc: IncidencePair, d_v: np.ndarray, d_t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return (a_d, a_u), the lower and upper coupling matrices.
+) -> tuple[_Coupling, _Coupling]:
+    """The sparse records of a_d and a_u, the lower and upper coupling matrices.
 
-    Raises ValueError when the complex has no edges: there is no edge
-    signal to model, and every k and every precision passes through here.
-    Also raises ValueError when a coupling overflows in double precision.
+    Per color, ``pairs`` are the (L, 2) links of _shared_face_pairs and
+    ``values`` their entries, each the signed coefficient of the one face
+    a link shares; ``diagonal`` sums each edge's coefficients over its
+    faces in ascending face order.  Raises ValueError when the complex
+    has no edges, and when a diagonal entry reaches _COUPLING_LIMIT.
     """
     _check_edges(inc)
-    b1 = inc.b1.astype(float)
-    b2 = inc.b2.astype(float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_d = b1.T @ (d_v[:, None] * b1)
-        a_u = (b2 * d_t) @ b2.T
-        # Enforce exact symmetry so eigensolvers and bitwise comparisons
-        # downstream never see BLAS rounding asymmetry.
-        a_d = 0.5 * (a_d + a_d.T)
-        a_u = 0.5 * (a_u + a_u.T)
-    return _finite(a_d), _finite(a_u)
+    ne = inc.b1.shape[1]
+    parts = []
+    for incmat, d in ((inc.b1, d_v), (inc.b2.T, d_t)):
+        pairs, faces = _shared_face_pairs(incmat, d != 0)
+        values = incmat[faces, pairs[:, 0]] * incmat[faces, pairs[:, 1]] * d[faces]
+        # row-major, so each edge's faces ascend
+        rows, cols = np.nonzero(incmat)
+        parts.append(_Coupling(pairs, values, np.bincount(cols, d[rows], minlength=ne)))
+    if max(float(part.diagonal.max()) for part in parts) >= _COUPLING_LIMIT:
+        raise ValueError(_OVERFLOW)
+    return parts[0], parts[1]
 
 
 def _check_edges(inc: IncidencePair) -> None:
     if inc.b1.shape[1] == 0:
         raise ValueError("the complex has an empty edge set: a model needs at least one edge")
-
-
-def _finite(coupling: np.ndarray) -> np.ndarray:
-    """``coupling`` itself once every entry is finite, before an eigensolver sees it."""
-    if not np.isfinite(coupling).all():
-        raise ValueError(
-            "the couplings overflow in double precision: the coefficients d_v "
-            "and d_t are too large"
-        )
-    return coupling
 
 
 class _Side(NamedTuple):
@@ -331,16 +344,15 @@ class _Side(NamedTuple):
 
 
 def _sides(inc: IncidencePair, d_v: np.ndarray, d_t: np.ndarray) -> tuple[_Side, _Side]:
-    """The lower and upper sides of the couplings.
-
-    Raises ValueError as _coupling_parts does.
-    """
+    """The lower and upper sides; ValueError without edges or when a Gram overflows."""
     _check_edges(inc)
     factors = (inc.b1.T * np.sqrt(d_v), inc.b2 * np.sqrt(d_t))
     with np.errstate(over="ignore", invalid="ignore"):
         grams = [u.T @ u for u in factors]
-    lower, upper = (_Side(u, _finite(g)) for u, g in zip(factors, grams))
-    return lower, upper
+    # each Gram finite before an eigensolver sees it
+    if not all(np.isfinite(g).all() for g in grams):
+        raise ValueError(_OVERFLOW)
+    return tuple(map(_Side, factors, grams))
 
 
 def _spectrum_ends(side: _Side) -> tuple[float, float]:
@@ -362,13 +374,13 @@ def _lambda_max(sides: tuple[_Side, _Side]) -> float:
     return max(_spectrum_ends(side)[1] for side in sides)
 
 
-def _k_minus(k: float, coupling: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """k*I - coupling, into ``out`` when given, without forming an identity.
+def _k_minus(k: float, gram: np.ndarray) -> np.ndarray:
+    """k*I - gram, without forming an identity.
 
     Subtracting from 0.0 and then adding k on the diagonal gives the bits
-    of ``k * np.eye(n) - coupling``, signed zeros included.
+    of ``k * np.eye(n) - gram``, signed zeros included.
     """
-    out = np.subtract(0.0, coupling, out=out)
+    out = np.subtract(0.0, gram)
     out.flat[:: out.shape[0] + 1] += k
     return out
 
@@ -430,28 +442,16 @@ def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
     return _built(inc, params, _sides(inc, params.d_v, params.d_t))
 
 
-# Below this k a passed gate keeps every sum of the assembly finite.
-_K_ASSEMBLES_FINITE = 2.0 ** 1023
-
-
 def _built(inc: IncidencePair, params: SgmParams,
            sides: tuple[_Side, _Side]) -> EdgePrecision:
     """The precision of ``params`` on the sides of its couplings.
 
-    The gate also bounds the assembly.  a_d and a_u are positive
-    semidefinite, so no entry exceeds their top eigenvalue, which a
-    passed gate puts below k (rounding is far under the floor).  Each
-    diagonal entry is a sum of nonnegative coefficients and each other
-    entry one signed coefficient (two edges share at most one vertex and
-    one triangle), so no partial sum exceeds an entry either.  The largest
-    magnitudes the assembly forms are twice an entry (the symmetrization
-    a + a.T) and the sum of a lower and an upper entry, under 2k: finite
-    whenever 2k is.  From k = 2**1023 up they may overflow, and only
-    there are the couplings formed here, to refuse them as the assembly
-    would.
+    A passed gate keeps every diagonal of the positive semidefinite a_d
+    and a_u under k, so the records are formed here, for their overflow
+    rule, only from k = _COUPLING_LIMIT up.
     """
     blocks = _hodge_blocks(inc, params, sides)
-    if params.k >= _K_ASSEMBLES_FINITE:
+    if params.k >= _COUPLING_LIMIT:
         _coupling_parts(inc, params.d_v, params.d_t)
     prec = object.__new__(EdgePrecision)
     object.__setattr__(prec, "k", params.k)
@@ -472,7 +472,7 @@ class _HodgeBlocks(NamedTuple):
     int8 incidence when read, so no E x E or E x (V + T) float array is
     kept.  ``mean_variance`` is trace(inv(omega))/E, which is
     (E + sum(M_d * G_d) + sum(M_u * G_u)) / (k * E).  ``coefficients``
-    is (d_v, d_t), from which the precision's matrices are assembled.
+    is (d_v, d_t), whose coupling records the matrices are scattered from.
     """
 
     b1: np.ndarray
@@ -511,17 +511,27 @@ def _hodge_blocks(inc: IncidencePair, params: SgmParams,
 
 
 def _assemble(k: float, blocks: _HodgeBlocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The frozen (omega, omega_d, omega_u) of a k that passed the gate."""
-    a_d, a_u = _coupling_parts(IncidencePair(blocks.b1, blocks.b2), *blocks.coefficients)
-    # one matrix and its frozen copy at a time, each built over a coupling
-    # that is no longer needed: no E x E identity and no extra copy
-    omega = _k_minus(k, a_d)
-    omega -= a_u
-    omega = _frozen(omega)
-    omega_d = _frozen(_k_minus(k, a_d, out=a_d))
-    del a_d
-    omega_u = _frozen(_k_minus(k, a_u, out=a_u))
-    return omega, omega_d, omega_u
+    """The frozen (omega, omega_d, omega_u) of a k that passed the gate.
+
+    Each is formed in one E x E array from the coupling records, with the
+    arithmetic of the dense k*I - a_d - a_u: equal couplings, equal bits.
+    """
+    ne = blocks.b1.shape[1]
+    lower, upper = _coupling_parts(IncidencePair(blocks.b1, blocks.b2), *blocks.coefficients)
+    work = np.zeros((ne, ne))
+    omega_d = _frozen(_minus(work, lower, k))
+    omega = _frozen(_minus(work, upper))
+    work[:] = 0.0
+    return omega, omega_d, _frozen(_minus(work, upper, k))
+
+
+def _minus(out: np.ndarray, part: _Coupling, k: float = 0.0) -> np.ndarray:
+    """``out`` + k*I less the coupling matrix of a record, in place."""
+    i, j = part.pairs.T
+    out[i, j] -= part.values
+    out[j, i] -= part.values
+    out.flat[:: out.shape[0] + 1] = out.flat[:: out.shape[0] + 1] + k - part.diagonal
+    return out
 
 
 def _frozen(matrix: np.ndarray) -> np.ndarray:
@@ -627,12 +637,6 @@ def build_cmrf(inc: IncidencePair, params: SgmParams) -> CmrfGraph:
     return graph
 
 
-# While every diagonal sum of a_d and a_u stays below this, no entry of
-# them (none exceeds its row's diagonal) overflows, even doubled by the
-# symmetrization in _coupling_parts.
-_COUPLINGS_FINITE = 2.0 ** 1022
-
-
 def find_cancellations(
     inc: IncidencePair, params: SgmParams
 ) -> list[tuple[int, int]]:
@@ -642,29 +646,16 @@ def find_cancellations(
     the colored graph; conditional independence statements read off the
     colors are then conservative but still valid.  Pairs come sorted.
 
-    Two edges share at most one vertex and one triangle, so each
-    off-diagonal entry of a_d and a_u is exactly +-d or 0: the signed
-    coefficient of the one face a link shares, read per link off
-    _shared_face_pairs.  Only a link of both colors can cancel.  Raises
-    ValueError as _coupling_parts does: on a complex without edges, and
-    when the couplings overflow, which only their diagonal sums can
-    come near; only there are the dense couplings formed, to decide it
-    as they would.
+    Each off-diagonal entry of a_d and a_u is one link's signed
+    coefficient in the records of _coupling_parts, so only a link of
+    both colors can cancel.  Raises ValueError as _coupling_parts does.
     """
     _check_params(params, inc.b1.shape[0], inc.b2.shape[1])
-    _check_edges(inc)
-    with np.errstate(over="ignore"):
-        diagonals = (np.abs(inc.b1).T @ params.d_v, np.abs(inc.b2) @ params.d_t)
-    if max(float(d.max()) for d in diagonals) >= _COUPLINGS_FINITE:
-        _coupling_parts(inc, params.d_v, params.d_t)
+    lower, upper = _coupling_parts(inc, params.d_v, params.d_t)
     ne = inc.b1.shape[1]
-    codes, couplings = [], []
-    for incmat, d in ((inc.b1, params.d_v), (inc.b2.T, params.d_t)):
-        pairs, faces = _shared_face_pairs(incmat, d != 0)
-        codes.append(pairs[:, 0] * ne + pairs[:, 1])
-        couplings.append(incmat[faces, pairs[:, 0]] * incmat[faces, pairs[:, 1]] * d[faces])
+    codes = [part.pairs[:, 0] * ne + part.pairs[:, 1] for part in (lower, upper)]
     both, at_lower, at_upper = np.intersect1d(*codes, assume_unique=True, return_indices=True)
-    lo, up = couplings[0][at_lower], couplings[1][at_upper]
+    lo, up = lower.values[at_lower], upper.values[at_upper]
     scale = np.maximum(np.abs(lo), np.abs(up))
     rows, cols = np.divmod(both[np.abs(lo + up) <= _CANCEL_RTOL * scale], ne)
     return list(zip(rows.tolist(), cols.tolist()))

@@ -459,15 +459,21 @@ def random_2sc(
 
 
 # The package's one rule for integers and numbers, in documents, configs
-# and queries alike: bools are neither.  Exact builtin types go first, as
-# an abstract-class check costs several times more per document value.
+# and queries alike: bools are neither, and an integer too large for a
+# float is no number.  Exact builtin types go first, as an abstract-class
+# check costs several times more per document value.
 def _is_int(x) -> bool:
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 def _is_number(x) -> bool:
-    return type(x) in (float, int) or (
-        isinstance(x, numbers.Real) and not isinstance(x, bool))
+    if type(x) not in (float, int) and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def _is_list_of(ok, size: int | None = None):

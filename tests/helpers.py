@@ -20,9 +20,12 @@ it finds by its own recursive depth-first search, and the former
 per-pair loop of verify_marginal_independence calls; the
 independence-report oracle inverts omega afresh for every query; the
 cancellation oracles are a per-link loop and a scan of the dense E x E
-couplings.  The dense support oracle reads links off the E x E product
-|B|.T @ diag(keep) @ |B|, as the package did before it generated them
-from each face's edges.  The
+couplings.  The dense couplings (couplings_dense) are the E x E
+incidence products the package assembled omega from before it scattered
+its sparse coupling records; couplings_by_face_loop fills the same
+matrices one face at a time.  The dense support oracle reads links off
+the E x E product |B|.T @ diag(keep) @ |B|, as the package did before it
+generated them from each face's edges.  The
 Monte Carlo oracle (msd_by_run_loop) runs the simulator one run, one
 variant and one iteration at a time with the ATC maths written out
 inline, against which the batched simulator must agree bit for bit.
@@ -51,7 +54,7 @@ from cmrf import (
 )
 from cmrf.diffusion import _measure
 from cmrf.independence import CONDITIONAL_RTOL, MARGINAL_RTOL, IndependenceReport
-from cmrf.model import _CANCEL_RTOL, _coupling_parts
+from cmrf.model import _CANCEL_RTOL, _OVERFLOW, _check_edges
 
 
 def draw_sparse_model(inc, seed, sparsity=0.5):
@@ -176,7 +179,7 @@ def local_gradient(edge, variant, own, neighbor_residuals, params, inc):
     """
     spec = get_variant(variant)
     y_e, u_e, theta_e = own
-    a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
+    a_d, a_u = couplings_dense(inc, params.d_v, params.d_t)
     row = np.zeros(inc.b1.shape[1])
     row[edge] = params.k
     if spec.uses_lower_term:
@@ -347,6 +350,54 @@ def report_by_fresh_inverse(prec, kind, query):
                               residual=residual, tolerance=tolerance, query=query)
 
 
+def couplings_dense(inc, d_v, d_t):
+    """(a_d, a_u) as the E x E products b1.T @ diag(d_v) @ b1 and b2 @ diag(d_t) @ b2.T.
+
+    Symmetrized as 0.5 * (a + a.T), so that overflow shows as it would in
+    a dense assembly; raises ValueError on a complex without edges and
+    when an entry overflows, with the package's texts.
+    """
+    _check_edges(inc)
+    b1 = inc.b1.astype(float)
+    b2 = inc.b2.astype(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_d = b1.T @ (d_v[:, None] * b1)
+        a_u = (b2 * d_t) @ b2.T
+        a_d = 0.5 * (a_d + a_d.T)
+        a_u = 0.5 * (a_u + a_u.T)
+    if not (np.isfinite(a_d).all() and np.isfinite(a_u).all()):
+        raise ValueError(_OVERFLOW)
+    return a_d, a_u
+
+
+def couplings_by_face_loop(inc, d_v, d_t):
+    """(a_d, a_u) filled one face at a time.
+
+    Each diagonal entry adds its edge's coefficients one face after the
+    other in ascending face order; each other entry is set once, from the
+    one face its two edges share.
+    """
+    ne = inc.b1.shape[1]
+    parts = []
+    for incmat, d in ((inc.b1, d_v), (inc.b2.T, d_t)):
+        a = np.zeros((ne, ne))
+        for f in range(incmat.shape[0]):
+            sides = np.flatnonzero(incmat[f])
+            for i in sides:
+                a[i, i] += d[f]
+                for j in sides:
+                    if j != i:
+                        a[i, j] = incmat[f, i] * incmat[f, j] * d[f]
+        parts.append(a)
+    return parts[0], parts[1]
+
+
+def matrices_of(k, a_d, a_u):
+    """(omega, omega_d, omega_u) of the couplings a_d and a_u, formed eagerly."""
+    k_eye = k * np.eye(a_d.shape[0])
+    return k_eye - a_d - a_u, k_eye - a_d, k_eye - a_u
+
+
 def shared_face_pairs_dense(incmat, keep):
     """Pairs i < j of columns sharing a kept row, as the E x E product |B|.T @ diag(keep) @ |B|."""
     member = (incmat[keep] != 0).astype(float)
@@ -355,7 +406,7 @@ def shared_face_pairs_dense(incmat, keep):
 
 def cancellations_dense(inc, params):
     """Cancelling links from the dense couplings, by a scan of two E x E triangles."""
-    a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
+    a_d, a_u = couplings_dense(inc, params.d_v, params.d_t)
     lo, up = np.triu(a_d, 1), np.triu(a_u, 1)
     scale = np.maximum(np.abs(lo), np.abs(up))
     rows, cols = np.nonzero((scale > 0) & (np.abs(lo + up) <= _CANCEL_RTOL * scale))
@@ -364,7 +415,7 @@ def cancellations_dense(inc, params):
 
 def cancellations_by_loop(inc, params):
     """Colored links whose lower and upper couplings cancel, one link at a time."""
-    a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
+    a_d, a_u = couplings_dense(inc, params.d_v, params.d_t)
     out = []
     for i, j in sorted(build_cmrf(inc, params).links):
         coupling = a_d[i, j] + a_u[i, j]

@@ -4,7 +4,7 @@ min_valid_k, the positive-definiteness gate of build_precision and the
 covariance of a built precision (covariance_cholesky of it is the
 simulator's noise factor) work in vertex and triangle space, each side
 of the couplings through its V x V or T x T Gram matrix.  Every check here
-compares them with the dense quantities built from _coupling_parts:
+compares them with the dense quantities built from couplings_dense:
 the couplings themselves, lambda_max of a_d + a_u, a Cholesky of
 omega - 1e-9 * k * I, inv(omega) and the condition numbers of omega_d
 and omega_u.  The complexes put each side's width on both sides of E:
@@ -31,11 +31,12 @@ from cmrf import (
 )
 from cmrf.model import (
     _PD_RTOL,
-    _coupling_parts,
     _draw_run_model,
     _factor_condition_numbers,
     _sides,
 )
+
+from helpers import couplings_by_face_loop, couplings_dense, matrices_of
 
 
 def _forest_like():
@@ -82,12 +83,12 @@ def coefficients(request, incidence_of):
 
 
 def _dense_lambda_max(inc, d_v, d_t):
-    a_d, a_u = _coupling_parts(inc, d_v, d_t)
+    a_d, a_u = couplings_dense(inc, d_v, d_t)
     return float(np.linalg.eigvalsh(a_d + a_u)[-1])
 
 
 def _dense_accepts(inc, params):
-    a_d, a_u = _coupling_parts(inc, params.d_v, params.d_t)
+    a_d, a_u = couplings_dense(inc, params.d_v, params.d_t)
     eye = np.eye(a_d.shape[0])
     try:
         np.linalg.cholesky(params.k * eye - a_d - a_u - _PD_RTOL * params.k * eye)
@@ -112,7 +113,7 @@ def test_complexes_put_each_width_on_both_sides_of_e():
 
 def test_sides_keep_the_couplings(coefficients):
     inc, d_v, d_t = coefficients
-    for side, coupling in zip(_sides(inc, d_v, d_t), _coupling_parts(inc, d_v, d_t)):
+    for side, coupling in zip(_sides(inc, d_v, d_t), couplings_dense(inc, d_v, d_t)):
         scale = max(np.abs(coupling).max(), 1.0)
         assert np.abs(side.factor @ side.factor.T - coupling).max() <= 1e-13 * scale
 
@@ -147,15 +148,25 @@ def test_noise_factor_matches_dense_inverse(coefficients):
     assert np.abs(chol @ chol.T - cov).max() <= 1e-10 * mean_variance
 
 
-def test_matrices_are_the_dense_bits(coefficients):
+def test_matrices_are_the_dense_bits(request, coefficients):
     inc, d_v, d_t = coefficients
     params = SgmParams(k=min_valid_k(inc, d_v, d_t), d_v=d_v, d_t=d_t)
     prec = build_precision(inc, params)
-    a_d, a_u = _coupling_parts(inc, d_v, d_t)
-    k_eye = params.k * np.eye(a_d.shape[0])
-    for got, want in [(prec.omega, k_eye - a_d - a_u), (prec.omega_d, k_eye - a_d),
-                      (prec.omega_u, k_eye - a_u)]:
-        assert got.tobytes() == want.tobytes()
+    got = (prec.omega, prec.omega_d, prec.omega_u)
+    dense = matrices_of(params.k, *couplings_dense(inc, d_v, d_t))
+    if request.node.callspec.params["incidence_of"] != "K18":
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in dense]
+        return
+    # each K18 edge sums 16 triangle coefficients: the assembly adds them
+    # in ascending face order, BLAS in an order of its own that changes
+    # with the thread count, so there the dense diagonals agree only to
+    # rounding and the face-loop oracle holds the bits
+    off = ~np.eye(prec.num_edges, dtype=bool)
+    for g, w in zip(got, dense):
+        assert np.array_equal(g[off], w[off])
+        assert np.abs(np.diag(g) - np.diag(w)).max() <= 32 * np.finfo(float).eps * params.k
+    loop = matrices_of(params.k, *couplings_by_face_loop(inc, d_v, d_t))
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in loop]
 
 
 def test_factor_condition_numbers_match_dense(coefficients):

@@ -623,8 +623,10 @@ class TestDocumentSchemas:
         (lambda d: d.update(d_v=3.0), "d_v"),
         (lambda d: d.update(d_t=[1.0, None]), "d_t"),
         (lambda d: d.update(complex_file=7), "complex_file"),
+        (lambda d: d.update(k=10**400), "k"),
+        (lambda d: d["d_v"].__setitem__(0, 10**400), "d_v"),
     ], ids=["no-d_t", "no-k", "no-complex_file", "string-k", "scalar-d_v",
-            "null-d_t", "numeric-complex_file"])
+            "null-d_t", "numeric-complex_file", "k-beyond-float", "d_v-beyond-float"])
     def test_bad_model_document(self, tmp_path, capsys, clustered_model_doc, edit, key):
         bad = write_edited(
             clustered_model_doc, clustered_model_doc.parent / "bad.json", edit
@@ -694,6 +696,8 @@ def test_bad_numbers_exit_2(tmp_path, capsys, triangle_doc, argv, message):
     ("step_size_overrides", {"atc_plain": "1e-3"}, "step_size_overrides"),
     ("step_size_overrides", {"atc_typo": 1e-3}, "atc_typo"),
     ("combine_rule", 5, "combination rule"),
+    pytest.param("step_size", 10**400, "step_size", id="step_size-beyond-float"),
+    pytest.param("dv_bounds", [0.2, 10**400], "dv_bounds", id="dv_bounds-beyond-float"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, field, value, message):
     config = tmp_path / "config.json"

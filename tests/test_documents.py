@@ -115,6 +115,10 @@ MODEL_CASES = [
      "{path}: 'k' must be a number"),
     ("k-a-list", dict(MODEL, k=[10.0]),
      "{path}: 'k' must be a number"),
+    ("k-beyond-float", dict(MODEL, k=10**400),
+     "{path}: 'k' must be a number"),
+    ("int-beyond-float-in-numbers", dict(MODEL, d_v=[1.0, 10**400, 0.5]),
+     "{path}: 'd_v' must be a list of numbers"),
     ("complex-file-a-number", dict(MODEL, complex_file=3),
      "{path}: 'complex_file' must be a string"),
     ("missing-d-t", {key: value for key, value in MODEL.items() if key != "d_t"},

@@ -54,7 +54,7 @@ from cmrf import (
 )
 from cmrf.independence import MARGINAL_RTOL
 
-from helpers import report_by_fresh_inverse
+from helpers import couplings_dense, matrices_of, report_by_fresh_inverse
 
 
 def _bits(report):
@@ -420,9 +420,7 @@ def assemblies(monkeypatch):
 
 def _eager(inc, params):
     """(omega, omega_d, omega_u) as an eager assembly forms them."""
-    a_d, a_u = model._coupling_parts(inc, params.d_v, params.d_t)
-    k_eye = params.k * np.eye(a_d.shape[0])
-    return k_eye - a_d - a_u, k_eye - a_d, k_eye - a_u
+    return matrices_of(params.k, *couplings_dense(inc, params.d_v, params.d_t))
 
 
 @pytest.mark.parametrize("scale", [(10, 21, 12), (30, 120, 60), (60, 400, 200)],

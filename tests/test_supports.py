@@ -5,7 +5,10 @@ and the link sets it forms from them), the line graph of a complex,
 the cancelling links and the 3-cliques of a sampled graph are compared
 with direct enumerations over pairs and triples of simplices, and the
 links and cancellations also with the E x E products they were once
-read off, in tests/helpers.py.
+read off, in tests/helpers.py.  The precision matrices, assembled from
+the same link records, are compared bit for bit with couplings filled
+one face at a time and, at the benchmark scales, with the dense E x E
+products.
 """
 
 import itertools
@@ -17,6 +20,7 @@ from cmrf import (
     SgmParams,
     build_cmrf,
     build_complex,
+    build_precision,
     draw_params,
     find_cancellations,
     incidence,
@@ -30,8 +34,11 @@ from helpers import (
     cancellations_by_loop,
     cancellations_dense,
     cliques_by_combinations,
+    couplings_by_face_loop,
+    couplings_dense,
     line_graph_by_loops,
     lower_links_by_loops,
+    matrices_of,
     shared_face_pairs_dense,
     upper_links_by_loops,
 )
@@ -158,6 +165,33 @@ def test_links_and_cancellations_on_special_complexes(case):
         assert found  # unit coefficients cancel on opposing triangle sides
     if case == "isolated-zero":
         assert found == []
+
+
+def _matrix_bytes(inc, d_v, d_t, couplings):
+    """Bytes of the built (omega, omega_d, omega_u) and of those formed from ``couplings``."""
+    params = SgmParams(k=min_valid_k(inc, d_v, d_t), d_v=d_v, d_t=d_t)
+    prec = build_precision(inc, params)
+    got = [m.tobytes() for m in (prec.omega, prec.omega_d, prec.omega_u)]
+    return got, [m.tobytes() for m in matrices_of(params.k, *couplings(inc, d_v, d_t))]
+
+
+@pytest.mark.parametrize("case", ["K18", "K18-unit", "cancelling", "isolated-zero"])
+def test_matrices_are_the_face_loop_bits(case):
+    sc, d_v, d_t = _cases()[case]
+    got, want = _matrix_bytes(incidence(sc), d_v, d_t, couplings_by_face_loop)
+    assert got == want
+
+
+@pytest.mark.parametrize("sparsity", [0.0, 0.5])
+@pytest.mark.parametrize("scale", SCALES, ids=lambda s: "%d-%d-%d" % s)
+def test_matrices_are_the_dense_bits_at_the_scales(scale, sparsity):
+    nv, ne, nt = scale
+    for seed in range(5, 10):
+        inc = incidence(random_2sc(nv, None, nt, seed, num_edges=ne,
+                                   require_trivial_homology=ne == 21))
+        params = draw_params(inc, seed, sparsity=sparsity)
+        got, want = _matrix_bytes(inc, params.d_v, params.d_t, couplings_dense)
+        assert got == want
 
 
 def test_edgeless_complex():
