@@ -37,11 +37,12 @@ The script records:
   ``diffusion._setup_run``, each timed once per model for
   ``SETUP_MODELS`` models ``draw_params(inc, seed)`` with seeds 0, 1, ...
   on the scale's complex, in milliseconds as [q1, median, q3].  The
-  noise factor is the side's simulator path: ``model._noise_factor`` on
-  freshly formed ``model._sides`` where the side has it, else
-  ``covariance_cholesky`` of a precision built before the clock starts,
-  which reads the precision's Hodge blocks where the side keeps them
-  and inverts omega where it does not.
+  noise factor is ``covariance_cholesky`` of a precision built before
+  the clock starts, which reads the precision's Hodge blocks where the
+  side keeps them and inverts omega where it does not.  Where a run
+  builds its model with the public ``draw_params``, ``build_precision``
+  and ``covariance_cholesky``, the first three stages are the steps of
+  ``setup_run``.
 
 Times are medians.  The output also holds the machine record of the
 benchmark runner (perfbench/run.py).
@@ -144,16 +145,12 @@ def measure_setup() -> dict:
     import numpy as np
 
     import cmrf
-    from cmrf import diffusion, model
+    from cmrf import diffusion
 
     config = diffusion.ExperimentConfig(seed=1, num_runs=SIM_RUNS,
                                         num_iterations=SIM_ITERATIONS)
     slots = [s for s in diffusion.VARIANTS.values()
              if (s.uses_lower_term or s.uses_upper_term) and not s.is_centralized]
-    # the simulator's noise factor: model._noise_factor where the side has
-    # it, else covariance_cholesky, which reads a built precision's Hodge
-    # blocks (or inverts omega, on sides that have neither)
-    sides_factor = getattr(model, "_noise_factor", None)
     out = {}
     for nv, ne, nt in SIM_SCALES:
         sc = _complex(nv, ne, nt)
@@ -166,9 +163,7 @@ def measure_setup() -> dict:
             for stage, fn in [
                 ("min_valid_k", lambda: cmrf.min_valid_k(inc, params.d_v, params.d_t)),
                 ("build_precision", lambda: cmrf.build_precision(inc, params)),
-                ("noise_factor", (lambda: cmrf.covariance_cholesky(prec))
-                 if sides_factor is None else
-                 (lambda: sides_factor(params.k, model._sides(inc, params.d_v, params.d_t)))),
+                ("noise_factor", lambda: cmrf.covariance_cholesky(prec)),
                 ("setup_run", lambda: diffusion._setup_run(config, sc, run_seed, slots, True)),
             ]:
                 start = time.perf_counter()

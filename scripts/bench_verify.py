@@ -18,12 +18,12 @@ Per scale and side the script records:
   copy of the precision object (``dataclasses.replace``), which carries
   no kept covariance and no Hodge blocks, so each call inverts omega on
   either side, as the loop did before either existed;
-* ``scan_s``: one ``scan_singleton_pairs`` call over every pair, when
-  the side has it.  Each timed call gets its own such copy, built
-  before the clock starts, so each scan inverts omega on either side;
+* ``scan_s``: one ``scan_singleton_pairs`` call over every pair.  Each
+  timed call gets its own such copy, built before the clock starts, so
+  each scan inverts omega on either side;
 * ``cli_scan_s``: ``cmrf verify MODEL --scan-singletons --json`` in
-  process, loading and JSON output included, when the estimate from
-  the loop stays under ``CLI_LIMIT_S`` seconds (else null);
+  process, loading and JSON output included, when ``scan_s`` stays
+  under ``CLI_LIMIT_S`` seconds (else null);
 * ``cli_pair_ms``: ``cmrf verify MODEL --set-a i --set-b j --json`` in
   process, loading and JSON output included, per call, on a fixed sample
   of at most ``PAIR_SAMPLE`` color-separated pairs (seeded with
@@ -31,8 +31,8 @@ Per scale and side the script records:
   same command;
 * ``pair_stages_ms``: the same pair calls split into their stages, each
   timed alone over the same pairs, in ms per call: ``parser`` (what
-  ``cli.main`` spends on its parser: building it where main builds one
-  per call, and parsing), ``load_model``, ``incidence``,
+  ``cli.main`` spends on its parser, which it builds once per process:
+  parsing), ``load_model``, ``incidence``,
   ``build_precision``, ``build_cmrf``, ``separation``
   (``is_color_separated`` on a graph built for that call alone, so any
   search structure a graph forms on first use is inside the time) and
@@ -149,14 +149,13 @@ def _pair_stages(path: str, pairs: list) -> dict:
     """Median ms per pair call of each stage of ``cmrf verify PATH --set-a i --set-b j --json``."""
     from cmrf import cli, independence, model, simplicial
 
-    parser = getattr(cli, "_parser", cli.build_parser)  # a side without it builds per call
-    parser()  # a parser built once per process is built before the clock
+    cli._parser()  # the parser main builds once per process is built before the clock
     sc, params = model.load_model(path)
     inc = simplicial.incidence(sc)
     prec = model.build_precision(inc, params)
     graphs = iter([model.build_cmrf(inc, params) for _ in range(REPEATS * len(pairs))])
     stages = {
-        "parser": lambda i, j: parser().parse_args(
+        "parser": lambda i, j: cli._parser().parse_args(
             ["verify", path, "--set-a", str(i), "--set-b", str(j), "--json"]),
         "load_model": lambda i, j: model.load_model(path),
         "incidence": lambda i, j: simplicial.incidence(sc),
@@ -208,12 +207,10 @@ def measure() -> dict:
         loop_s = _median_time(loop) / len(sample)
         entry = {"num_pairs": len(pairs), "sample_pairs": len(sample),
                  "loop_ms_per_pair": 1e3 * loop_s}
-        if hasattr(independence, "scan_singleton_pairs"):
-            copies = [dataclasses.replace(prec) for _ in range(REPEATS)]
-            scan_s = _median_time(
-                lambda: independence.scan_singleton_pairs(copies.pop(), graph))
-            entry["scan_s"] = scan_s
-            entry["scan_ms_per_pair"] = 1e3 * scan_s / len(pairs)
+        copies = [dataclasses.replace(prec) for _ in range(REPEATS)]
+        scan_s = _median_time(lambda: independence.scan_singleton_pairs(copies.pop(), graph))
+        entry["scan_s"] = scan_s
+        entry["scan_ms_per_pair"] = 1e3 * scan_s / len(pairs)
         with tempfile.TemporaryDirectory() as tmp:
             cmrf.save_complex(sc, Path(tmp) / "complex.json")
             cmrf.save_model(params, "complex.json", Path(tmp) / "model.json")
@@ -225,9 +222,8 @@ def measure() -> dict:
                 if code != 0:
                     raise SystemExit(f"cmrf verify {path} {' '.join(argv)} exited {code}")
 
-            estimate = entry.get("scan_s", loop_s * len(pairs))
             entry["cli_scan_s"] = (_median_time(lambda: command("--scan-singletons"))
-                                   if estimate < CLI_LIMIT_S else None)
+                                   if scan_s < CLI_LIMIT_S else None)
             order = np.random.default_rng(PAIR_SEED).permutation(len(pairs))[:PAIR_SAMPLE]
             pair_sample = [pairs[n] for n in order]
 

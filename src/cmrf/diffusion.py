@@ -5,10 +5,11 @@ Each edge e of a complex observes, at every round t, a linear measurement
     y_e[t] = u_e[t].T @ theta0 + n_e[t]
 
 with i.i.d. Gaussian regressors u_e and noise n[t] drawn jointly across
-edges from the structured model N(0, inv(omega)).  Each run draws its
-noise with a Cholesky factor of inv(omega) that ``model`` builds from the
-Hodge blocks, with one V x V and one T x T inverse; no run inverts
-omega.  The network objective
+edges from the structured model N(0, inv(omega)).  Each run builds its
+model with ``model.draw_params`` and ``model.build_precision``, and
+draws its noise with ``model.covariance_cholesky``, a Cholesky factor
+of inv(omega) formed from the Hodge blocks, with one V x V and one
+T x T inverse; no run inverts omega.  The network objective
 
     J(theta) = 0.5 * E[ r.T @ omega @ r ],    r_e = y_e - u_e.T @ theta
 
@@ -56,7 +57,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import EdgePrecision, _draw_run_model
+from .model import EdgePrecision, build_precision, covariance_cholesky, draw_params
 from .simplicial import (
     IncidencePair,
     SimplicialComplex2,
@@ -475,16 +476,21 @@ def _setup_run(
 ) -> _Run:
     """Draw a run's complex (when resampled), coefficients and ground truth.
 
-    A run that draws its own complex also builds its combine operator
-    when ``combines`` (some configured variant combines).
+    The run's stream draws, in order, its complex (when resampled), its
+    coefficients through draw_params and theta0; build_precision and
+    covariance_cholesky of the drawn model give its coupling matrices and
+    noise factor.  A run that draws its own complex also builds its
+    combine operator when ``combines`` (some configured variant combines).
     """
     rng = np.random.default_rng(run_seed)
     own_complex = sc is None
     if own_complex:
         sc = _sample_complex(config, rng)
     inc = incidence(sc)
-    prec, noise = _draw_run_model(inc, rng, config.dv_bounds, config.dt_bounds,
-                                  config.k_margin)
+    prec = build_precision(inc, draw_params(inc, rng, dv_bounds=config.dv_bounds,
+                                            dt_bounds=config.dt_bounds,
+                                            margin=config.k_margin))
+    noise = covariance_cholesky(prec)
     theta0 = rng.standard_normal(config.dim)
     mats = [noise]
     mats += [coupling_matrix(prec, spec) for spec in slots]

@@ -59,6 +59,8 @@ kept.  omega, omega_d and omega_u are assembled together from the
 coupling records on the first read of any of them, read-only over
 immutable bytes, and kept; no ``cmrf verify`` path reads them, the
 simulator forms them once per run for its coupling matrices.  A
+simulator run is built, as any model, by :func:`draw_params`,
+:func:`build_precision` and :func:`covariance_cholesky`.  A
 precision built by hand has no blocks and is inverted on every call;
 :func:`covariance` and :func:`identity_residuals` (``cmrf model check``)
 stay on the dense ``np.linalg.inv(omega)``.
@@ -400,12 +402,7 @@ def min_valid_k(
     lambda_max absorbs it.  Margin 0 returns lambda_max; a negative
     margin is left for build_precision to refuse.
     """
-    return _k_above(_sides(inc, _coefficients(d_v), _coefficients(d_t)), margin)
-
-
-def _k_above(sides: tuple[_Side, _Side], margin: float) -> float:
-    """min_valid_k on the sides of the couplings."""
-    lam_max = _lambda_max(sides)
+    lam_max = _lambda_max(_sides(inc, _coefficients(d_v), _coefficients(d_t)))
     k = lam_max + margin
     if 0 < margin < np.inf and k - lam_max <= _PD_RTOL * k:
         raise ValueError(
@@ -436,21 +433,13 @@ def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
     G the side's Gram matrix; omega_d and omega_u are then positive
     definite as well.  The precision holds the Hodge blocks that answer
     inv(omega) and forms its three frozen matrices on first read (see
-    EdgePrecision); every error of that assembly is raised here.
+    EdgePrecision); every error of that assembly is raised here.  A
+    passed gate keeps every diagonal of the positive semidefinite a_d and
+    a_u under k, so only from k = _COUPLING_LIMIT up are the coupling
+    records formed here, for their overflow rule.
     """
     _check_params(params, inc.b1.shape[0], inc.b2.shape[1])
-    return _built(inc, params, _sides(inc, params.d_v, params.d_t))
-
-
-def _built(inc: IncidencePair, params: SgmParams,
-           sides: tuple[_Side, _Side]) -> EdgePrecision:
-    """The precision of ``params`` on the sides of its couplings.
-
-    A passed gate keeps every diagonal of the positive semidefinite a_d
-    and a_u under k, so the records are formed here, for their overflow
-    rule, only from k = _COUPLING_LIMIT up.
-    """
-    blocks = _hodge_blocks(inc, params, sides)
+    blocks = _hodge_blocks(inc, params, _sides(inc, params.d_v, params.d_t))
     if params.k >= _COUPLING_LIMIT:
         _coupling_parts(inc, params.d_v, params.d_t)
     prec = object.__new__(EdgePrecision)
@@ -689,52 +678,26 @@ def draw_params(
     Coefficients are Uniform(lo, hi) per vertex and per triangle; with
     ``sparsity`` > 0 each coefficient is independently zeroed with that
     probability, which thins the colored graph.  k comes from
-    :func:`min_valid_k` with the given margin.
+    :func:`min_valid_k` with the given margin.  Raises ValueError when
+    high - low of a bounds pair is not finite, and, through min_valid_k,
+    on negative coefficients.
     """
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError(f"sparsity must lie in [0, 1], got {sparsity}")
+    for name, (low, high) in (("dv_bounds", dv_bounds), ("dt_bounds", dt_bounds)):
+        if not np.isfinite(float(high) - float(low)):
+            raise ValueError(
+                f"{name}=({low:g}, {high:g}) spans no finite range: "
+                f"high - low must be finite"
+            )
     rng = np.random.default_rng(seed)
-    d_v, d_t = _draw_coefficients(inc, rng, dv_bounds, dt_bounds)
+    d_v = rng.uniform(dv_bounds[0], dv_bounds[1], size=inc.b1.shape[0])
+    d_t = rng.uniform(dt_bounds[0], dt_bounds[1], size=inc.b2.shape[1])
     if sparsity > 0.0:
         d_v = np.where(rng.random(d_v.size) < sparsity, 0.0, d_v)
         d_t = np.where(rng.random(d_t.size) < sparsity, 0.0, d_t)
     k = min_valid_k(inc, d_v, d_t, margin)
     return SgmParams(k=k, d_v=d_v, d_t=d_t)
-
-
-def _draw_coefficients(
-    inc: IncidencePair,
-    rng: np.random.Generator,
-    dv_bounds: tuple[float, float],
-    dt_bounds: tuple[float, float],
-) -> tuple[np.ndarray, np.ndarray]:
-    d_v = rng.uniform(dv_bounds[0], dv_bounds[1], size=inc.b1.shape[0])
-    d_t = rng.uniform(dt_bounds[0], dt_bounds[1], size=inc.b2.shape[1])
-    return d_v, d_t
-
-
-def _draw_run_model(
-    inc: IncidencePair,
-    rng: np.random.Generator,
-    dv_bounds: tuple[float, float],
-    dt_bounds: tuple[float, float],
-    margin: float,
-) -> tuple[EdgePrecision, np.ndarray]:
-    """draw_params and build_precision for one simulator run, and its noise factor.
-
-    Returns the precision and covariance_cholesky of it.  Each side's
-    Gram is formed once and serves k, the positive-definiteness gate and
-    the Hodge blocks, and is dropped before the noise factor is formed;
-    the precision forms its E x E matrices at the run's first read of
-    them.  The results are bit for bit those of draw_params (without
-    sparsity), build_precision and covariance_cholesky.
-    """
-    d_v, d_t = _draw_coefficients(inc, rng, dv_bounds, dt_bounds)
-    sides = _sides(inc, d_v, d_t)
-    params = SgmParams(k=_k_above(sides, margin), d_v=d_v, d_t=d_t)
-    prec = _built(inc, params, sides)
-    del sides
-    return prec, covariance_cholesky(prec)
 
 
 def save_model(

@@ -29,9 +29,9 @@ from cmrf import (
     min_valid_k,
     random_2sc,
 )
+from cmrf.diffusion import VARIANTS, ExperimentConfig, _setup_run
 from cmrf.model import (
     _PD_RTOL,
-    _draw_run_model,
     _factor_condition_numbers,
     _sides,
 )
@@ -232,15 +232,20 @@ def test_assembly_overflow_is_refused_at_build():
 
 @pytest.mark.parametrize("scale", ["10/21/12", "K18", "forest-like"])
 def test_run_model_is_the_public_steps_bit_for_bit(scale):
-    inc = incidence(COMPLEXES[scale]())
+    sc = COMPLEXES[scale]()
+    inc = incidence(sc)
     bounds = ((0.5, 2.0), (0.1, 3.0))
-    run_rng = np.random.default_rng(5)
-    prec, noise = _draw_run_model(inc, run_rng, *bounds, 0.2)
-    rng = np.random.default_rng(5)
+    config = ExperimentConfig(dv_bounds=bounds[0], dt_bounds=bounds[1], k_margin=0.2, dim=3)
+    slots = [VARIANTS["atc_cmrf"], VARIANTS["atc_lgmrf"]]
+    run = _setup_run(config, sc, np.random.SeedSequence(5), slots, combines=False)
+    rng = np.random.default_rng(np.random.SeedSequence(5))
     params = draw_params(inc, rng, dv_bounds=bounds[0], dt_bounds=bounds[1], margin=0.2)
     want = build_precision(inc, params)
-    assert prec.k == want.k
-    for name in ("omega", "omega_d", "omega_u"):
-        assert getattr(prec, name).tobytes() == getattr(want, name).tobytes()
-    assert noise.tobytes() == _block_factor(inc, params).tobytes()
-    assert run_rng.standard_normal() == rng.standard_normal()  # the same draws
+    theta0 = rng.standard_normal(config.dim)
+    assert run.k == want.k
+    noise, omega, omega_d = run.mats
+    assert noise.tobytes() == covariance_cholesky(want).tobytes()
+    assert omega.tobytes() == want.omega.tobytes()
+    assert omega_d.tobytes() == want.omega_d.tobytes()
+    assert run.theta0.tobytes() == theta0.tobytes()
+    assert run.rng.standard_normal() == rng.standard_normal()  # the same draws

@@ -653,9 +653,12 @@ BUILD = ["model", "build", "{complex}", "--seed", "1", "-o", "{out}"]
     (BUILD + ["--dv", "nan"], "finite"),
     (BUILD + ["--dt", "inf"], "finite"),
     (["model", "check", "{nan_model}"], "finite"),
+    # a range whose width overflows ends numpy's uniform draw in an OverflowError
+    (BUILD + ["--coeff-high", "inf"], "dv_bounds=(0.2, inf) spans no finite range"),
+    (BUILD + ["--coeff-low=-1e308", "--coeff-high", "1e308"], "spans no finite range"),
 ], ids=["iterations-0", "steady-window-0", "runs-0", "threads-0",
         "config-runs-string", "sparsity-1.5", "sparsity-negative", "dv-nan",
-        "dt-inf", "model-with-nan"])
+        "dt-inf", "model-with-nan", "coeff-high-inf", "coeff-width-overflows"])
 def test_bad_numbers_exit_2(tmp_path, capsys, triangle_doc, argv, message):
     nan_model = tmp_path / "nan_model.json"
     nan_model.write_text(json.dumps({
@@ -668,7 +671,7 @@ def test_bad_numbers_exit_2(tmp_path, capsys, triangle_doc, argv, message):
              "nan_model": nan_model, "config": config}
     code, _, err = run_cli(capsys, *[a.format(**paths) for a in argv])
     assert code == 2
-    assert err.startswith("error:") and message in err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -698,6 +701,12 @@ def test_bad_numbers_exit_2(tmp_path, capsys, triangle_doc, argv, message):
     ("combine_rule", 5, "combination rule"),
     pytest.param("step_size", 10**400, "step_size", id="step_size-beyond-float"),
     pytest.param("dv_bounds", [0.2, 10**400], "dv_bounds", id="dv_bounds-beyond-float"),
+    pytest.param("dv_bounds", [-1e308, 1e308], "dv_bounds=(-1e+308, 1e+308) spans no finite range",
+                 id="dv_bounds-width-overflows"),
+    # the whole error line: negative coefficients, not an overflow
+    pytest.param("dv_bounds", [-1.0, -0.5],
+                 "error: coupling coefficients must be finite and nonnegative\n",
+                 id="dv_bounds-negative"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, field, value, message):
     config = tmp_path / "config.json"
@@ -707,7 +716,7 @@ def test_bad_config_values_exit_2(tmp_path, capsys, field, value, message):
     out = tmp_path / "msd.csv"
     code, _, err = run_cli(capsys, "--config", str(config), "simulate", "-o", str(out))
     assert code == 2
-    assert err.startswith("error:") and message in err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
     assert not out.exists()
 
 

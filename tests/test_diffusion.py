@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from cmrf import (
     step_sizes,
     write_csv,
 )
+from cmrf import diffusion
 from cmrf.diffusion import _atc_step, _centralized_step
 
 from helpers import (
@@ -481,6 +484,24 @@ class TestExperiment:
             assert np.array_equal(serial.msd_mean[v], parallel.msd_mean[v])
             assert np.array_equal(serial.msd_std[v], parallel.msd_std[v])
             assert not np.array_equal(serial.msd_mean[v], other.msd_mean[v])
+
+    def test_each_run_builds_through_the_public_steps(self, monkeypatch):
+        # one way to build a model: every run draws, builds and factors
+        # through the model module's public functions, once each
+        calls = Counter()
+
+        def counting(name):
+            step = getattr(diffusion, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return step(*args, **kwargs)
+            return counted
+
+        for name in ("draw_params", "build_precision", "covariance_cholesky"):
+            monkeypatch.setattr(diffusion, name, counting(name))
+        run_experiment(ExperimentConfig(seed=3, num_runs=3, num_iterations=2))
+        assert calls == {"draw_params": 3, "build_precision": 3, "covariance_cholesky": 3}
 
     def test_steady_state_summary(self):
         config = ExperimentConfig(
