@@ -56,7 +56,10 @@ Per scale and side the script records:
   side with Hodge blocks inverts nothing per query).  The
   queries are the benchmark's conditional mix (``make_queries`` in
   perfbench/run.py, seeded with ``[SEED, 0]``): half Markov-blanket
-  queries, half random ones with |S| <= 3.
+  queries, half random ones with |S| <= 3;
+* ``separation_us_per_query``: ``is_graph_separated`` alone over the
+  same queries, on a freshly built graph, so the first-use union
+  component labels and adjacency are inside the time.
 
 Times are medians of ``REPEATS`` runs; ``assemble_ms`` and
 ``setup_run_ms`` each time ``LOOPS`` calls per run.  Each side is
@@ -123,8 +126,8 @@ def _assembly_and_setup(sc, prec) -> tuple[float, float]:
             per_call_ms(lambda: diffusion._setup_run(config, sc, seed, slots, True)))
 
 
-def _conditional(inc, params, queries) -> tuple[float, int]:
-    """Median seconds per query and the number of separated queries."""
+def _conditional(inc, params, queries) -> tuple[float, float, int]:
+    """Median seconds per query, whole and of its separation alone; separated queries."""
     import cmrf
     from cmrf import independence
 
@@ -142,7 +145,14 @@ def _conditional(inc, params, queries) -> tuple[float, int]:
     models = [(cmrf.build_precision(inc, params), cmrf.build_cmrf(inc, params))
               for _ in range(REPEATS + 1)]
     seconds = _median_time(lambda: answer(*models.pop()))
-    return seconds / len(queries), answer(*models.pop())
+
+    def separate(graph):
+        for query in queries:
+            independence.is_graph_separated(graph, query)
+
+    graphs = [cmrf.build_cmrf(inc, params) for _ in range(REPEATS)]
+    separation_s = _median_time(lambda: separate(graphs.pop()))
+    return seconds / len(queries), separation_s / len(queries), answer(*models.pop())
 
 
 def _pair_stages(path: str, pairs: list) -> dict:
@@ -240,10 +250,11 @@ def measure() -> dict:
         entry["assemble_ms"], entry["setup_run_ms"] = _assembly_and_setup(sc, prec)
         queries = [q for _, q in make_queries(graph, np.random.default_rng([SEED, 0]),
                                               QUERIES)]
-        per_query_s, separated = _conditional(inc, params, queries)
+        per_query_s, separation_s, separated = _conditional(inc, params, queries)
         entry["conditional_queries"] = len(queries)
         entry["conditional_separated"] = separated
         entry["conditional_ms_per_query"] = 1e3 * per_query_s
+        entry["separation_us_per_query"] = 1e6 * separation_s
         out[f"{nv}/{ne}/{nt}"] = entry
     return out
 
@@ -295,14 +306,16 @@ def main() -> int:
                                  if new["num_pairs"] else None),
             "conditional_speedup": (old["conditional_ms_per_query"]
                                     / new["conditional_ms_per_query"]),
+            "separation_speedup": (old["separation_us_per_query"]
+                                   / new["separation_us_per_query"]),
             "cli_pair_speedup": (old["cli_pair_ms"] / new["cli_pair_ms"]
                                  if new["num_pairs"] else None),
         }
     doc = {
         "what": "cmrf verify: singleton scan (per-pair loop against one-inversion scan), "
                 "pair commands and their stages, graph and cancellation builds, "
-                "conditional queries, the assembly of omega and one simulator run's "
-                "set-up on one model",
+                "conditional queries and their separation decisions, the assembly of omega "
+                "and one simulator run's set-up on one model",
         "models": f"random_2sc(V, None, T, seed={SEED}, num_edges=E), "
                   f"draw_params(..., {SEED}, sparsity={SPARSITY})",
         "repeats": REPEATS,

@@ -154,11 +154,14 @@ def cmd_model_build(args) -> int:
     if d_v is None or d_t is None:
         if seed is None:
             raise ValueError("model build requires --seed unless --dv and --dt are given")
+        low, high = args.coeff_low, args.coeff_high
+        if not 0.0 <= high - low < np.inf:  # draw_params would name dv_bounds
+            raise ValueError(f"--coeff-low {low:g} and --coeff-high {high:g} span no finite "
+                             "range: high - low must be finite and at least 0")
         drawn = model.draw_params(
             inc,
             seed,
-            dv_bounds=(args.coeff_low, args.coeff_high),
-            dt_bounds=(args.coeff_low, args.coeff_high),
+            dv_bounds=(low, high), dt_bounds=(low, high),
             margin=args.margin,
             sparsity=args.sparsity,
         )

@@ -11,17 +11,18 @@ Two kinds of separation are distinguished on a :class:`~cmrf.model.CmrfGraph`:
   independence, because the coupling factors split by color and each
   factor's inverse respects its own color's connectivity.
 
-Graph separation is decided by a search for the nodes reachable from A
-without entering S, over the union adjacency that the graph builds once
-and keeps.  Color separation needs no search: with S empty, A and B are
-separated in a color iff no component of that color holds nodes of
-both, which each color's component labels decide; the graph computes
-them once from its link arrays and keeps them, and the singleton scan
-compares the same labels pair by pair.  The verify_* functions share one
-numerical check on the model covariance: the max |cross-covariance| of A
-and B, conditioned on S by the Schur complement when S is non-empty,
-against a tolerance scaled by the mean marginal variance
-trace(cov)/num_edges.
+Graph separation is decided by the union component labels when A and B
+share no component or S is empty, and else by a search from A that
+avoids S and stops at the first node of B or of N(B) it meets; the graph
+builds the labels and its union adjacency once and keeps them.  Color
+separation needs no search: with S empty, A and B are separated in a
+color iff no component of that color holds nodes of both, which each
+color's component labels decide; the graph computes them once from its
+link arrays and keeps them, and the singleton scan compares the same
+labels pair by pair.  The verify_* functions share one numerical check
+on the model covariance: the max |cross-covariance| of A and B,
+conditioned on S by the Schur complement when S is non-empty, against a
+tolerance scaled by the mean marginal variance trace(cov)/num_edges.
 
 The covariance is inv(omega), which a built precision answers from its
 Hodge blocks (see :mod:`cmrf.model`), exactly 0.0 wherever the colors
@@ -35,7 +36,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -121,20 +122,6 @@ def _check_sizes(prec: EdgePrecision, graph: CmrfGraph) -> None:
         )
 
 
-def _reachable(adj: Sequence[Sequence[int]], sources: Iterable[int],
-               blocked: Iterable[int] = ()) -> set[int]:
-    """Nodes reachable from sources along links without entering blocked."""
-    blocked = set(blocked)
-    reached = {s for s in sources if s not in blocked}
-    stack = list(reached)
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in reached and nxt not in blocked:
-                reached.add(nxt)
-                stack.append(nxt)
-    return reached
-
-
 def _check_nodes(graph: CmrfGraph, query: SeparationQuery) -> None:
     """Refuse a node index outside the graph; warn on an empty A or B."""
     for i in (*query.set_a, *query.set_b, *query.given):
@@ -147,7 +134,21 @@ def _check_nodes(graph: CmrfGraph, query: SeparationQuery) -> None:
 def _graph_separated(graph: CmrfGraph, query: SeparationQuery) -> bool:
     """True when no path from A avoiding S reaches B in the union graph."""
     _check_nodes(graph, query)
-    return _reachable(graph._adjacency, query.set_a, query.given).isdisjoint(query.set_b)
+    a, b, labels = query.set_a, query.set_b, graph._union_labels
+    joined = not {labels[i] for i in a}.isdisjoint([labels[j] for j in b])
+    if not (joined and query.given):  # the labels decide
+        return not joined
+    adj, seen, stack = graph._adjacency, set(query.given), [a]
+    # a path from A avoiding S reaches B iff it reaches B or N(B) outside S
+    targets = set(b).union(*(adj[j] for j in b)) - seen
+    while stack:  # of the neighbor lists still to walk, A's first
+        for node in stack.pop():
+            if node not in seen:
+                if node in targets:
+                    return False
+                seen.add(node)
+                stack.append(adj[node])
+    return True
 
 
 def _color_separated(graph: CmrfGraph, query: SeparationQuery) -> bool:

@@ -191,10 +191,10 @@ class CmrfGraph:
     A graph from build_cmrf keeps each color's links as an (L, 2) index
     array (``_pairs``), and forms ``lower_links`` and ``upper_links`` as
     frozensets only on the first read of each; a graph constructed from
-    frozensets reads its arrays off them.  Each color's component labels
-    and the union adjacency are built from the arrays on first use and
-    kept.  None of these is a field: construction, equality and hash see
-    only the three fields.
+    frozensets reads its arrays off them.  Each color's component labels,
+    the union component labels and the union adjacency are built from
+    the arrays on first use and kept.  None of these is a field:
+    construction, equality and hash see only the three fields.
     """
 
     num_nodes: int
@@ -225,6 +225,11 @@ class CmrfGraph:
     def _labels(self) -> tuple[np.ndarray, np.ndarray]:
         """Per color, the component label of each node (see _components)."""
         return tuple(_components(self.num_nodes, pairs) for pairs in self._pairs)
+
+    @cached_property
+    def _union_labels(self) -> list[int]:
+        """The component label of each node along links of either color."""
+        return _components(self.num_nodes, np.concatenate(self._pairs)).tolist()
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -679,16 +684,16 @@ def draw_params(
     ``sparsity`` > 0 each coefficient is independently zeroed with that
     probability, which thins the colored graph.  k comes from
     :func:`min_valid_k` with the given margin.  Raises ValueError when
-    high - low of a bounds pair is not finite, and, through min_valid_k,
-    on negative coefficients.
+    high - low of a bounds pair is negative or not finite (equal bounds
+    draw one value), and, through min_valid_k, on negative coefficients.
     """
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError(f"sparsity must lie in [0, 1], got {sparsity}")
     for name, (low, high) in (("dv_bounds", dv_bounds), ("dt_bounds", dt_bounds)):
-        if not np.isfinite(float(high) - float(low)):
+        if not 0.0 <= float(high) - float(low) < np.inf:
             raise ValueError(
                 f"{name}=({low:g}, {high:g}) spans no finite range: "
-                f"high - low must be finite"
+                f"high - low must be finite and at least 0"
             )
     rng = np.random.default_rng(seed)
     d_v = rng.uniform(dv_bounds[0], dv_bounds[1], size=inc.b1.shape[0])

@@ -2,7 +2,10 @@
 
 The separation oracle here decides reachability by exhaustive
 enumeration of simple paths with backtracking, deliberately a different
-algorithm from the reachability search inside the package.  The
+algorithm from the early-exit search inside the package.  The sweep
+oracle (graph_separated_by_sweep) is the package's former decision: it
+builds the whole set of nodes reachable from A without entering S and
+only then tests it against B.  The
 per-agent ATC references (local_loss_terms, local_gradient) work edge by
 edge from one agent's residual and its neighbors' residuals; a residual
 they need and were not given raises KeyError.  The gradient oracle
@@ -111,6 +114,25 @@ def path_exists_by_enumeration(adj, sources, targets, blocked):
 def graph_separated_by_enumeration(graph, set_a, set_b, given=()):
     adj = adjacency_sets(graph.num_nodes, graph.links)
     return not path_exists_by_enumeration(adj, set_a, set_b, given)
+
+
+def reachable(adj, sources, blocked=()):
+    """Nodes reachable from sources along links without entering blocked."""
+    blocked = set(blocked)
+    reached = {s for s in sources if s not in blocked}
+    stack = list(reached)
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in reached and nxt not in blocked:
+                reached.add(nxt)
+                stack.append(nxt)
+    return reached
+
+
+def graph_separated_by_sweep(graph, query):
+    """Separation by the full sweep of the nodes reachable from A avoiding S."""
+    adj = adjacency_sets(graph.num_nodes, graph.links)
+    return reachable(adj, query.set_a, query.given).isdisjoint(query.set_b)
 
 
 def color_separated_by_enumeration(graph, set_a, set_b):

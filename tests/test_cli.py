@@ -253,6 +253,14 @@ class TestModelCommands:
         # k always belongs to the coefficients written out
         assert params.k == real(incidence(sc), params.d_v, params.d_t)
 
+    def test_build_with_equal_coefficient_bounds(self, tmp_path, capsys, triangle_doc):
+        out = tmp_path / "model.json"
+        code, _, _ = run_cli(capsys, "model", "build", str(triangle_doc), "--seed", "3",
+                             "--coeff-low", "2", "--coeff-high", "2", "-o", str(out))
+        assert code == 0
+        _, params = load_model(out)
+        assert (params.d_v == 2.0).all() and (params.d_t == 2.0).all()
+
     def test_build_with_zero_couplings_reports_identity(
         self, tmp_path, capsys, triangle_doc
     ):
@@ -654,11 +662,17 @@ BUILD = ["model", "build", "{complex}", "--seed", "1", "-o", "{out}"]
     (BUILD + ["--dt", "inf"], "finite"),
     (["model", "check", "{nan_model}"], "finite"),
     # a range whose width overflows ends numpy's uniform draw in an OverflowError
-    (BUILD + ["--coeff-high", "inf"], "dv_bounds=(0.2, inf) spans no finite range"),
-    (BUILD + ["--coeff-low=-1e308", "--coeff-high", "1e308"], "spans no finite range"),
+    (BUILD + ["--coeff-high", "inf"], "--coeff-low 0.2 and --coeff-high inf span no finite range"),
+    (BUILD + ["--coeff-low=-1e308", "--coeff-high", "1e308"], "span no finite range"),
+    # a reversed range would draw from [high, low) without a word
+    (BUILD + ["--coeff-low", "5", "--coeff-high", "1"],
+     "error: --coeff-low 5 and --coeff-high 1 span no finite range: "
+     "high - low must be finite and at least 0\n"),
+    (BUILD + ["--coeff-low", "nan"], "--coeff-low nan and --coeff-high 5 span no finite range"),
 ], ids=["iterations-0", "steady-window-0", "runs-0", "threads-0",
         "config-runs-string", "sparsity-1.5", "sparsity-negative", "dv-nan",
-        "dt-inf", "model-with-nan", "coeff-high-inf", "coeff-width-overflows"])
+        "dt-inf", "model-with-nan", "coeff-high-inf", "coeff-width-overflows",
+        "coeff-reversed", "coeff-low-nan"])
 def test_bad_numbers_exit_2(tmp_path, capsys, triangle_doc, argv, message):
     nan_model = tmp_path / "nan_model.json"
     nan_model.write_text(json.dumps({
@@ -703,6 +717,11 @@ def test_bad_numbers_exit_2(tmp_path, capsys, triangle_doc, argv, message):
     pytest.param("dv_bounds", [0.2, 10**400], "dv_bounds", id="dv_bounds-beyond-float"),
     pytest.param("dv_bounds", [-1e308, 1e308], "dv_bounds=(-1e+308, 1e+308) spans no finite range",
                  id="dv_bounds-width-overflows"),
+    pytest.param("dv_bounds", [5.0, 1.0],
+                 "error: dv_bounds=(5, 1) spans no finite range: "
+                 "high - low must be finite and at least 0\n", id="dv_bounds-reversed"),
+    pytest.param("dt_bounds", [0.2, -0.2], "dt_bounds=(0.2, -0.2) spans no finite range",
+                 id="dt_bounds-reversed"),
     # the whole error line: negative coefficients, not an overflow
     pytest.param("dv_bounds", [-1.0, -0.5],
                  "error: coupling coefficients must be finite and nonnegative\n",

@@ -246,6 +246,19 @@ class TestDrawParams:
         expected_k = min_valid_k(bench_incidence, params.d_v, params.d_t, 0.1)
         assert params.k == expected_k
 
+    @pytest.mark.parametrize("bounds", [
+        {"dv_bounds": (5.0, 1.0)}, {"dt_bounds": (0.3, 0.2)}, {"dv_bounds": (float("nan"), 1.0)},
+    ], ids=["dv-reversed", "dt-reversed", "dv-low-nan"])
+    def test_reversed_bounds_refused(self, bench_incidence, bounds):
+        name, (low, high) = next(iter(bounds.items()))
+        with pytest.raises(ValueError, match=rf"^{name}=\({low:g}, {high:g}\) spans no finite "
+                                             "range: high - low must be finite and at least 0$"):
+            draw_params(bench_incidence, 4, **bounds)
+
+    def test_equal_bounds_draw_one_value(self, bench_incidence):
+        params = draw_params(bench_incidence, 4, dv_bounds=(2.0, 2.0), dt_bounds=(0.5, 0.5))
+        assert (params.d_v == 2.0).all() and (params.d_t == 0.5).all()
+
     def test_full_sparsity_zeroes_everything(self, bench_incidence):
         params = draw_params(bench_incidence, 12, sparsity=1.0)
         assert not params.d_v.any() and not params.d_t.any()

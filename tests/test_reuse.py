@@ -13,7 +13,8 @@ the same verdicts, and floats within 1e-11 of the mean variance; on a
 hand-built precision they must be equal bit for bit.  A built precision
 forms omega, omega_d and omega_u once, on the first read of any of them,
 and no ``cmrf verify`` path reads them.  The colored graph forms each
-color's component labels and its union adjacency once.
+color's component labels, its union component labels and its union
+adjacency once; a marginal query forms neither of the union ones.
 """
 
 import concurrent.futures
@@ -510,9 +511,11 @@ def test_adjacency_built_once_per_graph(monkeypatch):
     for query in _queries(graph, rng, 60):
         _ask(prec, graph, query)
     color_separated_singleton_pairs(graph)
-    # one labelling per color and one union adjacency, each over its links
+    # one labelling per color, and one union labelling and union adjacency,
+    # each over its links
     lower, upper = len(graph.lower_links), len(graph.upper_links)
     assert sorted(calls) == sorted([("_components", lower), ("_components", upper),
+                                    ("_components", lower + upper),
                                     ("_neighbors", lower + upper)])
     assert graph.links is graph.links
     assert graph.lower_links is graph.lower_links
@@ -520,4 +523,30 @@ def test_adjacency_built_once_per_graph(monkeypatch):
                       upper_links=graph.upper_links)
     assert graph == fresh and hash(graph) == hash(fresh)
     assert graph._adjacency == fresh._adjacency
+    assert graph._union_labels == fresh._union_labels
     assert all(np.array_equal(a, b) for a, b in zip(graph._labels, fresh._labels))
+
+
+def test_marginal_queries_form_no_union_structure(monkeypatch, tmp_path, capsys):
+    sc = random_2sc(30, None, 60, seed=5, num_edges=120, require_trivial_homology=False)
+    inc = incidence(sc)
+    params = draw_params(inc, 5, sparsity=0.5)
+    prec, graph = build_precision(inc, params), build_cmrf(inc, params)
+    pairs = color_separated_singleton_pairs(graph)
+    for i, j in pairs[:20]:
+        assert is_color_separated(graph, [i], [j])
+        assert verify_marginal_independence(prec, graph, [i], [j]).passed
+    assert "_union_labels" not in graph.__dict__ and "_adjacency" not in graph.__dict__
+    # nor does the marginal command: two per-color labellings and nothing else
+    save_complex(sc, tmp_path / "complex.json")
+    path = str(tmp_path / "model.json")
+    save_model(params, "complex.json", path)
+    calls = []
+    for name in ("_components", "_neighbors"):
+        build = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda n, pairs, name=name, build=build:
+                            calls.append(name) or build(n, pairs))
+    i, j = pairs[0]
+    assert cli.main(["verify", path, "--set-a", str(i), "--set-b", str(j), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert calls == ["_components", "_components"]
