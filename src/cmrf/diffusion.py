@@ -58,6 +58,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model import EdgePrecision, build_precision, covariance_cholesky, draw_params
+from .model import _check_bounds
 from .simplicial import (
     IncidencePair,
     SimplicialComplex2,
@@ -178,7 +179,8 @@ def combination_weights(adjacency: np.ndarray, rule: str = "uniform") -> np.ndar
 # from this many edges on, and only where there are at least this many
 # edges per vertex: the factored step costs about 4*V*E flops per column
 # against 2*E**2 dense, plus a fixed overhead that small complexes do not
-# repay.  Measured with scripts/bench_combine.py (BENCH_14.json).
+# repay.  Measured in BENCH_14.json; scripts/bench.py records the same
+# kernel readings under ``kernel``.
 _FACTORED_MIN_EDGES = 150
 _FACTORED_EDGES_PER_VERTEX = 3
 
@@ -215,6 +217,10 @@ class _IncidenceCombine:
         degree = unsigned.sum(axis=-1, keepdims=True)
         return cls(unsigned, unsigned.swapaxes(-1, -2) @ degree - 1.0)
 
+    @property
+    def nbytes(self) -> int:
+        return self.unsigned.nbytes + self.size.nbytes
+
     def __matmul__(self, psi: np.ndarray) -> np.ndarray:
         out = self.unsigned.swapaxes(-1, -2) @ (self.unsigned @ psi)
         out -= psi
@@ -222,8 +228,14 @@ class _IncidenceCombine:
         return out
 
 
-def _unsigned(inc: IncidencePair) -> np.ndarray:
-    return np.abs(inc.b1).astype(float)
+def _combine_operator(
+    rule: str, sc: SimplicialComplex2, inc: IncidencePair
+) -> np.ndarray | _IncidenceCombine:
+    """The combine step's operator on ``sc``: an ``_IncidenceCombine`` where
+    ``_factored`` picks it, else the dense (E, E) weights of ``rule``."""
+    if _factored(rule, sc.num_vertices, sc.num_edges):
+        return _IncidenceCombine.of(np.abs(inc.b1).astype(float))
+    return combination_weights(line_graph(sc), rule)
 
 
 def _atc_step(theta, regressors, observations, couplings, k, steps, combine, num_combined):
@@ -340,6 +352,7 @@ class ExperimentConfig:
             for x in bounds:
                 _check_real(name, x)
             object.__setattr__(self, name, tuple(float(x) for x in bounds))
+            _check_bounds(name, *getattr(self, name))
         if not isinstance(self.step_size_overrides, Mapping):
             raise ValueError(
                 "step_size_overrides must map variant names to step sizes, "
@@ -435,10 +448,9 @@ class _Run:
     """One run after its set-up, its generator positioned for the stream.
 
     ``mats`` stacks the run's (E, E) matrices: the noise Cholesky
-    factor, one coupling matrix per slot (see ``_run_chunk``) and, when
-    the run drew its own complex and a configured variant combines, its
-    dense combination weights.  Where its combine step is factored (see
-    ``_factored``), the run holds its float |b1| in ``unsigned`` instead.
+    factor and one coupling matrix per slot (see ``_run_chunk``).  When
+    the run drew its own complex and a configured variant combines,
+    ``combine`` is its own combine operator (see ``_combine_operator``).
     """
 
     rng: np.random.Generator
@@ -446,7 +458,7 @@ class _Run:
     k: float
     steps: dict[str, float]
     mats: np.ndarray
-    unsigned: np.ndarray | None = None
+    combine: np.ndarray | _IncidenceCombine | None = None
 
     @property
     def num_edges(self) -> int:
@@ -457,8 +469,8 @@ class _Run:
         """Bytes the run takes in a batch: its matrices, counted twice for
         the stacked copy, and the shortest block of its random stream."""
         held = self.mats.nbytes
-        if self.unsigned is not None:
-            held += self.unsigned.nbytes
+        if self.combine is not None:
+            held += self.combine.nbytes
         return 2 * held + _MIN_BLOCK * _row_bytes(self.num_edges, self.theta0.shape[0])
 
 
@@ -492,16 +504,12 @@ def _setup_run(
                                             margin=config.k_margin))
     noise = covariance_cholesky(prec)
     theta0 = rng.standard_normal(config.dim)
-    mats = [noise]
-    mats += [coupling_matrix(prec, spec) for spec in slots]
-    unsigned = None
+    combine = None
     if own_complex and combines:
-        if _factored(config.combine_rule, sc.num_vertices, sc.num_edges):
-            unsigned = _unsigned(inc)
-        else:
-            mats.append(combination_weights(line_graph(sc), config.combine_rule))
+        combine = _combine_operator(config.combine_rule, sc, inc)
     return _Run(rng=rng, theta0=theta0, k=prec.k, steps=step_sizes(prec, config),
-                mats=np.stack(mats), unsigned=unsigned)
+                mats=np.stack([noise, *(coupling_matrix(prec, spec) for spec in slots)]),
+                combine=combine)
 
 
 def _simulate_group(
@@ -532,10 +540,11 @@ def _simulate_group(
     mats = runs[0].mats[None] if g == 1 else np.stack([r.mats for r in runs])
     chol, couplings = mats[:, 0], mats[:, 1:1 + nm]
     if nc and combine is None:
-        if runs[0].unsigned is None:
-            combine = mats[:, -1:]
+        own = [r.combine for r in runs]
+        if isinstance(own[0], _IncidenceCombine):
+            combine = _IncidenceCombine.of(np.stack([c.unsigned for c in own])[:, None])
         else:
-            combine = _IncidenceCombine.of(np.stack([r.unsigned for r in runs])[:, None])
+            combine = np.stack(own)[:, None]
     theta0 = np.stack([r.theta0 for r in runs])
     steps = np.array([[r.steps[s.name] for s in specs] for r in runs])
     k = np.array([r.k for r in runs])[:, None, None]
@@ -595,10 +604,7 @@ def _run_chunk(
     combines = any(s.uses_combination for s in specs)
     combine = None
     if sc is not None and combines:
-        if _factored(config.combine_rule, sc.num_vertices, sc.num_edges):
-            combine = _IncidenceCombine.of(_unsigned(incidence(sc)))
-        else:
-            combine = combination_weights(line_graph(sc), config.combine_rule)
+        combine = _combine_operator(config.combine_rule, sc, incidence(sc))
     out = np.empty((len(specs), len(run_seeds), config.num_iterations))
     # only ``batch`` holds the runs, so each is freed once simulated
     batch: list[_Run] = []

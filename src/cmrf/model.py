@@ -669,6 +669,15 @@ def sample(
     return z @ chol.T
 
 
+def _check_bounds(name: str, low: float, high: float) -> None:
+    """ValueError unless high - low is finite and at least 0; equal bounds draw one value."""
+    if not 0.0 <= float(high) - float(low) < np.inf:
+        raise ValueError(
+            f"{name}=({low:g}, {high:g}) spans no finite range: "
+            f"high - low must be finite and at least 0"
+        )
+
+
 def draw_params(
     inc: IncidencePair,
     seed: int | np.random.Generator,
@@ -689,12 +698,8 @@ def draw_params(
     """
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError(f"sparsity must lie in [0, 1], got {sparsity}")
-    for name, (low, high) in (("dv_bounds", dv_bounds), ("dt_bounds", dt_bounds)):
-        if not 0.0 <= float(high) - float(low) < np.inf:
-            raise ValueError(
-                f"{name}=({low:g}, {high:g}) spans no finite range: "
-                f"high - low must be finite and at least 0"
-            )
+    _check_bounds("dv_bounds", *dv_bounds)
+    _check_bounds("dt_bounds", *dt_bounds)
     rng = np.random.default_rng(seed)
     d_v = rng.uniform(dv_bounds[0], dv_bounds[1], size=inc.b1.shape[0])
     d_t = rng.uniform(dt_bounds[0], dt_bounds[1], size=inc.b2.shape[1])

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -410,6 +411,20 @@ class TestExperiment:
     def test_config_rejects_unknown_combine_rule(self):
         with pytest.raises(ValueError):
             ExperimentConfig(combine_rule="midpoint")
+
+    @pytest.mark.parametrize("bounds", [
+        {"dv_bounds": (5.0, 1.0)}, {"dt_bounds": (0.2, -0.2)}, {"dv_bounds": (-1e308, 1e308)},
+    ], ids=["dv-reversed", "dt-reversed", "dv-width-overflows"])
+    def test_config_refuses_bad_bounds_before_any_draw(self, monkeypatch, bounds):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a complex was drawn before the bounds were checked")
+
+        monkeypatch.setattr(diffusion, "random_2sc", refuse)
+        name, (low, high) = next(iter(bounds.items()))
+        message = f"{name}=({low:g}, {high:g}) spans no finite range: " \
+                  "high - low must be finite and at least 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment(ExperimentConfig(seed=1, num_runs=1, num_iterations=2, **bounds))
 
     def test_metropolis_rule_changes_combined_variants_only(self):
         base = dict(seed=44, num_runs=2, num_iterations=50,

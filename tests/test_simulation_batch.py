@@ -185,7 +185,7 @@ def test_factored_combine_equals_dense_weights(shape, extras):
     if extras:
         sc = with_pendant_and_isolated(sc)
     adjacency = line_graph(sc)
-    op = diffusion._IncidenceCombine.of(diffusion._unsigned(incidence(sc)))
+    op = diffusion._IncidenceCombine.of(np.abs(incidence(sc).b1).astype(float))
     # the row sums are the closed neighborhoods' sizes, exactly
     assert np.array_equal(op.size[:, 0], adjacency.sum(axis=1) + 1.0)
     psi = np.random.default_rng(ne).standard_normal((2, 3, sc.num_edges, 10))
@@ -257,7 +257,7 @@ def test_no_combine_operator_without_a_combining_variant(monkeypatch, resample):
     def refuse(*args, **kwargs):
         raise AssertionError("combine operator built for variants that do not combine")
 
-    for name in ("combination_weights", "line_graph", "_unsigned"):
+    for name in ("combination_weights", "line_graph", "_combine_operator"):
         monkeypatch.setattr(diffusion, name, refuse)
     assert_matches_oracle(ExperimentConfig(
         seed=18, num_runs=2, num_iterations=20, resample_complex=resample,
