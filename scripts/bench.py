@@ -30,13 +30,22 @@ after side and read by both.  Per scale (10/21/12, 30/120/60, 60/400/200):
   one round's combine step (3 combining variants, m = 10) with the dense
   uniform weights and with ``diffusion._IncidenceCombine``, their largest
   relative difference and whether ``diffusion._factored`` picks the
-  factored path; also at 45/200/100 and at two sparse probes (E/V of 2
-  and 3) for the edges-per-vertex part of that rule.
+  factored path; also at 45/200/100, at two sparse probes (E/V of 2 and
+  3) and at K18 with 300 and with all 816 triangles filled (T about 2E
+  and 5.3E), the shapes about the size rule.
+* ``couplings``, after side only, on the same shapes and settings: one
+  round's coupled products (atc_cmrf, atc_lgmrf and centralized_cmrf's
+  residual) for g runs, g in ``GROUPS``, on models
+  ``draw_params(inc, seed)``, seed < g, through the dense coupling slots
+  (``diffusion._DenseCouplings``) and through the incidence
+  (``diffusion._IncidenceCouplings``), with their largest relative
+  difference and whether ``diffusion._factored`` picks the factored path.
 
 There are ``ROUNDS`` rounds of one child per side at one BLAS thread, the
 side that runs first alternating, so slow drift of the machine hits both.
-One more after-side child at the default threads gives
-``kernel.default_threads``; its other readings are not used.  A figure
+Only after-side children measure the kernels; one more after-side child
+at the default threads gives their ``default_threads`` readings, and its
+other readings are not used.  A figure
 is the median over rounds of each child's median of ``REPEATS`` calls;
 ``setup`` and ``simulate`` pool every timed call.  The output also holds
 the machine record of perfbench/run.py and the run's wall time.
@@ -62,7 +71,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 5
 SPARSITY = 0.5
 SCALES = [(10, 21, 12), (30, 120, 60), (60, 400, 200)]
-KERNEL_SHAPES = [*SCALES, (45, 200, 100), (200, 400, 10), (150, 450, 50)]
+KERNEL_SHAPES = [*SCALES, (45, 200, 100), (200, 400, 10), (150, 450, 50), (18, 153, 300),
+                 (18, 153, 816)]
+GROUPS = (1, 2)
+COUPLED = ("atc_cmrf", "atc_lgmrf", "centralized_cmrf")
 ROUNDS = 4
 REPEATS = 5
 PAIR_SAMPLE = 20
@@ -244,6 +256,11 @@ def _setup(sc) -> dict:
     return times
 
 
+def _per_call_us(fn, ne: int) -> float:
+    calls = max(20, 400_000 // (ne * ne))
+    return 1e6 * _median_time(lambda: [fn() for _ in range(calls)]) / calls
+
+
 def _kernel(sc) -> dict:
     """One round's combine step, dense against factored, in microseconds."""
     from cmrf import combination_weights, diffusion, incidence, line_graph
@@ -253,26 +270,55 @@ def _kernel(sc) -> dict:
     factored = diffusion._IncidenceCombine.of(np.abs(incidence(sc).b1).astype(float))
     # the combining variants' slice of a (1, 5, E, m) state, as in _atc_step
     psi = np.random.default_rng(0).standard_normal((1, 5, ne, DIM))[:, :COMBINING]
-    calls = max(20, 400_000 // (ne * ne))
-
-    def per_call_us(op):
-        return 1e6 * _median_time(lambda: [op @ psi for _ in range(calls)]) / calls
-
     want, got = dense @ psi, factored @ psi
     return {
-        "dense_us": per_call_us(dense),
-        "factored_us": per_call_us(factored),
+        "dense_us": _per_call_us(lambda: dense @ psi, ne),
+        "factored_us": _per_call_us(lambda: factored @ psi, ne),
         "max_rel_diff": float(np.abs(got - want).max() / np.abs(want).max()),
-        "factored_by_rule": diffusion._factored("uniform", sc.num_vertices, ne),
+        "factored_by_rule": diffusion._factored(sc.num_vertices, ne, sc.num_triangles),
     }
 
 
-def measure(inputs: Path, out: Path) -> dict:
-    """Every reading of the cmrf importable in this process; files it writes go to ``out``."""
+def _couplings(sc) -> dict:
+    """One round's coupled products, dense slots against factored, in microseconds."""
+    from cmrf import build_precision, coupling_matrix, diffusion, draw_params, incidence
+
+    ne = sc.num_edges
+    inc = incidence(sc)
+    specs = [diffusion.VARIANTS[name] for name in COUPLED]
+    doc = {"factored_by_rule": diffusion._factored(sc.num_vertices, ne, sc.num_triangles)}
+    for g in GROUPS:
+        params = [draw_params(inc, seed) for seed in range(g)]
+        precs = [build_precision(inc, p) for p in params]
+        # centralized_cmrf reads atc_cmrf's slot, as in a run
+        slots = np.stack([[coupling_matrix(prec, s) for s in specs[:-1]] for prec in precs])
+        dense = diffusion._DenseCouplings(slots, slots[:, 0])
+        factored = diffusion._IncidenceCouplings.of(
+            (inc.b1.astype(float), inc.b2.astype(float)),
+            np.array([p.k for p in params])[:, None, None],
+            [(p.d_v, p.d_t) for p in params], specs)
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((g, len(specs) - 1, ne)), rng.standard_normal((g, ne))
+        want, got = dense(*rows), factored(*rows)
+        doc[f"g{g}"] = {
+            "dense_us": _per_call_us(lambda: dense(*rows), ne),
+            "factored_us": _per_call_us(lambda: factored(*rows), ne),
+            "max_rel_diff": max(float(np.abs(b - a).max() / np.abs(a).max())
+                                for a, b in zip(want, got)),
+        }
+    return doc
+
+
+def measure(inputs: Path, out: Path, kernels: bool = True) -> dict:
+    """Every reading of the cmrf importable in this process; files it writes go to ``out``.
+
+    The kernel readings use this checkout's private kernels, so only the
+    after side takes them (``kernels``).
+    """
     import cmrf
 
     sys.path.insert(0, str(ROOT / "perfbench"))  # for make_queries
-    doc = {"scales": {}, "setup": {}, "simulate": {}, "kernel": {}}
+    doc = {"scales": {}, "setup": {}, "simulate": {}, "kernel": {}, "couplings": {}}
     for name in map(_name, SCALES):
         complex_path = _file(inputs, name, ".json")
         sc = cmrf.load_complex(complex_path)
@@ -281,15 +327,19 @@ def measure(inputs: Path, out: Path) -> dict:
         argv = ["simulate", "--complex-file", str(complex_path), *SIM_ARGS,
                 "-o", str(_file(out, name, ".csv"))]
         doc["simulate"][name] = _times(lambda: _cli(*argv))
-    for name in map(_name, KERNEL_SHAPES):
-        doc["kernel"][name] = _kernel(cmrf.load_complex(_file(inputs, name, ".json")))
+    for name in map(_name, KERNEL_SHAPES if kernels else []):
+        sc = cmrf.load_complex(_file(inputs, name, ".json"))
+        doc["kernel"][name] = _kernel(sc)
+        doc["couplings"][name] = _couplings(sc)
     return doc
 
 
 def _child(checkout: Path, inputs: Path, out: Path, env: dict) -> dict:
     out.mkdir(exist_ok=True)
-    proc = subprocess.run([sys.executable, __file__, "--measure", str(inputs), str(out)],
-                          env=dict(env, PYTHONPATH=str(checkout / "src")),
+    argv = [sys.executable, __file__, "--measure", str(inputs), str(out)]
+    if checkout != ROOT:
+        argv.append("--without-kernels")
+    proc = subprocess.run(argv, env=dict(env, PYTHONPATH=str(checkout / "src")),
                           stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -314,8 +364,11 @@ def _max_rel_diff(before: Path, after: Path) -> dict:
             "msd_std_vs_mean": float((np.abs(new[:, 1] - old[:, 1]) / old[:, 0]).max())}
 
 
-def report(readings: dict, default_kernel: dict, outs: dict) -> dict:
-    """The output sections from each side's child readings; ``outs`` holds each side's files."""
+def report(readings: dict, default: dict, outs: dict) -> dict:
+    """The output sections from each side's child readings; ``outs`` holds each side's files.
+
+    ``default`` is the reading of the after-side child at the default threads.
+    """
     scales, setup, simulate = {}, {}, {}
     before, after = (_median(readings[side]) for side in SIDES)
     for name in map(_name, SCALES):
@@ -342,8 +395,9 @@ def report(readings: dict, default_kernel: dict, outs: dict) -> dict:
             "csv_identical": csv["before"].read_bytes() == csv["after"].read_bytes(),
             "max_rel_diff": _max_rel_diff(csv["before"], csv["after"]),
         }
-    kernel = {"default_threads": default_kernel, "one_thread": after["kernel"]}
-    return {"scales": scales, "setup": setup, "simulate": simulate, "kernel": kernel}
+    kernels = {section: {"default_threads": default[section], "one_thread": after[section]}
+               for section in ("kernel", "couplings")}
+    return {"scales": scales, "setup": setup, "simulate": simulate, **kernels}
 
 
 def main() -> int:
@@ -351,9 +405,10 @@ def main() -> int:
     parser.add_argument("--before", type=Path, help="checkout of the earlier commit")
     parser.add_argument("-o", "--out", type=Path, help="JSON file to write")
     parser.add_argument("--measure", nargs=2, type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--without-kernels", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.measure:
-        print(json.dumps(measure(*args.measure)))
+        print(json.dumps(measure(*args.measure, kernels=not args.without_kernels)))
         return 0
     if args.before is None or args.out is None:
         parser.error("--before and --out are required")
@@ -373,17 +428,18 @@ def main() -> int:
         for r in range(ROUNDS):
             for side in SIDES if r % 2 == 0 else SIDES[::-1]:
                 readings[side].append(_child(checkouts[side], inputs, outs[side], one_thread))
-        default_kernel = _child(ROOT, inputs, Path(tmp) / "default", default)["kernel"]
-        sections = report(readings, default_kernel, outs)
+        sections = report(readings, _child(ROOT, inputs, Path(tmp) / "default", default), outs)
 
     doc = {
         "what": "cmrf's three tasks before and after (see scripts/bench.py), and the "
-                "after side's combine step, dense against factored",
+                "after side's combine step and coupled products, dense against factored",
         "complexes": f"random_2sc(V, None, T, seed={SEED}, num_edges=E)",
         "models": f"scales: draw_params(inc, {SEED}, sparsity={SPARSITY}); "
                   f"setup: draw_params(inc, seed) for seed in range({SETUP_MODELS})",
         "kernel_shape": f"one run, {COMBINING} combining variants, m = {DIM}; "
                         "microseconds per round",
+        "couplings_shape": f"g runs, the coupled rows of {', '.join(COUPLED)}; "
+                           "microseconds per round",
         "simulate_command": "cmrf simulate --complex-file C " + " ".join(SIM_ARGS)
                             + "; seconds as [q1, median, q3]",
         "rounds": ROUNDS, "repeats": REPEATS,

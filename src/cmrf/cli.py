@@ -173,11 +173,10 @@ def cmd_model_build(args) -> int:
         params = model.SgmParams(
             k=model.min_valid_k(inc, d_v, d_t, args.margin), d_v=d_v, d_t=d_t
         )
-    prec = model.build_precision(inc, params)
+    model.build_precision(inc, params)  # refuses a k that does not clear the floor
     model.save_model(params, args.complex, args.out)
 
-    cancels = model.find_cancellations(inc, params)
-    diag_const = np.array_equal(prec.omega, prec.k * np.eye(prec.num_edges))
+    cancels, diag_const = model._coupling_report(inc, params)
     payload = {
         "out": str(args.out),
         "k": float(params.k),

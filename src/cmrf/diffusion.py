@@ -23,11 +23,18 @@ estimators run adapt-then-combine rounds on the line graph:
 The adapt step descends the agent's slice of the decomposed objective
 with neighbor residuals frozen at their communicated values; row e of
 omega_v is nonzero only at e and its line-graph neighbors, so each agent
-needs only what its neighbors send.  The combine step applies the dense
-(E, E) weights, except for the uniform rule on complexes with many edges
-per vertex (see ``_factored``), where it goes through the unsigned
-incidence matrix |b1| instead: the same average up to rounding, at the
-cost of two thin V x E products in place of one E x E product.
+needs only what its neighbors send.
+
+Below one size rule (``_factored``: at least 150 edges, no more vertices
+than edges and no more than twice as many triangles) a run reads its
+coupling matrices as dense (E, E) slots and the combine step applies the
+dense weights.  Above it a run keeps k, d_v and d_t and forms no E x E
+coupling matrix: each round applies the couplings through the float
+incidence, omega_v @ r = k*r - b1.T @ (d_v * (b1 @ r)) - b2 @ (d_t *
+(b2.T @ r)), in one product per factor for every coupled row, and the
+uniform combine through the unsigned incidence |b1|, two thin V x E
+products in place of one E x E product.  Both equal the dense products
+up to rounding.
 
 The coupling matrix omega_v depends on the variant: the full precision
 for atc_cmrf, the lower-only factor for atc_lgmrf, and k*I for the
@@ -35,9 +42,11 @@ topology-blind atc_plain and standalone_lms (the latter also skips the
 combine step).  centralized_cmrf updates one shared estimate with the
 full gradient -U.T @ omega @ r.  Summed over edges the distributed
 adapt directions aggregate to that same full gradient, which is why
-atc_cmrf tracks the centralized estimator closely.  One kernel,
-``_atc_step``, runs the distributed round for every run and variant at
-once; ``_centralized_step`` runs the centralized one.
+atc_cmrf tracks the centralized estimator closely.  Each round takes
+the residuals of every run and variant at once (``_residuals``), weighs
+every coupled one in one coupled product, then ``_atc_step`` adapts and
+combines the distributed estimates and ``_centralized_step`` updates the
+centralized one.
 
 Step sizes are matched across variants so that curves are comparable:
 the configured step applies to atc_cmrf as-is and other variants are
@@ -53,12 +62,12 @@ import concurrent.futures
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .model import EdgePrecision, build_precision, covariance_cholesky, draw_params
-from .model import _check_bounds
+from .model import _check_bounds, _diagonals
 from .simplicial import (
     IncidencePair,
     SimplicialComplex2,
@@ -175,25 +184,29 @@ def combination_weights(adjacency: np.ndarray, rule: str = "uniform") -> np.ndar
     raise ValueError(f"unknown combination rule: {rule!r}")
 
 
-# The combine step goes through the incidence matrix for the uniform rule
-# from this many edges on, and only where there are at least this many
-# edges per vertex: the factored step costs about 4*V*E flops per column
-# against 2*E**2 dense, plus a fixed overhead that small complexes do not
-# repay.  Measured in BENCH_14.json; scripts/bench.py records the same
-# kernel readings under ``kernel``.
+# Above this size rule a simulator run applies its couplings, and the
+# uniform combine step, through the incidence instead of E x E matrices:
+# from this many edges on, with no more vertices than edges and no more
+# than twice as many triangles.  Per residual the coupled products cost
+# about 4*E*(V + T) flops against 2*E**2 dense, and per column the
+# combine 4*V*E against 2*E**2, plus a fixed overhead that small
+# complexes do not repay.  The kernel probes of scripts/bench.py
+# (``kernel`` and ``couplings``) put the even point of one round near
+# T = 2E at 153 edges, and keep K18 with every triangle filled (816
+# triangles on 153 edges) dense.
 _FACTORED_MIN_EDGES = 150
-_FACTORED_EDGES_PER_VERTEX = 3
 
 
-def _factored(rule: str, num_vertices: int, num_edges: int) -> bool:
-    """Whether the combine step on such a complex uses ``_IncidenceCombine``.
+def _factored(num_vertices: int, num_edges: int, num_triangles: int) -> bool:
+    """Whether runs on such a complex go through the incidence (the size rule).
 
-    Only the uniform rule factors: Metropolis weights depend on the
-    degrees of each linked pair.  The paper scale (10/21/12) and
-    30/120/60 stay on the dense path.
+    Their coupled products then use ``_IncidenceCouplings`` and, for the
+    uniform rule, their combine step ``_IncidenceCombine``; Metropolis
+    weights depend on the degrees of each linked pair and stay dense.
+    The paper scale (10/21/12) and 30/120/60 stay on the dense path.
     """
-    return rule == "uniform" and num_edges >= max(
-        _FACTORED_MIN_EDGES, _FACTORED_EDGES_PER_VERTEX * num_vertices)
+    return (num_edges >= _FACTORED_MIN_EDGES and num_vertices <= num_edges
+            and num_triangles <= 2 * num_edges)
 
 
 @dataclass(frozen=True)
@@ -231,29 +244,107 @@ class _IncidenceCombine:
 def _combine_operator(
     rule: str, sc: SimplicialComplex2, inc: IncidencePair
 ) -> np.ndarray | _IncidenceCombine:
-    """The combine step's operator on ``sc``: an ``_IncidenceCombine`` where
-    ``_factored`` picks it, else the dense (E, E) weights of ``rule``."""
-    if _factored(rule, sc.num_vertices, sc.num_edges):
+    """The combine step's operator on ``sc``: an ``_IncidenceCombine`` for
+    the uniform rule above the size rule, else the dense (E, E) weights."""
+    if rule == "uniform" and _factored(sc.num_vertices, sc.num_edges, sc.num_triangles):
         return _IncidenceCombine.of(np.abs(inc.b1).astype(float))
     return combination_weights(line_graph(sc), rule)
 
 
-def _atc_step(theta, regressors, observations, couplings, k, steps, combine, num_combined):
+@dataclass(frozen=True)
+class _DenseCouplings:
+    """A round's coupled products through E x E matrices (below the size rule).
+
+    ``slots`` (g, nm, E, E) weigh the distributed variants' coupled rows,
+    and ``omega`` (g, E, E), or None, the centralized residual.
+    """
+
+    slots: np.ndarray
+    omega: np.ndarray | None
+
+    def __call__(self, residual, residual_c):
+        """(g, nm, E) weighted rows of ``residual`` and (g, E, 1) of ``residual_c``."""
+        weighted = (self.slots @ residual[..., None])[..., 0]
+        return weighted, None if residual_c is None else self.omega @ residual_c[..., None]
+
+
+@dataclass(frozen=True)
+class _IncidenceCouplings:
+    """A round's coupled products through the float incidence (above the size rule).
+
+    Each coupling factors through the Hodge structure,
+
+        omega_v @ r = k*r - b1.T @ (d_v * (b1 @ r)) - b2 @ (d_t * (b2.T @ r)),
+
+    so the coupled rows of every run and variant go through one product
+    per factor and direction, and no E x E matrix is read.  ``b1`` is
+    (V, E) and ``b2`` (E, T) for runs on a shared complex, or (g, V, E)
+    and (g, E, T) for runs that each drew their own.  ``k`` is (g, 1, 1);
+    ``lower`` (g, c, V) and ``upper`` (g, c, T) hold each row's d_v and
+    d_t, zero for a term its variant drops (atc_lgmrf's upper term).  Each
+    product runs per run with the shapes of a single run, so the result
+    does not depend on g; it equals the dense product up to rounding.
+    """
+
+    b1: np.ndarray
+    b2: np.ndarray
+    k: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    @classmethod
+    def of(cls, incidence, k, coefficients, specs) -> "_IncidenceCouplings":
+        """From the float (b1, b2), the runs' k (g, 1, 1) and (d_v, d_t),
+        and the coupled rows' variants in row order."""
+        d_v, d_t = (np.stack(d)[:, None] for d in zip(*coefficients))
+        lower = np.array([[float(s.uses_lower_term)] for s in specs])
+        upper = np.array([[float(s.uses_upper_term)] for s in specs])
+        return cls(*incidence, k, d_v * lower, d_t * upper)
+
+    def __call__(self, residual, residual_c):
+        """As ``_DenseCouplings.__call__``; the centralized row goes last."""
+        rows = residual
+        if residual_c is not None:
+            rows = np.concatenate([residual, residual_c[:, None]], axis=1)
+        lower = rows @ self.b1.swapaxes(-1, -2)
+        lower *= self.lower
+        upper = rows @ self.b2
+        upper *= self.upper
+        out = self.k * rows
+        out -= lower @ self.b1
+        out -= upper @ self.b2.swapaxes(-1, -2)
+        nm = residual.shape[1]
+        return out[:, :nm], None if residual_c is None else out[:, nm, :, None]
+
+
+def _residuals(theta, theta_c, regressors, observations):
+    """A round's residuals y - u.T @ theta for a stack of runs.
+
+    ``theta`` is (g, V, E, m), ``theta_c`` (g, m) or None without a
+    centralized variant, ``regressors`` (g, E, m) and ``observations``
+    (g, E).  Returns the distributed residuals (g, V, E) and the
+    centralized ones (g, E), or None.
+    """
+    residual = observations[:, None] - np.einsum("rem,rvem->rve", regressors, theta)
+    if theta_c is None:
+        return residual, None
+    return residual, observations - (regressors @ theta_c[..., None])[..., 0]
+
+
+def _atc_step(theta, regressors, residual, coupled, k, steps, combine, num_combined):
     """One adapt-then-combine round for a stack of runs and variants.
 
     ``theta`` is (g, V, E, m) for g runs and V distributed variants,
-    ``regressors`` (g, E, m) and ``observations`` (g, E).  The first
-    ``couplings.shape[1]`` variants weigh residuals with their (g, ., E, E)
-    coupling matrix, the rest with k*I as the scalar ``k`` of shape
-    (g, 1, 1).  ``steps`` is (g, V, 1, 1).  The first ``num_combined``
-    variants are mixed by ``combine``: dense weights, (E, E) or
-    (g, 1, E, E), or an ``_IncidenceCombine``.  Returns the new
-    (g, V, E, m) estimates.
+    ``regressors`` (g, E, m) and ``residual`` (g, V, E).  The first
+    ``coupled.shape[1]`` variants weigh their residuals as ``coupled``
+    gives them, the rest with k*I as the scalar ``k`` of shape (g, 1, 1).
+    ``steps`` is (g, V, 1, 1).  The first ``num_combined`` variants are
+    mixed by ``combine``: dense weights, (E, E) or (g, 1, E, E), or an
+    ``_IncidenceCombine``.  Returns the new (g, V, E, m) estimates.
     """
-    residual = observations[:, None] - np.einsum("rem,rvem->rve", regressors, theta)
-    nm = couplings.shape[1]
+    nm = coupled.shape[1]
     weighted = np.empty_like(residual)
-    weighted[:, :nm] = (couplings @ residual[:, :nm, :, None])[..., 0]
+    weighted[:, :nm] = coupled
     weighted[:, nm:] = k * residual[:, nm:]
     psi = theta + steps * weighted[..., None] * regressors[:, None]
     if num_combined:
@@ -261,14 +352,13 @@ def _atc_step(theta, regressors, observations, couplings, k, steps, combine, num
     return psi
 
 
-def _centralized_step(theta, regressors, observations, omega, steps):
+def _centralized_step(theta, regressors, weighted, steps):
     """One centralized update for a stack of runs.
 
-    ``theta`` is (g, m), ``regressors`` (g, E, m), ``observations``
-    (g, E), ``omega`` (g, E, E) and ``steps`` (g, 1).
+    ``theta`` is (g, m), ``regressors`` (g, E, m), ``weighted`` the
+    (g, E, 1) residuals weighted by omega and ``steps`` (g, 1).
     """
-    residual = observations - (regressors @ theta[..., None])[..., 0]
-    grad = regressors.swapaxes(-1, -2) @ (omega @ residual[..., None])
+    grad = regressors.swapaxes(-1, -2) @ weighted
     return theta + steps * grad[..., 0]
 
 
@@ -404,15 +494,21 @@ def step_sizes(prec: EdgePrecision, config: ExperimentConfig) -> dict[str, float
     mu_v = mu * (trace(omega)/|E|) / (trace(omega_v)/|E|); the
     centralized update aggregates all edges, so its denominator is the
     full trace and mu_c is roughly mu / |E|.  Entries in
-    ``step_size_overrides`` replace the matched value.
+    ``step_size_overrides`` replace the matched value.  The traces of a
+    built precision are read off its coefficients (``model._diagonals``),
+    with the bits of the assembled matrices, and no E x E matrix is formed.
     """
     ne = prec.num_edges
-    reference = np.trace(prec.omega) / ne
+    full, lower, upper = _diagonals(prec)
+    # trace(omega_v) by (uses_lower_term, uses_upper_term), as coupling_matrix picks omega_v
+    traces = {(True, True): full.sum(), (True, False): lower.sum(),
+              (False, True): upper.sum(), (False, False): np.full(ne, prec.k).sum()}
+    reference = traces[True, True] / ne
     out = {}
     for name in config.variants:
         spec = get_variant(name)
-        cm = coupling_matrix(prec, spec)
-        scale = np.trace(cm) if spec.is_centralized else np.trace(cm) / ne
+        trace = traces[spec.uses_lower_term, spec.uses_upper_term]
+        scale = trace if spec.is_centralized else trace / ne
         out[name] = config.step_size * (reference / scale)
     out.update(
         {k: float(v) for k, v in config.step_size_overrides.items() if k in out}
@@ -433,24 +529,65 @@ def _sample_complex(
 
 
 # Bytes that one batch of runs may hold besides the result curves: the
-# per-run matrices (twice, while they are stacked) and the block of
-# random draws.  One run at 120 edges or more fills it, so such runs go
-# through one at a time; memory does not grow with the number of
-# iterations, and each buffer stays small next to the resident size of
-# the process.
+# per-run arrays (twice, while they are stacked) and the block of random
+# draws.  One run at 120 edges or more fills it, so such runs go through
+# one at a time; memory does not grow with the number of iterations, and
+# each buffer stays small next to the resident size of the process.
 _BATCH_BYTES = 1 << 20
 # Fewest rounds drawn per block of the random streams.
 _MIN_BLOCK = 16
+
+
+class _Operators(NamedTuple):
+    """What a complex lends every round of its runs.
+
+    ``combine`` is the combine operator (see ``_combine_operator``), or
+    None when no configured variant combines.  ``incidence`` is the float
+    (b1, b2) of the coupled products above the size rule, or None below
+    it or when no variant couples.
+    """
+
+    combine: np.ndarray | _IncidenceCombine | None
+    incidence: tuple[np.ndarray, np.ndarray] | None
+
+    @property
+    def nbytes(self) -> int:
+        return sum(p.nbytes for p in (self.combine, *(self.incidence or ())) if p is not None)
+
+
+def _operators(config: ExperimentConfig, sc: SimplicialComplex2, inc: IncidencePair,
+               combines: bool, couples: bool) -> _Operators:
+    """The ``_Operators`` of ``sc`` for variants that combine and couple as given."""
+    factored = _factored(sc.num_vertices, sc.num_edges, sc.num_triangles)
+    return _Operators(
+        _combine_operator(config.combine_rule, sc, inc) if combines else None,
+        (inc.b1.astype(float), inc.b2.astype(float)) if factored and couples else None,
+    )
+
+
+def _stacked(own: Sequence[_Operators]) -> _Operators:
+    """The runs' own operators stacked along a leading run axis."""
+    combine = own[0].combine
+    if isinstance(combine, _IncidenceCombine):
+        combine = _IncidenceCombine.of(np.stack([o.combine.unsigned for o in own])[:, None])
+    elif combine is not None:
+        combine = np.stack([o.combine for o in own])[:, None]
+    incidence = own[0].incidence
+    if incidence is not None:
+        incidence = tuple(np.stack(part) for part in zip(*(o.incidence for o in own)))
+    return _Operators(combine, incidence)
 
 
 @dataclass(frozen=True)
 class _Run:
     """One run after its set-up, its generator positioned for the stream.
 
-    ``mats`` stacks the run's (E, E) matrices: the noise Cholesky
-    factor and one coupling matrix per slot (see ``_run_chunk``).  When
-    the run drew its own complex and a configured variant combines,
-    ``combine`` is its own combine operator (see ``_combine_operator``).
+    ``mats`` stacks the run's (E, E) matrices: the noise Cholesky factor
+    and, below the size rule (see ``_factored``), one coupling matrix per
+    slot (see ``_run_chunk``).  Above it the run keeps no coupling matrix
+    but ``coefficients``, its (d_v, d_t), and its rounds apply the
+    couplings through the incidence (``_IncidenceCouplings``).  When the
+    run drew its own complex, ``own`` holds that complex's operators.
     """
 
     rng: np.random.Generator
@@ -458,7 +595,8 @@ class _Run:
     k: float
     steps: dict[str, float]
     mats: np.ndarray
-    combine: np.ndarray | _IncidenceCombine | None = None
+    coefficients: tuple[np.ndarray, np.ndarray] | None = None
+    own: _Operators | None = None
 
     @property
     def num_edges(self) -> int:
@@ -466,11 +604,13 @@ class _Run:
 
     @property
     def nbytes(self) -> int:
-        """Bytes the run takes in a batch: its matrices, counted twice for
+        """Bytes the run takes in a batch: its arrays, counted twice for
         the stacked copy, and the shortest block of its random stream."""
         held = self.mats.nbytes
-        if self.combine is not None:
-            held += self.combine.nbytes
+        if self.coefficients is not None:
+            held += sum(d.nbytes for d in self.coefficients)
+        if self.own is not None:
+            held += self.own.nbytes
         return 2 * held + _MIN_BLOCK * _row_bytes(self.num_edges, self.theta0.shape[0])
 
 
@@ -490,33 +630,36 @@ def _setup_run(
 
     The run's stream draws, in order, its complex (when resampled), its
     coefficients through draw_params and theta0; build_precision and
-    covariance_cholesky of the drawn model give its coupling matrices and
-    noise factor.  A run that draws its own complex also builds its
-    combine operator when ``combines`` (some configured variant combines).
+    covariance_cholesky of the drawn model give its noise factor and,
+    below the size rule, its coupling matrices.  A run that draws its own
+    complex also builds that complex's operators for variants that
+    combine when ``combines`` and couple when ``slots`` is not empty.
     """
     rng = np.random.default_rng(run_seed)
     own_complex = sc is None
     if own_complex:
         sc = _sample_complex(config, rng)
     inc = incidence(sc)
-    prec = build_precision(inc, draw_params(inc, rng, dv_bounds=config.dv_bounds,
-                                            dt_bounds=config.dt_bounds,
-                                            margin=config.k_margin))
+    params = draw_params(inc, rng, dv_bounds=config.dv_bounds, dt_bounds=config.dt_bounds,
+                         margin=config.k_margin)
+    prec = build_precision(inc, params)
     noise = covariance_cholesky(prec)
     theta0 = rng.standard_normal(config.dim)
-    combine = None
-    if own_complex and combines:
-        combine = _combine_operator(config.combine_rule, sc, inc)
+    own = _operators(config, sc, inc, combines, bool(slots)) if own_complex else None
+    coefficients = None
+    if _factored(sc.num_vertices, sc.num_edges, sc.num_triangles):
+        mats, coefficients = noise[None], (params.d_v, params.d_t)
+    else:
+        mats = np.stack([noise, *(coupling_matrix(prec, spec) for spec in slots)])
     return _Run(rng=rng, theta0=theta0, k=prec.k, steps=step_sizes(prec, config),
-                mats=np.stack([noise, *(coupling_matrix(prec, spec) for spec in slots)]),
-                combine=combine)
+                mats=mats, coefficients=coefficients, own=own)
 
 
 def _simulate_group(
     config: ExperimentConfig,
     specs: Sequence[VariantSpec],
     runs: Sequence[_Run],
-    combine: np.ndarray | _IncidenceCombine | None,
+    shared: _Operators | None,
     out: np.ndarray,
 ) -> None:
     """Advance consecutive runs that share an edge count; write their MSD curves.
@@ -525,37 +668,37 @@ def _simulate_group(
     first ``nm`` weigh residuals with their coupling matrix, the first
     ``nc`` combine, the first ``nd`` are distributed and a centralized
     one may follow.  Every round is a fixed handful of numpy calls
-    whatever the number of runs and variants.  Each product runs per
-    (run, variant) slice with the shapes of a single run, so the curves
-    are bitwise those of running one run and one variant at a time.
-    ``combine`` is the shared complex's operator, or None when each run
-    carries its own or no variant combines.  ``out[j, i]`` gets the curve
-    of ``specs[j]`` in run ``runs[i]``.
+    whatever the number of runs and variants, with one coupled product
+    for every coupled row (see ``_DenseCouplings`` and
+    ``_IncidenceCouplings``).  Each product runs per (run, variant), or
+    above the size rule per run, with the shapes of a single run, so the
+    curves do not depend on how runs are grouped.  ``shared`` holds the
+    shared complex's operators, or None when each run carries its own.
+    ``out[j, i]`` gets the curve of ``specs[j]`` in run ``runs[i]``.
     """
     g, ne, m = len(runs), runs[0].num_edges, config.dim
     nd = sum(not s.is_centralized for s in specs)
     nm = sum(s.uses_lower_term or s.uses_upper_term for s in specs[:nd])
     nc = sum(s.uses_combination for s in specs[:nd])
+    central = nd < len(specs)
+    ops = shared if shared is not None else _stacked([r.own for r in runs])
     # a lone run (large complexes) is used in place, without a copy
     mats = runs[0].mats[None] if g == 1 else np.stack([r.mats for r in runs])
-    chol, couplings = mats[:, 0], mats[:, 1:1 + nm]
-    if nc and combine is None:
-        own = [r.combine for r in runs]
-        if isinstance(own[0], _IncidenceCombine):
-            combine = _IncidenceCombine.of(np.stack([c.unsigned for c in own])[:, None])
-        else:
-            combine = np.stack(own)[:, None]
+    chol = mats[:, 0]
+    k = np.array([r.k for r in runs])[:, None, None]
+    if ops.incidence is not None:
+        couplings = _IncidenceCouplings.of(ops.incidence, k, [r.coefficients for r in runs],
+                                           [*specs[:nm], *specs[nd:]])
+    else:
+        # centralized_cmrf reads omega from atc_cmrf's slot, or its own after the others
+        omega = mats[:, 1 if specs[0].name == "atc_cmrf" else 1 + nm] if central else None
+        couplings = _DenseCouplings(mats[:, 1:1 + nm], omega)
     theta0 = np.stack([r.theta0 for r in runs])
     steps = np.array([[r.steps[s.name] for s in specs] for r in runs])
-    k = np.array([r.k for r in runs])[:, None, None]
     dist_steps = steps[:, :nd, None, None]
     theta = np.zeros((g, nd, ne, m))
-    central = nd < len(specs)
-    if central:
-        # omega is atc_cmrf's slot, or its own slot after the coupled ones
-        omega = mats[:, 1 if specs[0].name == "atc_cmrf" else 1 + nm]
-        central_steps = steps[:, nd:]
-        theta_c = np.zeros((g, m))
+    theta_c = np.zeros((g, m)) if central else None
+    central_steps = steps[:, nd:]
 
     spare = max(0, _BATCH_BYTES - sum(r.nbytes for r in runs))
     block = min(config.num_iterations, _MIN_BLOCK + spare // (g * _row_bytes(ne, m)))
@@ -569,14 +712,15 @@ def _simulate_group(
         regressors, observations = _measure(buf, ne, scale, chol, theta0)
         for t in range(stop - start):
             u, y = regressors[:, t], observations[:, t]
+            residual, residual_c = _residuals(theta, theta_c, u, y)
+            coupled, coupled_c = couplings(residual[:, :nm], residual_c)
             if nd:
-                theta = _atc_step(theta, u, y, couplings, k,
-                                  dist_steps, combine, nc)
+                theta = _atc_step(theta, u, residual, coupled, k, dist_steps, ops.combine, nc)
                 err = theta - theta0[:, None, None]
                 msd = (err * err).reshape(g, nd, ne * m).sum(axis=-1) / ne
                 out[:nd, :, start + t] = msd.T
             if central:
-                theta_c = _centralized_step(theta_c, u, y, omega, central_steps)
+                theta_c = _centralized_step(theta_c, u, coupled_c, central_steps)
                 err = theta_c - theta0
                 out[nd, :, start + t] = (err[:, None] @ err[..., None])[:, 0, 0]
 
@@ -595,27 +739,27 @@ def _run_chunk(
     differs from the batch's.
     """
     specs = [spec for name, spec in VARIANTS.items() if name in config.variants]
-    # one coupling slot per matrix-coupled variant; centralized_cmrf reads
-    # omega from atc_cmrf's slot, or from one of its own after them
+    # below the size rule, one coupling slot per matrix-coupled variant;
+    # centralized_cmrf reads omega from atc_cmrf's slot, or from its own after them
     slots = [s for s in specs
              if (s.uses_lower_term or s.uses_upper_term) and not s.is_centralized]
     if specs[-1].is_centralized and specs[0].name != "atc_cmrf":
         slots.append(specs[-1])
     combines = any(s.uses_combination for s in specs)
-    combine = None
-    if sc is not None and combines:
-        combine = _combine_operator(config.combine_rule, sc, incidence(sc))
+    shared = None
+    if sc is not None:
+        shared = _operators(config, sc, incidence(sc), combines, bool(slots))
     out = np.empty((len(specs), len(run_seeds), config.num_iterations))
     # only ``batch`` holds the runs, so each is freed once simulated
     batch: list[_Run] = []
     for i, seed in enumerate(run_seeds):
         batch.append(_setup_run(config, sc, seed, slots, combines))
         if batch[-1].num_edges != batch[0].num_edges:
-            _simulate_group(config, specs, batch[:-1], combine,
+            _simulate_group(config, specs, batch[:-1], shared,
                             out[:, i + 1 - len(batch):i])
             del batch[:-1]
         if sum(r.nbytes for r in batch) >= _BATCH_BYTES or i + 1 == len(run_seeds):
-            _simulate_group(config, specs, batch, combine,
+            _simulate_group(config, specs, batch, shared,
                             out[:, i + 1 - len(batch):i + 1])
             batch = []
     return out

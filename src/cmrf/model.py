@@ -41,9 +41,10 @@ edges share at most one vertex and one triangle, so each off-diagonal
 coupling is the signed coefficient of the face a link shares.
 ``_coupling_parts`` keeps each color as a sparse record: the (L, 2)
 links of ``simplicial._shared_face_pairs``, their coefficients and the
-diagonal.  :func:`build_cmrf`, :func:`find_cancellations` and the
-assembly of omega, omega_d and omega_u read the links and records, and
-no E x E incidence product is formed.  So the support of omega lies
+diagonal (``_coupling_diagonals``, read off the incidence nonzeros).
+:func:`build_cmrf`, :func:`find_cancellations` and the assembly of
+omega, omega_d and omega_u read the links and records, and no E x E
+incidence product is formed.  So the support of omega lies
 within the union of the two colors by construction, strictly only where
 lower and upper couplings cancel exactly, which
 :func:`find_cancellations` reports.
@@ -57,8 +58,11 @@ singleton scan and :func:`covariance_cholesky` (and so :func:`sample`
 and the simulator's noise) the whole matrix, formed per call and not
 kept.  omega, omega_d and omega_u are assembled together from the
 coupling records on the first read of any of them, read-only over
-immutable bytes, and kept; no ``cmrf verify`` path reads them, the
-simulator forms them once per run for its coupling matrices.  A
+immutable bytes, and kept.  ``cmrf model check`` and each simulator run
+below the size rule of ``diffusion._factored`` (for its coupling
+matrices) read them; ``cmrf model build``, which reads the cancellations
+and whether omega is k*I off one coupling record, every ``cmrf verify``
+path and the simulator's step sizes (``_diagonals``) form none.  A
 simulator run is built, as any model, by :func:`draw_params`,
 :func:`build_precision` and :func:`covariance_cholesky`.  A
 precision built by hand has no blocks and is inverted on every call;
@@ -314,22 +318,58 @@ def _coupling_parts(
 
     Per color, ``pairs`` are the (L, 2) links of _shared_face_pairs and
     ``values`` their entries, each the signed coefficient of the one face
-    a link shares; ``diagonal`` sums each edge's coefficients over its
-    faces in ascending face order.  Raises ValueError when the complex
-    has no edges, and when a diagonal entry reaches _COUPLING_LIMIT.
+    a link shares; ``diagonal`` is the color's part of
+    _coupling_diagonals.  Raises ValueError as _coupling_diagonals does.
+    """
+    parts = []
+    for (incmat, d), diagonal in zip(_colors(inc, d_v, d_t),
+                                     _coupling_diagonals(inc, d_v, d_t)):
+        pairs, faces = _shared_face_pairs(incmat, d != 0)
+        values = incmat[faces, pairs[:, 0]] * incmat[faces, pairs[:, 1]] * d[faces]
+        parts.append(_Coupling(pairs, values, diagonal))
+    return parts[0], parts[1]
+
+
+def _colors(inc: IncidencePair, d_v: np.ndarray, d_t: np.ndarray):
+    """Per color, the (faces, E) incidence and the faces' coefficients."""
+    return (inc.b1, d_v), (inc.b2.T, d_t)
+
+
+def _coupling_diagonals(
+    inc: IncidencePair, d_v: np.ndarray, d_t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals of a_d and a_u: each edge's coefficients summed over its faces.
+
+    The faces are read off the incidence nonzeros in ascending order, so
+    no link is formed.  Raises ValueError when the complex has no edges,
+    and when a diagonal entry reaches _COUPLING_LIMIT.
     """
     _check_edges(inc)
     ne = inc.b1.shape[1]
-    parts = []
-    for incmat, d in ((inc.b1, d_v), (inc.b2.T, d_t)):
-        pairs, faces = _shared_face_pairs(incmat, d != 0)
-        values = incmat[faces, pairs[:, 0]] * incmat[faces, pairs[:, 1]] * d[faces]
+    diagonals = []
+    for incmat, d in _colors(inc, d_v, d_t):
         # row-major, so each edge's faces ascend
         rows, cols = np.nonzero(incmat)
-        parts.append(_Coupling(pairs, values, np.bincount(cols, d[rows], minlength=ne)))
-    if max(float(part.diagonal.max()) for part in parts) >= _COUPLING_LIMIT:
+        diagonals.append(np.bincount(cols, d[rows], minlength=ne))
+    if max(float(diagonal.max()) for diagonal in diagonals) >= _COUPLING_LIMIT:
         raise ValueError(_OVERFLOW)
-    return parts[0], parts[1]
+    return diagonals[0], diagonals[1]
+
+
+def _diagonals(prec: EdgePrecision) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The diagonals of omega, omega_d and omega_u.
+
+    A built precision reads them off its coefficients with the
+    arithmetic of _assemble, so they carry the assembled matrices' bits,
+    and assembles nothing; a precision without blocks reads its matrices.
+    """
+    blocks = prec._blocks
+    if blocks is None:
+        return tuple(np.diagonal(m) for m in (prec.omega, prec.omega_d, prec.omega_u))
+    lower, upper = _coupling_diagonals(IncidencePair(blocks.b1, blocks.b2),
+                                       *blocks.coefficients)
+    k = prec.k
+    return (k - lower) - upper, k - lower, k - upper
 
 
 def _check_edges(inc: IncidencePair) -> None:
@@ -441,12 +481,12 @@ def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
     EdgePrecision); every error of that assembly is raised here.  A
     passed gate keeps every diagonal of the positive semidefinite a_d and
     a_u under k, so only from k = _COUPLING_LIMIT up are the coupling
-    records formed here, for their overflow rule.
+    diagonals formed here, for their overflow rule.
     """
     _check_params(params, inc.b1.shape[0], inc.b2.shape[1])
     blocks = _hodge_blocks(inc, params, _sides(inc, params.d_v, params.d_t))
     if params.k >= _COUPLING_LIMIT:
-        _coupling_parts(inc, params.d_v, params.d_t)
+        _coupling_diagonals(inc, params.d_v, params.d_t)
     prec = object.__new__(EdgePrecision)
     object.__setattr__(prec, "k", params.k)
     object.__setattr__(prec, "_blocks", blocks)
@@ -627,7 +667,7 @@ def build_cmrf(inc: IncidencePair, params: SgmParams) -> CmrfGraph:
     object.__setattr__(graph, "num_nodes", inc.b1.shape[1])
     object.__setattr__(graph, "_pairs", tuple(
         _shared_face_pairs(incmat, d != 0)[0]
-        for incmat, d in ((inc.b1, params.d_v), (inc.b2.T, params.d_t))))
+        for incmat, d in _colors(inc, params.d_v, params.d_t)))
     return graph
 
 
@@ -644,15 +684,31 @@ def find_cancellations(
     coefficient in the records of _coupling_parts, so only a link of
     both colors can cancel.  Raises ValueError as _coupling_parts does.
     """
+    return _coupling_report(inc, params)[0]
+
+
+def _coupling_report(
+    inc: IncidencePair, params: SgmParams
+) -> tuple[list[tuple[int, int]], bool]:
+    """(find_cancellations, whether omega assembles to exactly k*I), from one record.
+
+    The assembled omega is k*I when every link of either color is a link
+    of both whose coefficients cancel exactly, (-lo) - up == 0, and every
+    diagonal (k - dl) - du rounds to k, the entries _assemble forms.
+    """
     _check_params(params, inc.b1.shape[0], inc.b2.shape[1])
     lower, upper = _coupling_parts(inc, params.d_v, params.d_t)
     ne = inc.b1.shape[1]
     codes = [part.pairs[:, 0] * ne + part.pairs[:, 1] for part in (lower, upper)]
     both, at_lower, at_upper = np.intersect1d(*codes, assume_unique=True, return_indices=True)
     lo, up = lower.values[at_lower], upper.values[at_upper]
+    sums = lo + up
     scale = np.maximum(np.abs(lo), np.abs(up))
-    rows, cols = np.divmod(both[np.abs(lo + up) <= _CANCEL_RTOL * scale], ne)
-    return list(zip(rows.tolist(), cols.tolist()))
+    rows, cols = np.divmod(both[np.abs(sums) <= _CANCEL_RTOL * scale], ne)
+    k = params.k
+    identity = (both.size == len(lower.pairs) == len(upper.pairs) and not sums.any()
+                and bool(np.all((k - lower.diagonal) - upper.diagonal == k)))
+    return list(zip(rows.tolist(), cols.tolist())), identity
 
 
 def sample(

@@ -34,7 +34,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -97,16 +96,6 @@ class SimplicialComplex2:
     @property
     def num_triangles(self) -> int:
         return len(self.triangles)
-
-    @cached_property
-    def vertex_index(self) -> dict[int, int]:
-        """Map vertex id to its row in ``b1``."""
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Map canonical (tail, head) pair to its column in ``b1``."""
-        return {e: i for i, e in enumerate(self.edges)}
 
 
 class IncidencePair(NamedTuple):

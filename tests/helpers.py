@@ -269,26 +269,33 @@ def lower_links_by_loops(sc, d_v):
 
 def upper_links_by_loops(sc, d_t):
     """Pairs (i, j), i < j, of edges sharing a triangle t with d_t[t] != 0."""
-    links = set()
+    links, edges = set(), edge_index(sc)
     for tri, d in zip(sc.triangles, d_t):
         if d == 0:
             continue
-        sides = sorted(sc.edge_index[s] for s in itertools.combinations(tri, 2))
+        sides = sorted(edges[s] for s in itertools.combinations(tri, 2))
         links.update(itertools.combinations(sides, 2))
     return links
 
 
+def edge_index(sc):
+    """Map each canonical (tail, head) pair to its column in ``b1``."""
+    return {e: i for i, e in enumerate(sc.edges)}
+
+
 def incidence_by_loops(sc):
-    """(b1, b2) filled one simplex at a time through the complex's index maps."""
+    """(b1, b2) filled one simplex at a time through dict index maps."""
+    vertex_index = {v: i for i, v in enumerate(sc.vertices)}
+    edges = edge_index(sc)
     b1 = np.zeros((sc.num_vertices, sc.num_edges), dtype=np.int64)
     for j, (u, v) in enumerate(sc.edges):
-        b1[sc.vertex_index[u], j] = -1
-        b1[sc.vertex_index[v], j] = +1
+        b1[vertex_index[u], j] = -1
+        b1[vertex_index[v], j] = +1
     b2 = np.zeros((sc.num_edges, sc.num_triangles), dtype=np.int64)
     for j, (a, b, c) in enumerate(sc.triangles):
-        b2[sc.edge_index[(b, c)], j] = +1
-        b2[sc.edge_index[(a, c)], j] = -1
-        b2[sc.edge_index[(a, b)], j] = +1
+        b2[edges[(b, c)], j] = +1
+        b2[edges[(a, c)], j] = -1
+        b2[edges[(a, b)], j] = +1
     return b1, b2
 
 

@@ -43,7 +43,7 @@ def test_child_measurement_gives_every_kept_field(bench, tmp_path):
     reading = bench.measure(inputs, out)
     # both sides read the same child; two readings, as quartiles need two values
     doc = bench.report({"before": [reading, reading], "after": [reading, reading]},
-                       reading["kernel"], {"before": out, "after": out})
+                       reading, {"before": out, "after": out})
 
     scale = doc["scales"][SCALE]
     for side in ("before", "after"):
@@ -66,3 +66,9 @@ def test_child_measurement_gives_every_kept_field(bench, tmp_path):
         assert positive(kernel["dense_us"]) and positive(kernel["factored_us"])
         assert kernel["max_rel_diff"] < 1e-14
         assert kernel["factored_by_rule"] is False
+        couplings = doc["couplings"][setting][SCALE]
+        assert couplings["factored_by_rule"] is False
+        for g in bench.GROUPS:
+            assert positive(couplings[f"g{g}"]["dense_us"])
+            assert positive(couplings[f"g{g}"]["factored_us"])
+            assert couplings[f"g{g}"]["max_rel_diff"] < 1e-14

@@ -289,6 +289,29 @@ class TestModelCommands:
         code, text, _ = run_cli(capsys, *argv)
         assert code == 0 and ("omega = k*I (no couplings)" in text) == identity
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_build_forms_one_coupling_record(self, tmp_path, capsys, monkeypatch,
+                                             triangle_doc, as_json):
+        # one _shared_face_pairs call per color: the cancellations and the
+        # k*I check read one record, and nothing assembles omega
+        calls = []
+        real = model._shared_face_pairs
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        def refuse(*args):
+            raise AssertionError("model build assembled omega")
+
+        monkeypatch.setattr(model, "_shared_face_pairs", spy)
+        monkeypatch.setattr(model, "_assemble", refuse)
+        argv = ["model", "build", str(triangle_doc), "--dv", "1.5,0,0", "--dt", "1.5",
+                "-o", str(tmp_path / "model.json")] + ["--json"] * as_json
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == 0 and "cancellations" in text
+        assert len(calls) == 2
+
     def test_build_reports_exact_cancellation(self, tmp_path, capsys, triangle_doc):
         out = tmp_path / "model.json"
         code, text, _ = run_cli(

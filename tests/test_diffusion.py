@@ -17,13 +17,14 @@ from cmrf import (
     get_variant,
     incidence,
     line_graph,
+    random_2sc,
     run_experiment,
     save_complex,
     step_sizes,
     write_csv,
 )
-from cmrf import diffusion
-from cmrf.diffusion import _atc_step, _centralized_step
+from cmrf import diffusion, model
+from cmrf.diffusion import _DenseCouplings, _atc_step, _centralized_step, _residuals
 
 from helpers import (
     agent_states,
@@ -37,12 +38,19 @@ from helpers import (
 def atc_round(theta, regressors, observations, coupling, combine, step, variant):
     """One round of ``variant`` for a single run, through the simulator's kernels."""
     spec = get_variant(variant)
+    ne, m = regressors.shape
+    steps = np.full((1, 1), step)
     if spec.is_centralized:
-        return _centralized_step(theta[None], regressors[None], observations[None],
-                                 coupling[None], np.full((1, 1), step))[0]
-    return _atc_step(theta[None, None], regressors[None], observations[None],
-                     coupling[None, None], np.zeros((1, 1, 1)), np.full((1, 1, 1, 1), step),
-                     combine, int(spec.uses_combination))[0, 0]
+        couplings = _DenseCouplings(np.zeros((1, 0, ne, ne)), coupling[None])
+        residual, residual_c = _residuals(np.zeros((1, 0, ne, m)), theta[None],
+                                          regressors[None], observations[None])
+        _, weighted = couplings(residual, residual_c)
+        return _centralized_step(theta[None], regressors[None], weighted, steps)[0]
+    residual, _ = _residuals(theta[None, None], None, regressors[None], observations[None])
+    coupled, _ = _DenseCouplings(coupling[None, None], None)(residual, None)
+    return _atc_step(theta[None, None], regressors[None], residual, coupled,
+                     np.zeros((1, 1, 1)), steps[..., None, None], combine,
+                     int(spec.uses_combination))[0, 0]
 
 
 @pytest.fixture(scope="module")
@@ -387,6 +395,30 @@ class TestStepSizes:
             5e-3 * mean_diag / (np.trace(prec.omega_d) / ne)
         )
         assert steps["centralized_cmrf"] == pytest.approx(5e-3 / ne)
+
+    @pytest.mark.parametrize("shape", [(10, 21, 12), (30, 120, 60), (60, 400, 200),
+                                       (18, 153, 816)], ids=["21", "120", "400", "K18"])
+    def test_traces_are_the_assembled_ones_bit_for_bit(self, monkeypatch, shape):
+        nv, ne, nt = shape
+        sc = random_2sc(nv, None, nt, 3, num_edges=ne, require_trivial_homology=ne == 21)
+        inc = incidence(sc)
+        config = ExperimentConfig(step_size=3e-3)
+        for seed, sparsity in [(0, 0.0), (1, 0.5)]:
+            prec = build_precision(inc, draw_params(inc, seed, sparsity=sparsity))
+
+            def refuse(*args):
+                raise AssertionError("step_sizes assembled an E x E coupling matrix")
+
+            with monkeypatch.context() as patched:
+                patched.setattr(model, "_assemble", refuse)
+                got = step_sizes(prec, config)
+            # the rule step_sizes documents, on the assembled matrices
+            reference = np.trace(prec.omega) / ne
+            for name in config.variants:
+                spec = get_variant(name)
+                trace = np.trace(coupling_matrix(prec, spec))
+                scale = trace if spec.is_centralized else trace / ne
+                assert got[name] == config.step_size * (reference / scale), name
 
     def test_overrides_replace_matched_values(self, bench_model):
         _, prec = bench_model

@@ -6,6 +6,7 @@ from cmrf import (
     NotPositiveDefinite,
     SgmParams,
     build_cmrf,
+    build_complex,
     build_precision,
     covariance,
     draw_params,
@@ -19,6 +20,7 @@ from cmrf import (
     save_complex,
     save_model,
 )
+from cmrf import model
 
 from helpers import cancellations_by_loop, draw_sparse_model
 
@@ -216,6 +218,36 @@ class TestColoredGraph:
         params = SgmParams(k=min_valid_k(inc, d_v, d_t), d_v=d_v, d_t=d_t)
         found = find_cancellations(inc, params)
         assert found and found == cancellations_by_loop(inc, params)
+
+
+    def test_k_identity_decision_is_the_assembled_one(self, filled_triangle):
+        # model build reads omega == k*I off the coupling record; it must
+        # agree with the assembled matrix bit for bit
+        two_edges = build_complex([0, 1, 2, 3], [(0, 1), (2, 3)])
+        sc = random_2sc(30, None, 60, seed=5, num_edges=120, require_trivial_homology=False)
+        cases = [
+            (filled_triangle, [0.0] * 3, [0.0]),
+            (filled_triangle, [1e-20] * 3, [1e-20]),  # every link cancels, k absorbs the rest
+            (filled_triangle, [1e-20, 1e-20, 0.0], [1e-20]),  # one link is left
+            (filled_triangle, [1.5, 0.0, 0.0], [1.5]),
+            (filled_triangle, [1.0] * 3, [1.0]),
+            (two_edges, [1e-20] * 4, []),  # no link, the diagonal rounds to k
+            (two_edges, [1e-7] * 4, []),
+            (sc, np.zeros(30), np.zeros(60)),
+            (sc, np.ones(30), np.ones(60)),
+        ]
+        seen = set()
+        for complex_, d_v, d_t in cases:
+            inc = incidence(complex_)
+            d_v, d_t = np.asarray(d_v, float), np.asarray(d_t, float)
+            params = SgmParams(k=min_valid_k(inc, d_v, d_t), d_v=d_v, d_t=d_t)
+            omega = build_precision(inc, params).omega
+            want = np.array_equal(omega, params.k * np.eye(complex_.num_edges))
+            cancels, identity = model._coupling_report(inc, params)
+            assert identity == want
+            assert cancels == find_cancellations(inc, params)
+            seen.add(want)
+        assert seen == {False, True}
 
 
 class TestSampling:

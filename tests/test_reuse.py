@@ -487,12 +487,13 @@ def test_verify_forms_no_edge_matrix(assemblies, tmp_path, capsys):
         assert cli.main(["verify", path, *query, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
     assert assemblies == []
-    # the commands that read the matrices form them once
+    # model check reads the matrices and forms them once; model build reads
+    # its cancellations and the k*I check off one coupling record
     assert cli.main(["model", "check", path]) == 0
     assert assemblies == [120]
     assert cli.main(["model", "build", str(tmp_path / "complex.json"), "--seed", "5",
                      "-o", str(tmp_path / "built.json")]) == 0
-    assert assemblies == [120, 120]
+    assert assemblies == [120]
 
 
 def test_simulator_assembles_once_per_run(assemblies):

@@ -15,10 +15,14 @@ from cmrf import (
     VARIANTS,
     ExperimentConfig,
     build_complex,
+    build_precision,
     combination_weights,
+    coupling_matrix,
     diffusion,
+    draw_params,
     incidence,
     line_graph,
+    model,
     random_2sc,
     run_experiment,
     save_complex,
@@ -198,13 +202,60 @@ def test_factored_combine_equals_dense_weights(shape, extras):
 
 
 def test_factored_rule_keeps_small_and_medium_complexes_dense():
-    assert not diffusion._factored("uniform", 10, 21)
-    assert not diffusion._factored("uniform", 30, 120)
-    assert diffusion._factored("uniform", 45, 200)
-    assert diffusion._factored("uniform", 60, 400)
-    # sparse complexes and the Metropolis rule stay dense
-    assert not diffusion._factored("uniform", 200, 400)
-    assert not diffusion._factored("metropolis", 60, 400)
+    assert not diffusion._factored(10, 21, 12)
+    assert not diffusion._factored(30, 120, 60)
+    assert diffusion._factored(45, 200, 100)
+    assert diffusion._factored(60, 400, 200)
+    # sparse complexes go through the incidence too; wide sides stay dense
+    assert diffusion._factored(200, 400, 10)
+    assert diffusion._factored(18, 153, 306)
+    assert not diffusion._factored(18, 153, 307)
+    assert not diffusion._factored(18, 153, 816)
+    assert not diffusion._factored(401, 400, 10)
+    assert not diffusion._factored(100, 149, 10)
+    # the Metropolis rule keeps its dense combine weights
+    sc = random_2sc(60, None, 200, 5, num_edges=400, require_trivial_homology=False)
+    inc = incidence(sc)
+    assert isinstance(diffusion._combine_operator("uniform", sc, inc),
+                      diffusion._IncidenceCombine)
+    assert isinstance(diffusion._combine_operator("metropolis", sc, inc), np.ndarray)
+
+
+COUPLED = [VARIANTS["atc_cmrf"], VARIANTS["atc_lgmrf"], VARIANTS["centralized_cmrf"]]
+
+
+@pytest.mark.parametrize("shape, extras", [
+    ((30, 120, 60), False), ((45, 200, 100), False), ((60, 400, 200), False),
+    ((60, 400, 200), True), ((18, 153, 816), False),
+], ids=["120", "200", "400", "400-pendant", "K18"])
+def test_incidence_couplings_equal_dense_products(shape, extras):
+    nv, ne, nt = shape
+    sc = random_2sc(nv, None, nt, 5, num_edges=ne, require_trivial_homology=False)
+    if extras:
+        sc = with_pendant_and_isolated(sc)
+    inc = incidence(sc)
+    params = [draw_params(inc, seed, sparsity=0.3) for seed in range(2)]
+    precs = [build_precision(inc, p) for p in params]
+    k = np.array([p.k for p in params])[:, None, None]
+    rng = np.random.default_rng(ne)
+    residual, residual_c = rng.standard_normal((2, 2, sc.num_edges)), rng.standard_normal((2, sc.num_edges))
+    shared = (inc.b1.astype(float), inc.b2.astype(float))
+    # shared incidence, and each run's own stacked along the run axis
+    for incidence_of in (shared, tuple(np.stack([b, b]) for b in shared)):
+        op = diffusion._IncidenceCouplings.of(incidence_of, k, [(p.d_v, p.d_t) for p in params],
+                                              COUPLED)
+        got, got_c = op(residual, residual_c)
+        for i, prec in enumerate(precs):
+            for j, spec in enumerate(COUPLED[:2]):
+                want = coupling_matrix(prec, spec) @ residual[i, j]
+                assert np.abs(got[i, j] - want).max() <= 1e-13 * np.abs(want).max()
+            want = prec.omega @ residual_c[i]
+            assert np.abs(got_c[i, :, 0] - want).max() <= 1e-13 * np.abs(want).max()
+        # each run's rows are the bits of that run alone
+        alone, alone_c = diffusion._IncidenceCouplings.of(
+            tuple(b[1:] if b.ndim == 3 else b for b in incidence_of), k[1:],
+            [(params[1].d_v, params[1].d_t)], COUPLED)(residual[1:], residual_c[1:])
+        assert np.array_equal(alone, got[1:]) and np.array_equal(alone_c, got_c[1:])
 
 
 def assert_close_to_oracle(config, rtol=1e-12):
@@ -217,10 +268,39 @@ def assert_close_to_oracle(config, rtol=1e-12):
 
 
 def test_large_scale_factored_combine_matches_oracle(large_complex_file):
-    assert diffusion._factored("uniform", 60, 400)
+    assert diffusion._factored(60, 400, 200)
     assert_close_to_oracle(ExperimentConfig(
         seed=15, num_runs=2, num_iterations=60, complex_file=large_complex_file,
     ))
+
+
+def recorded_setups(monkeypatch):
+    """The list that every run set up from now on is appended to."""
+    seen = []
+    setup_run = diffusion._setup_run
+
+    def spy(*args):
+        seen.append(setup_run(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(diffusion, "_setup_run", spy)
+    return seen
+
+
+def test_runs_above_the_rule_form_no_coupling_matrix(monkeypatch, large_complex_file):
+    def refuse(*args):
+        raise AssertionError("a run above the size rule formed an E x E coupling matrix")
+
+    # omega, omega_d and omega_u of a built precision are formed only by _assemble
+    monkeypatch.setattr(model, "_assemble", refuse)
+    monkeypatch.setattr(diffusion, "coupling_matrix", refuse)
+    seen = recorded_setups(monkeypatch)
+    config = ExperimentConfig(seed=19, num_runs=2, num_iterations=5,
+                              complex_file=large_complex_file)
+    assert run_experiment(config).diverged == ()
+    # each run keeps its noise factor and its coefficients, nothing else E x E
+    assert [r.mats.shape for r in seen] == [(1, 400, 400)] * 2
+    assert all(r.coefficients is not None and r.own is None for r in seen)
 
 
 def test_large_scale_group_size_does_not_change_bits(monkeypatch, large_complex_file):
@@ -237,19 +317,34 @@ def test_large_scale_group_size_does_not_change_bits(monkeypatch, large_complex_
 
 
 def test_resampled_factored_combine_matches_oracle(monkeypatch):
-    # K18 with every triangle filled: 153 edges and trivial homology
+    # K18 with 300 of its 816 triangles: trivial homology, within the size rule
     config = ExperimentConfig(
         seed=17, num_runs=2, num_iterations=30, num_vertices=18, num_edges=None,
-        er_probability=1.0, num_triangles=816, resample_complex=True,
+        er_probability=1.0, num_triangles=300, resample_complex=True,
     )
-    assert diffusion._factored("uniform", 18, 153)
+    assert diffusion._factored(18, 153, 300)
+    seen = recorded_setups(monkeypatch)
     results = []
-    # budget 0 runs one run per group; 1 GiB stacks both runs' |b1|
+    # budget 0 runs one run per group; 1 GiB stacks both runs' b1, b2 and |b1|
     for budget in (0, 1 << 30):
         monkeypatch.setattr(diffusion, "_BATCH_BYTES", budget)
         results.append(assert_close_to_oracle(config))
     for v in config.variants:
         assert np.array_equal(results[0].msd_mean[v], results[1].msd_mean[v]), v
+        assert np.array_equal(results[0].msd_std[v], results[1].msd_std[v]), v
+    # each run carried its own incidence and no coupling matrix
+    assert len(seen) == 4
+    assert all(r.mats.shape == (1, 153, 153) and r.own.incidence is not None for r in seen)
+
+
+def test_resampled_wide_complex_stays_dense_and_matches_oracle():
+    # K18 with every triangle filled: 816 triangles on 153 edges stay below the rule
+    config = ExperimentConfig(
+        seed=17, num_runs=2, num_iterations=30, num_vertices=18, num_edges=None,
+        er_probability=1.0, num_triangles=816, resample_complex=True,
+    )
+    assert not diffusion._factored(18, 153, 816)
+    assert_matches_oracle(config)
 
 
 @pytest.mark.parametrize("resample", [False, True])
