@@ -30,9 +30,10 @@ after side and read by both.  Per scale (10/21/12, 30/120/60, 60/400/200):
   one round's combine step (3 combining variants, m = 10) with the dense
   uniform weights and with ``diffusion._IncidenceCombine``, their largest
   relative difference and whether ``diffusion._factored`` picks the
-  factored path; also at 45/200/100, at two sparse probes (E/V of 2 and
-  3) and at K18 with 300 and with all 816 triangles filled (T about 2E
-  and 5.3E), the shapes about the size rule.
+  factored path; also at the shapes about the size rule: 45/200/100, two
+  sparse probes (E/V of 2 and 3), 50/300/100 and 45/350/180 about the
+  couplings' edge floor, and K18 with 300 and with all 816 triangles
+  filled (T about 2E and 5.3E).
 * ``couplings``, after side only, on the same shapes and settings: one
   round's coupled products (atc_cmrf, atc_lgmrf and centralized_cmrf's
   residual) for g runs, g in ``GROUPS``, on models
@@ -43,10 +44,10 @@ after side and read by both.  Per scale (10/21/12, 30/120/60, 60/400/200):
 
 There are ``ROUNDS`` rounds of one child per side at one BLAS thread, the
 side that runs first alternating, so slow drift of the machine hits both.
-Only after-side children measure the kernels; one more after-side child
-at the default threads gives their ``default_threads`` readings, and its
-other readings are not used.  A figure
-is the median over rounds of each child's median of ``REPEATS`` calls;
+Only children that import cmrf from this checkout (the after side)
+measure the kernels; one more after-side child at the default threads
+gives their ``default_threads`` readings, and its other readings are not
+used.  A figure is the median over rounds of each child's median of ``REPEATS`` calls;
 ``setup`` and ``simulate`` pool every timed call.  The output also holds
 the machine record of perfbench/run.py and the run's wall time.
 """
@@ -71,8 +72,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 5
 SPARSITY = 0.5
 SCALES = [(10, 21, 12), (30, 120, 60), (60, 400, 200)]
-KERNEL_SHAPES = [*SCALES, (45, 200, 100), (200, 400, 10), (150, 450, 50), (18, 153, 300),
-                 (18, 153, 816)]
+KERNEL_SHAPES = [*SCALES, (45, 200, 100), (200, 400, 10), (150, 450, 50), (50, 300, 100),
+                 (45, 350, 180), (18, 153, 300), (18, 153, 816)]
 GROUPS = (1, 2)
 COUPLED = ("atc_cmrf", "atc_lgmrf", "centralized_cmrf")
 ROUNDS = 4
@@ -268,14 +269,15 @@ def _kernel(sc) -> dict:
     ne = sc.num_edges
     dense = combination_weights(line_graph(sc), "uniform")
     factored = diffusion._IncidenceCombine.of(np.abs(incidence(sc).b1).astype(float))
-    # the combining variants' slice of a (1, 5, E, m) state, as in _atc_step
+    # the combining variants' slice of a (1, 5, E, m) state, as in _round
     psi = np.random.default_rng(0).standard_normal((1, 5, ne, DIM))[:, :COMBINING]
     want, got = dense @ psi, factored @ psi
     return {
         "dense_us": _per_call_us(lambda: dense @ psi, ne),
         "factored_us": _per_call_us(lambda: factored @ psi, ne),
         "max_rel_diff": float(np.abs(got - want).max() / np.abs(want).max()),
-        "factored_by_rule": diffusion._factored(sc.num_vertices, ne, sc.num_triangles),
+        "factored_by_rule": diffusion._factored(ne, sc.num_vertices,
+                                                diffusion._COMBINE_MIN_EDGES),
     }
 
 
@@ -286,7 +288,7 @@ def _couplings(sc) -> dict:
     ne = sc.num_edges
     inc = incidence(sc)
     specs = [diffusion.VARIANTS[name] for name in COUPLED]
-    doc = {"factored_by_rule": diffusion._factored(sc.num_vertices, ne, sc.num_triangles)}
+    doc = {"factored_by_rule": diffusion._factored_couplings(sc)}
     for g in GROUPS:
         params = [draw_params(inc, seed) for seed in range(g)]
         precs = [build_precision(inc, p) for p in params]
@@ -309,11 +311,11 @@ def _couplings(sc) -> dict:
     return doc
 
 
-def measure(inputs: Path, out: Path, kernels: bool = True) -> dict:
+def measure(inputs: Path, out: Path) -> dict:
     """Every reading of the cmrf importable in this process; files it writes go to ``out``.
 
-    The kernel readings use this checkout's private kernels, so only the
-    after side takes them (``kernels``).
+    The kernel readings use this checkout's private kernels, so only a
+    cmrf imported from this checkout takes them.
     """
     import cmrf
 
@@ -327,6 +329,7 @@ def measure(inputs: Path, out: Path, kernels: bool = True) -> dict:
         argv = ["simulate", "--complex-file", str(complex_path), *SIM_ARGS,
                 "-o", str(_file(out, name, ".csv"))]
         doc["simulate"][name] = _times(lambda: _cli(*argv))
+    kernels = Path(cmrf.__file__).resolve().is_relative_to(ROOT / "src")
     for name in map(_name, KERNEL_SHAPES if kernels else []):
         sc = cmrf.load_complex(_file(inputs, name, ".json"))
         doc["kernel"][name] = _kernel(sc)
@@ -336,10 +339,8 @@ def measure(inputs: Path, out: Path, kernels: bool = True) -> dict:
 
 def _child(checkout: Path, inputs: Path, out: Path, env: dict) -> dict:
     out.mkdir(exist_ok=True)
-    argv = [sys.executable, __file__, "--measure", str(inputs), str(out)]
-    if checkout != ROOT:
-        argv.append("--without-kernels")
-    proc = subprocess.run(argv, env=dict(env, PYTHONPATH=str(checkout / "src")),
+    proc = subprocess.run([sys.executable, __file__, "--measure", str(inputs), str(out)],
+                          env=dict(env, PYTHONPATH=str(checkout / "src")),
                           stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -405,10 +406,9 @@ def main() -> int:
     parser.add_argument("--before", type=Path, help="checkout of the earlier commit")
     parser.add_argument("-o", "--out", type=Path, help="JSON file to write")
     parser.add_argument("--measure", nargs=2, type=Path, help=argparse.SUPPRESS)
-    parser.add_argument("--without-kernels", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.measure:
-        print(json.dumps(measure(*args.measure, kernels=not args.without_kernels)))
+        print(json.dumps(measure(*args.measure)))
         return 0
     if args.before is None or args.out is None:
         parser.error("--before and --out are required")

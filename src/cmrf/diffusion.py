@@ -25,16 +25,20 @@ with neighbor residuals frozen at their communicated values; row e of
 omega_v is nonzero only at e and its line-graph neighbors, so each agent
 needs only what its neighbors send.
 
-Below one size rule (``_factored``: at least 150 edges, no more vertices
-than edges and no more than twice as many triangles) a run reads its
-coupling matrices as dense (E, E) slots and the combine step applies the
-dense weights.  Above it a run keeps k, d_v and d_t and forms no E x E
-coupling matrix: each round applies the couplings through the float
-incidence, omega_v @ r = k*r - b1.T @ (d_v * (b1 @ r)) - b2 @ (d_t *
-(b2.T @ r)), in one product per factor for every coupled row, and the
-uniform combine through the unsigned incidence |b1|, two thin V x E
-products in place of one E x E product.  Both equal the dense products
-up to rounding.
+One size rule (``_factored``) decides where an operator goes through
+the incidence instead of an E x E matrix: incidence factors with at most
+2E/3 rows in all, on a complex with at least the operator's floor of
+edges (150 for the combine step, 350 for the couplings).  For the
+uniform combine step the factor is the unsigned incidence |b1| (V rows):
+two thin V x E products in place of one E x E product.  For the coupled
+products the factors are the float b1 and b2 (V + T rows): a run above
+the rule keeps k, d_v and d_t and forms no E x E coupling matrix, and
+each round applies the couplings as omega_v @ r = k*r - b1.T @ (d_v *
+(b1 @ r)) - b2 @ (d_t * (b2.T @ r)), in one product per factor for
+every coupled row.  Both equal the dense products up to rounding.  Below
+the rule a run reads its coupling matrices as dense (E, E) slots.  A
+complex with trivial homology has V + T > E, so the couplings of runs
+that draw their own complex stay dense.
 
 The coupling matrix omega_v depends on the variant: the full precision
 for atc_cmrf, the lower-only factor for atc_lgmrf, and k*I for the
@@ -42,10 +46,10 @@ topology-blind atc_plain and standalone_lms (the latter also skips the
 combine step).  centralized_cmrf updates one shared estimate with the
 full gradient -U.T @ omega @ r.  Summed over edges the distributed
 adapt directions aggregate to that same full gradient, which is why
-atc_cmrf tracks the centralized estimator closely.  Each round takes
-the residuals of every run and variant at once (``_residuals``), weighs
-every coupled one in one coupled product, then ``_atc_step`` adapts and
-combines the distributed estimates and ``_centralized_step`` updates the
+atc_cmrf tracks the centralized estimator closely.  One kernel,
+``_round``, runs a round for every run and variant at once: it weighs
+every coupled residual, distributed and centralized, in one coupled
+product, adapts and combines the distributed estimates and updates the
 centralized one.
 
 Step sizes are matched across variants so that curves are comparable:
@@ -184,29 +188,37 @@ def combination_weights(adjacency: np.ndarray, rule: str = "uniform") -> np.ndar
     raise ValueError(f"unknown combination rule: {rule!r}")
 
 
-# Above this size rule a simulator run applies its couplings, and the
-# uniform combine step, through the incidence instead of E x E matrices:
-# from this many edges on, with no more vertices than edges and no more
-# than twice as many triangles.  Per residual the coupled products cost
-# about 4*E*(V + T) flops against 2*E**2 dense, and per column the
-# combine 4*V*E against 2*E**2, plus a fixed overhead that small
-# complexes do not repay.  The kernel probes of scripts/bench.py
-# (``kernel`` and ``couplings``) put the even point of one round near
-# T = 2E at 153 edges, and keep K18 with every triangle filled (816
-# triangles on 153 edges) dense.
-_FACTORED_MIN_EDGES = 150
+# A simulator run applies an operator through incidence factors instead
+# of an E x E matrix where the factors have at most 2E/3 rows in all (V
+# for the uniform combine step's |b1|, V + T for the coupled products' b1
+# and b2) and the complex has at least as many edges as the operator's
+# floor below.  Per column a factored product costs about 4*E*width flops
+# against 2*E**2 dense, plus a fixed overhead that small complexes do not
+# repay.  The floors come from the kernel probes of scripts/bench.py
+# (``kernel`` and ``couplings``, BENCH_26.json), at one BLAS thread and
+# at the default.  The combine step wins at every probed shape from 153
+# edges (K18) on.  The coupled products of one run win from 350 edges on,
+# lose at 200 edges and below, and split at 300: the dense product reads
+# one E x E slot per coupled variant, and small slots stay in cache.
+_COMBINE_MIN_EDGES = 150
+_COUPLINGS_MIN_EDGES = 350
 
 
-def _factored(num_vertices: int, num_edges: int, num_triangles: int) -> bool:
-    """Whether runs on such a complex go through the incidence (the size rule).
+def _factored(num_edges: int, width: int, min_edges: int) -> bool:
+    """Whether an operator on ``num_edges`` edges, whose incidence factors
+    have ``width`` rows in all, goes through them (the size rule).
 
-    Their coupled products then use ``_IncidenceCouplings`` and, for the
-    uniform rule, their combine step ``_IncidenceCombine``; Metropolis
-    weights depend on the degrees of each linked pair and stay dense.
-    The paper scale (10/21/12) and 30/120/60 stay on the dense path.
+    ``min_edges`` is the operator's floor, ``_COMBINE_MIN_EDGES`` or
+    ``_COUPLINGS_MIN_EDGES``.  The paper scale (10/21/12) and 30/120/60
+    stay dense, and wide Gram sides (K18 with its triangles: 153 edges,
+    V + T of 318 or 834) keep dense couplings.
     """
-    return (num_edges >= _FACTORED_MIN_EDGES and num_vertices <= num_edges
-            and num_triangles <= 2 * num_edges)
+    return num_edges >= min_edges and 3 * width <= 2 * num_edges
+
+
+def _factored_couplings(sc: SimplicialComplex2) -> bool:
+    """Whether runs on ``sc`` apply their couplings through b1 and b2."""
+    return _factored(sc.num_edges, sc.num_vertices + sc.num_triangles, _COUPLINGS_MIN_EDGES)
 
 
 @dataclass(frozen=True)
@@ -246,7 +258,7 @@ def _combine_operator(
 ) -> np.ndarray | _IncidenceCombine:
     """The combine step's operator on ``sc``: an ``_IncidenceCombine`` for
     the uniform rule above the size rule, else the dense (E, E) weights."""
-    if rule == "uniform" and _factored(sc.num_vertices, sc.num_edges, sc.num_triangles):
+    if rule == "uniform" and _factored(sc.num_edges, sc.num_vertices, _COMBINE_MIN_EDGES):
         return _IncidenceCombine.of(np.abs(inc.b1).astype(float))
     return combination_weights(line_graph(sc), rule)
 
@@ -263,8 +275,11 @@ class _DenseCouplings:
     omega: np.ndarray | None
 
     def __call__(self, residual, residual_c):
-        """(g, nm, E) weighted rows of ``residual`` and (g, E, 1) of ``residual_c``."""
-        weighted = (self.slots @ residual[..., None])[..., 0]
+        """The weighted coupled rows: (g, nm, E) of the first nm rows of the
+        distributed ``residual`` (g, V, E), and (g, E, 1) of the
+        centralized ``residual_c`` (g, E), or None."""
+        nm = self.slots.shape[1]
+        weighted = (self.slots @ residual[:, :nm, :, None])[..., 0]
         return weighted, None if residual_c is None else self.omega @ residual_c[..., None]
 
 
@@ -303,9 +318,10 @@ class _IncidenceCouplings:
 
     def __call__(self, residual, residual_c):
         """As ``_DenseCouplings.__call__``; the centralized row goes last."""
-        rows = residual
+        nm = self.lower.shape[1] - (residual_c is not None)
+        rows = residual[:, :nm]
         if residual_c is not None:
-            rows = np.concatenate([residual, residual_c[:, None]], axis=1)
+            rows = np.concatenate([rows, residual_c[:, None]], axis=1)
         lower = rows @ self.b1.swapaxes(-1, -2)
         lower *= self.lower
         upper = rows @ self.b2
@@ -313,35 +329,31 @@ class _IncidenceCouplings:
         out = self.k * rows
         out -= lower @ self.b1
         out -= upper @ self.b2.swapaxes(-1, -2)
-        nm = residual.shape[1]
         return out[:, :nm], None if residual_c is None else out[:, nm, :, None]
 
 
-def _residuals(theta, theta_c, regressors, observations):
-    """A round's residuals y - u.T @ theta for a stack of runs.
-
-    ``theta`` is (g, V, E, m), ``theta_c`` (g, m) or None without a
-    centralized variant, ``regressors`` (g, E, m) and ``observations``
-    (g, E).  Returns the distributed residuals (g, V, E) and the
-    centralized ones (g, E), or None.
-    """
-    residual = observations[:, None] - np.einsum("rem,rvem->rve", regressors, theta)
-    if theta_c is None:
-        return residual, None
-    return residual, observations - (regressors @ theta_c[..., None])[..., 0]
-
-
-def _atc_step(theta, regressors, residual, coupled, k, steps, combine, num_combined):
-    """One adapt-then-combine round for a stack of runs and variants.
+def _round(theta, theta_c, regressors, observations, couplings, k, steps, central_steps,
+           combine, num_combined):
+    """One round for a stack of runs: the distributed variants adapt then
+    combine, and the centralized one takes its gradient step.
 
     ``theta`` is (g, V, E, m) for g runs and V distributed variants,
-    ``regressors`` (g, E, m) and ``residual`` (g, V, E).  The first
-    ``coupled.shape[1]`` variants weigh their residuals as ``coupled``
-    gives them, the rest with k*I as the scalar ``k`` of shape (g, 1, 1).
-    ``steps`` is (g, V, 1, 1).  The first ``num_combined`` variants are
-    mixed by ``combine``: dense weights, (E, E) or (g, 1, E, E), or an
-    ``_IncidenceCombine``.  Returns the new (g, V, E, m) estimates.
+    ``theta_c`` (g, m), or None without a centralized variant,
+    ``regressors`` (g, E, m) and ``observations`` (g, E).  ``couplings``
+    weighs the residuals of the first nm distributed variants and of the
+    centralized one in one call (``_DenseCouplings`` or
+    ``_IncidenceCouplings``); the other distributed variants weigh theirs
+    with k*I as the scalar ``k`` of shape (g, 1, 1).  ``steps`` is
+    (g, V, 1, 1) and ``central_steps`` (g, 1).  The first ``num_combined``
+    variants are mixed by ``combine``: dense weights, (E, E) or
+    (g, 1, E, E), or an ``_IncidenceCombine``.  Returns the new ``theta``
+    and ``theta_c``.
     """
+    residual = observations[:, None] - np.einsum("rem,rvem->rve", regressors, theta)
+    residual_c = None
+    if theta_c is not None:
+        residual_c = observations - (regressors @ theta_c[..., None])[..., 0]
+    coupled, coupled_c = couplings(residual, residual_c)
     nm = coupled.shape[1]
     weighted = np.empty_like(residual)
     weighted[:, :nm] = coupled
@@ -349,17 +361,10 @@ def _atc_step(theta, regressors, residual, coupled, k, steps, combine, num_combi
     psi = theta + steps * weighted[..., None] * regressors[:, None]
     if num_combined:
         psi[:, :num_combined] = combine @ psi[:, :num_combined]
-    return psi
-
-
-def _centralized_step(theta, regressors, weighted, steps):
-    """One centralized update for a stack of runs.
-
-    ``theta`` is (g, m), ``regressors`` (g, E, m), ``weighted`` the
-    (g, E, 1) residuals weighted by omega and ``steps`` (g, 1).
-    """
-    grad = regressors.swapaxes(-1, -2) @ weighted
-    return theta + steps * grad[..., 0]
+    if theta_c is not None:
+        grad = regressors.swapaxes(-1, -2) @ coupled_c
+        theta_c = theta_c + central_steps * grad[..., 0]
+    return psi, theta_c
 
 
 _DEFAULT_VARIANTS = tuple(VARIANTS)
@@ -558,7 +563,7 @@ class _Operators(NamedTuple):
 def _operators(config: ExperimentConfig, sc: SimplicialComplex2, inc: IncidencePair,
                combines: bool, couples: bool) -> _Operators:
     """The ``_Operators`` of ``sc`` for variants that combine and couple as given."""
-    factored = _factored(sc.num_vertices, sc.num_edges, sc.num_triangles)
+    factored = _factored_couplings(sc)
     return _Operators(
         _combine_operator(config.combine_rule, sc, inc) if combines else None,
         (inc.b1.astype(float), inc.b2.astype(float)) if factored and couples else None,
@@ -647,7 +652,7 @@ def _setup_run(
     theta0 = rng.standard_normal(config.dim)
     own = _operators(config, sc, inc, combines, bool(slots)) if own_complex else None
     coefficients = None
-    if _factored(sc.num_vertices, sc.num_edges, sc.num_triangles):
+    if _factored_couplings(sc):
         mats, coefficients = noise[None], (params.d_v, params.d_t)
     else:
         mats = np.stack([noise, *(coupling_matrix(prec, spec) for spec in slots)])
@@ -712,15 +717,13 @@ def _simulate_group(
         regressors, observations = _measure(buf, ne, scale, chol, theta0)
         for t in range(stop - start):
             u, y = regressors[:, t], observations[:, t]
-            residual, residual_c = _residuals(theta, theta_c, u, y)
-            coupled, coupled_c = couplings(residual[:, :nm], residual_c)
+            theta, theta_c = _round(theta, theta_c, u, y, couplings, k, dist_steps,
+                                    central_steps, ops.combine, nc)
             if nd:
-                theta = _atc_step(theta, u, residual, coupled, k, dist_steps, ops.combine, nc)
                 err = theta - theta0[:, None, None]
                 msd = (err * err).reshape(g, nd, ne * m).sum(axis=-1) / ne
                 out[:nd, :, start + t] = msd.T
             if central:
-                theta_c = _centralized_step(theta_c, u, coupled_c, central_steps)
                 err = theta_c - theta0
                 out[nd, :, start + t] = (err[:, None] @ err[..., None])[:, 0, 0]
 

@@ -59,8 +59,8 @@ and the simulator's noise) the whole matrix, formed per call and not
 kept.  omega, omega_d and omega_u are assembled together from the
 coupling records on the first read of any of them, read-only over
 immutable bytes, and kept.  ``cmrf model check`` and each simulator run
-below the size rule of ``diffusion._factored`` (for its coupling
-matrices) read them; ``cmrf model build``, which reads the cancellations
+below the size rule for its couplings (``diffusion._factored_couplings``)
+read them; ``cmrf model build``, which reads the cancellations
 and whether omega is k*I off one coupling record, every ``cmrf verify``
 path and the simulator's step sizes (``_diagonals``) form none.  A
 simulator run is built, as any model, by :func:`draw_params`,

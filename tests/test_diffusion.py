@@ -24,7 +24,7 @@ from cmrf import (
     write_csv,
 )
 from cmrf import diffusion, model
-from cmrf.diffusion import _DenseCouplings, _atc_step, _centralized_step, _residuals
+from cmrf.diffusion import _DenseCouplings, _round
 
 from helpers import (
     agent_states,
@@ -36,21 +36,20 @@ from helpers import (
 
 
 def atc_round(theta, regressors, observations, coupling, combine, step, variant):
-    """One round of ``variant`` for a single run, through the simulator's kernels."""
+    """One round of ``variant`` for a single run, through the simulator's kernel."""
     spec = get_variant(variant)
     ne, m = regressors.shape
-    steps = np.full((1, 1), step)
+    k = np.zeros((1, 1, 1))
     if spec.is_centralized:
         couplings = _DenseCouplings(np.zeros((1, 0, ne, ne)), coupling[None])
-        residual, residual_c = _residuals(np.zeros((1, 0, ne, m)), theta[None],
-                                          regressors[None], observations[None])
-        _, weighted = couplings(residual, residual_c)
-        return _centralized_step(theta[None], regressors[None], weighted, steps)[0]
-    residual, _ = _residuals(theta[None, None], None, regressors[None], observations[None])
-    coupled, _ = _DenseCouplings(coupling[None, None], None)(residual, None)
-    return _atc_step(theta[None, None], regressors[None], residual, coupled,
-                     np.zeros((1, 1, 1)), steps[..., None, None], combine,
-                     int(spec.uses_combination))[0, 0]
+        _, theta_c = _round(np.zeros((1, 0, ne, m)), theta[None], regressors[None],
+                            observations[None], couplings, k, np.zeros((1, 0, 1, 1)),
+                            np.full((1, 1), step), None, 0)
+        return theta_c[0]
+    psi, _ = _round(theta[None, None], None, regressors[None], observations[None],
+                    _DenseCouplings(coupling[None, None], None), k,
+                    np.full((1, 1, 1, 1), step), None, combine, int(spec.uses_combination))
+    return psi[0, 0]
 
 
 @pytest.fixture(scope="module")

@@ -201,18 +201,36 @@ def test_factored_combine_equals_dense_weights(shape, extras):
         assert np.array_equal(got[..., -1, :], psi[..., -1, :])
 
 
+def combine_factored(num_vertices, num_edges):
+    return diffusion._factored(num_edges, num_vertices, diffusion._COMBINE_MIN_EDGES)
+
+
+def couplings_factored(num_vertices, num_edges, num_triangles):
+    return diffusion._factored(num_edges, num_vertices + num_triangles,
+                               diffusion._COUPLINGS_MIN_EDGES)
+
+
 def test_factored_rule_keeps_small_and_medium_complexes_dense():
-    assert not diffusion._factored(10, 21, 12)
-    assert not diffusion._factored(30, 120, 60)
-    assert diffusion._factored(45, 200, 100)
-    assert diffusion._factored(60, 400, 200)
-    # sparse complexes go through the incidence too; wide sides stay dense
-    assert diffusion._factored(200, 400, 10)
-    assert diffusion._factored(18, 153, 306)
-    assert not diffusion._factored(18, 153, 307)
-    assert not diffusion._factored(18, 153, 816)
-    assert not diffusion._factored(401, 400, 10)
-    assert not diffusion._factored(100, 149, 10)
+    # the combine step's factor |b1| has V rows
+    assert not combine_factored(10, 21)
+    assert not combine_factored(30, 120)
+    assert combine_factored(45, 200)
+    assert combine_factored(60, 400)
+    assert combine_factored(18, 153)  # K18
+    assert combine_factored(200, 400)  # sparse: two edges per vertex
+    assert combine_factored(100, 150) and not combine_factored(101, 150)
+    assert not combine_factored(10, 149)
+    # the coupled products' b1 and b2 have V + T rows, and a higher floor
+    assert couplings_factored(60, 400, 200)
+    assert couplings_factored(200, 400, 10)
+    assert couplings_factored(45, 350, 180)
+    assert not couplings_factored(50, 300, 100)
+    assert not couplings_factored(45, 200, 100)
+    assert not couplings_factored(30, 120, 60)
+    assert not couplings_factored(60, 400, 300)
+    # wide Gram sides stay dense: K18 with 300 or all 816 triangles
+    assert not couplings_factored(18, 153, 300)
+    assert not couplings_factored(18, 153, 816)
     # the Metropolis rule keeps its dense combine weights
     sc = random_2sc(60, None, 200, 5, num_edges=400, require_trivial_homology=False)
     inc = incidence(sc)
@@ -238,7 +256,8 @@ def test_incidence_couplings_equal_dense_products(shape, extras):
     precs = [build_precision(inc, p) for p in params]
     k = np.array([p.k for p in params])[:, None, None]
     rng = np.random.default_rng(ne)
-    residual, residual_c = rng.standard_normal((2, 2, sc.num_edges)), rng.standard_normal((2, sc.num_edges))
+    residual = rng.standard_normal((2, 2, sc.num_edges))
+    residual_c = rng.standard_normal((2, sc.num_edges))
     shared = (inc.b1.astype(float), inc.b2.astype(float))
     # shared incidence, and each run's own stacked along the run axis
     for incidence_of in (shared, tuple(np.stack([b, b]) for b in shared)):
@@ -268,7 +287,7 @@ def assert_close_to_oracle(config, rtol=1e-12):
 
 
 def test_large_scale_factored_combine_matches_oracle(large_complex_file):
-    assert diffusion._factored(60, 400, 200)
+    assert combine_factored(60, 400) and couplings_factored(60, 400, 200)
     assert_close_to_oracle(ExperimentConfig(
         seed=15, num_runs=2, num_iterations=60, complex_file=large_complex_file,
     ))
@@ -317,34 +336,27 @@ def test_large_scale_group_size_does_not_change_bits(monkeypatch, large_complex_
 
 
 def test_resampled_factored_combine_matches_oracle(monkeypatch):
-    # K18 with 300 of its 816 triangles: trivial homology, within the size rule
+    # K18 with every triangle filled: 153 edges and trivial homology.  Its
+    # combine step goes through |b1| and its couplings, as those of every
+    # trivial-homology complex (V + T > E), stay dense.
     config = ExperimentConfig(
         seed=17, num_runs=2, num_iterations=30, num_vertices=18, num_edges=None,
-        er_probability=1.0, num_triangles=300, resample_complex=True,
+        er_probability=1.0, num_triangles=816, resample_complex=True,
     )
-    assert diffusion._factored(18, 153, 300)
+    assert combine_factored(18, 153) and not couplings_factored(18, 153, 816)
     seen = recorded_setups(monkeypatch)
     results = []
-    # budget 0 runs one run per group; 1 GiB stacks both runs' b1, b2 and |b1|
+    # budget 0 runs one run per group; 1 GiB stacks both runs' |b1|
     for budget in (0, 1 << 30):
         monkeypatch.setattr(diffusion, "_BATCH_BYTES", budget)
         results.append(assert_close_to_oracle(config))
     for v in config.variants:
         assert np.array_equal(results[0].msd_mean[v], results[1].msd_mean[v]), v
         assert np.array_equal(results[0].msd_std[v], results[1].msd_std[v]), v
-    # each run carried its own incidence and no coupling matrix
+    # each run carried its own |b1|, no incidence, and its dense coupling slots
     assert len(seen) == 4
-    assert all(r.mats.shape == (1, 153, 153) and r.own.incidence is not None for r in seen)
-
-
-def test_resampled_wide_complex_stays_dense_and_matches_oracle():
-    # K18 with every triangle filled: 816 triangles on 153 edges stay below the rule
-    config = ExperimentConfig(
-        seed=17, num_runs=2, num_iterations=30, num_vertices=18, num_edges=None,
-        er_probability=1.0, num_triangles=816, resample_complex=True,
-    )
-    assert not diffusion._factored(18, 153, 816)
-    assert_matches_oracle(config)
+    assert all(isinstance(r.own.combine, diffusion._IncidenceCombine)
+               and r.own.incidence is None and r.mats.shape == (3, 153, 153) for r in seen)
 
 
 @pytest.mark.parametrize("resample", [False, True])
