@@ -38,16 +38,18 @@ after side and read by both.  Per scale (10/21/12, 30/120/60, 60/400/200):
   round's coupled products (atc_cmrf, atc_lgmrf and centralized_cmrf's
   residual) for g runs, g in ``GROUPS``, on models
   ``draw_params(inc, seed)``, seed < g, through the dense coupling slots
-  (``diffusion._DenseCouplings``) and through the incidence
+  in the simulator's layout (``diffusion._slots`` and
+  ``diffusion._DenseCouplings``) and through the incidence
   (``diffusion._IncidenceCouplings``), with their largest relative
   difference and whether ``diffusion._factored`` picks the factored path.
 
 There are ``ROUNDS`` rounds of one child per side at one BLAS thread, the
 side that runs first alternating, so slow drift of the machine hits both.
 Only children that import cmrf from this checkout (the after side)
-measure the kernels; one more after-side child at the default threads
-gives their ``default_threads`` readings, and its other readings are not
-used.  A figure is the median over rounds of each child's median of ``REPEATS`` calls;
+measure the kernels.  Each round ends with one more after-side child at
+the default threads that measures only the kernels, for their
+``default_threads`` readings.  A figure is the median over rounds of each
+child's median of ``REPEATS`` calls;
 ``setup`` and ``simulate`` pool every timed call.  The output also holds
 the machine record of perfbench/run.py and the run's wall time.
 """
@@ -288,13 +290,13 @@ def _couplings(sc) -> dict:
     ne = sc.num_edges
     inc = incidence(sc)
     specs = [diffusion.VARIANTS[name] for name in COUPLED]
+    slots = diffusion._slots(specs)
     doc = {"factored_by_rule": diffusion._factored_couplings(sc)}
     for g in GROUPS:
         params = [draw_params(inc, seed) for seed in range(g)]
         precs = [build_precision(inc, p) for p in params]
-        # centralized_cmrf reads atc_cmrf's slot, as in a run
-        slots = np.stack([[coupling_matrix(prec, s) for s in specs[:-1]] for prec in precs])
-        dense = diffusion._DenseCouplings(slots, slots[:, 0])
+        mats = np.stack([[coupling_matrix(prec, s) for s in slots] for prec in precs])
+        dense = diffusion._DenseCouplings.of(mats, slots, central=True)
         factored = diffusion._IncidenceCouplings.of(
             (inc.b1.astype(float), inc.b2.astype(float)),
             np.array([p.k for p in params])[:, None, None],
@@ -311,17 +313,18 @@ def _couplings(sc) -> dict:
     return doc
 
 
-def measure(inputs: Path, out: Path) -> dict:
+def measure(inputs: Path, out: Path | None = None) -> dict:
     """Every reading of the cmrf importable in this process; files it writes go to ``out``.
 
     The kernel readings use this checkout's private kernels, so only a
-    cmrf imported from this checkout takes them.
+    cmrf imported from this checkout takes them.  Without ``out`` only the
+    kernels are measured.
     """
     import cmrf
 
     sys.path.insert(0, str(ROOT / "perfbench"))  # for make_queries
     doc = {"scales": {}, "setup": {}, "simulate": {}, "kernel": {}, "couplings": {}}
-    for name in map(_name, SCALES):
+    for name in map(_name, SCALES if out else []):
         complex_path = _file(inputs, name, ".json")
         sc = cmrf.load_complex(complex_path)
         doc["scales"][name] = _verify(sc, complex_path, _file(out, name, "-model.json"))
@@ -337,9 +340,13 @@ def measure(inputs: Path, out: Path) -> dict:
     return doc
 
 
-def _child(checkout: Path, inputs: Path, out: Path, env: dict) -> dict:
-    out.mkdir(exist_ok=True)
-    proc = subprocess.run([sys.executable, __file__, "--measure", str(inputs), str(out)],
+def _child(checkout: Path, inputs: Path, out: Path | None, env: dict) -> dict:
+    """One child's readings; without ``out`` it measures only the kernels."""
+    paths = [inputs]
+    if out:
+        out.mkdir(exist_ok=True)
+        paths.append(out)
+    proc = subprocess.run([sys.executable, __file__, "--measure", *map(str, paths)],
                           env=dict(env, PYTHONPATH=str(checkout / "src")),
                           stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
@@ -368,7 +375,8 @@ def _max_rel_diff(before: Path, after: Path) -> dict:
 def report(readings: dict, default: dict, outs: dict) -> dict:
     """The output sections from each side's child readings; ``outs`` holds each side's files.
 
-    ``default`` is the reading of the after-side child at the default threads.
+    ``default`` is the median reading of the after-side children at the
+    default threads.
     """
     scales, setup, simulate = {}, {}, {}
     before, after = (_median(readings[side]) for side in SIDES)
@@ -405,7 +413,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", type=Path, help="checkout of the earlier commit")
     parser.add_argument("-o", "--out", type=Path, help="JSON file to write")
-    parser.add_argument("--measure", nargs=2, type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--measure", nargs="+", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.measure:
         print(json.dumps(measure(*args.measure)))
@@ -420,7 +428,7 @@ def main() -> int:
     one_thread = dict(os.environ, **{name: "1" for name in THREAD_VARS})
     default = {name: value for name, value in os.environ.items() if name not in THREAD_VARS}
     checkouts = {"before": args.before.resolve(), "after": ROOT}
-    readings = {side: [] for side in SIDES}
+    readings, defaults = {side: [] for side in SIDES}, []
     with tempfile.TemporaryDirectory() as tmp:
         inputs, outs = Path(tmp) / "inputs", {side: Path(tmp) / side for side in SIDES}
         inputs.mkdir()
@@ -428,7 +436,8 @@ def main() -> int:
         for r in range(ROUNDS):
             for side in SIDES if r % 2 == 0 else SIDES[::-1]:
                 readings[side].append(_child(checkouts[side], inputs, outs[side], one_thread))
-        sections = report(readings, _child(ROOT, inputs, Path(tmp) / "default", default), outs)
+            defaults.append(_child(ROOT, inputs, None, default))
+        sections = report(readings, _median(defaults), outs)
 
     doc = {
         "what": "cmrf's three tasks before and after (see scripts/bench.py), and the "

@@ -56,16 +56,16 @@ def _load_section(config_path: str | None, section: str) -> dict:
 def _seed(args, section: str):
     """The seed of --seed or of a config section that may hold nothing else.
 
-    Like simulate's, a seed is an integer >= 0 and not a bool; None when
-    neither the flag nor the section gives one.
+    A seed is an integer >= 0 and not a bool, checked by simulate's own
+    rule; None when neither the flag nor the section gives one.
     """
     part = _load_section(args.config, section)
     unknown = set(part) - {"seed"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     seed = args.seed if args.seed is not None else part.get("seed")
-    if seed is not None and not (simplicial._is_int(seed) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    if seed is not None:
+        diffusion._check_int("seed", seed, 0)
     return seed
 
 

@@ -31,14 +31,15 @@ the incidence instead of an E x E matrix: incidence factors with at most
 edges (150 for the combine step, 350 for the couplings).  For the
 uniform combine step the factor is the unsigned incidence |b1| (V rows):
 two thin V x E products in place of one E x E product.  For the coupled
-products the factors are the float b1 and b2 (V + T rows): a run above
-the rule keeps k, d_v and d_t and forms no E x E coupling matrix, and
-each round applies the couplings as omega_v @ r = k*r - b1.T @ (d_v *
-(b1 @ r)) - b2 @ (d_t * (b2.T @ r)), in one product per factor for
-every coupled row.  Both equal the dense products up to rounding.  Below
-the rule a run reads its coupling matrices as dense (E, E) slots.  A
-complex with trivial homology has V + T > E, so the couplings of runs
-that draw their own complex stay dense.
+products the factors are the float b1 and b2 (V + T rows) of a shared
+complex: a run on it above the rule keeps k, d_v and d_t and forms no
+E x E coupling matrix, and each round applies the couplings as
+omega_v @ r = k*r - b1.T @ (d_v * (b1 @ r)) - b2 @ (d_t * (b2.T @ r)),
+in one product per factor for every coupled row of every run.  Both
+equal the dense products up to rounding.  Below the rule, and in every
+run that draws its own complex, a run reads its coupling matrices as
+dense (E, E) slots.  A drawn complex has trivial homology, so V + T > E
+and the rule would keep its couplings dense anyway.
 
 The coupling matrix omega_v depends on the variant: the full precision
 for atc_cmrf, the lower-only factor for atc_lgmrf, and k*I for the
@@ -66,7 +67,7 @@ import concurrent.futures
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -263,9 +264,21 @@ def _combine_operator(
     return combination_weights(line_graph(sc), rule)
 
 
+def _slots(specs: Sequence[VariantSpec]) -> list[VariantSpec]:
+    """The variants of ``specs`` (in ``VARIANTS`` order) whose coupling
+    matrix a run with dense couplings keeps, in slot order: every
+    matrix-coupled distributed variant, then centralized_cmrf unless
+    atc_cmrf, whose omega it reads, is configured."""
+    slots = [s for s in specs
+             if (s.uses_lower_term or s.uses_upper_term) and not s.is_centralized]
+    if specs[-1].is_centralized and specs[0].name != "atc_cmrf":
+        slots.append(specs[-1])
+    return slots
+
+
 @dataclass(frozen=True)
 class _DenseCouplings:
-    """A round's coupled products through E x E matrices (below the size rule).
+    """A round's coupled products through E x E matrices (dense coupling slots).
 
     ``slots`` (g, nm, E, E) weigh the distributed variants' coupled rows,
     and ``omega`` (g, E, E), or None, the centralized residual.
@@ -273,6 +286,15 @@ class _DenseCouplings:
 
     slots: np.ndarray
     omega: np.ndarray | None
+
+    @classmethod
+    def of(cls, mats, slots, central) -> "_DenseCouplings":
+        """From the runs' coupling matrices (g, len(slots), E, E), one per
+        variant of ``slots`` (see ``_slots``).  When ``central``, omega is
+        the slot that holds the full precision."""
+        nm = sum(not s.is_centralized for s in slots)
+        full = [s.uses_lower_term and s.uses_upper_term for s in slots]
+        return cls(mats[:, :nm], mats[:, full.index(True)] if central else None)
 
     def __call__(self, residual, residual_c):
         """The weighted coupled rows: (g, nm, E) of the first nm rows of the
@@ -285,20 +307,20 @@ class _DenseCouplings:
 
 @dataclass(frozen=True)
 class _IncidenceCouplings:
-    """A round's coupled products through the float incidence (above the size rule).
+    """A round's coupled products through a shared complex's float incidence.
 
     Each coupling factors through the Hodge structure,
 
         omega_v @ r = k*r - b1.T @ (d_v * (b1 @ r)) - b2 @ (d_t * (b2.T @ r)),
 
     so the coupled rows of every run and variant go through one product
-    per factor and direction, and no E x E matrix is read.  ``b1`` is
-    (V, E) and ``b2`` (E, T) for runs on a shared complex, or (g, V, E)
-    and (g, E, T) for runs that each drew their own.  ``k`` is (g, 1, 1);
-    ``lower`` (g, c, V) and ``upper`` (g, c, T) hold each row's d_v and
-    d_t, zero for a term its variant drops (atc_lgmrf's upper term).  Each
-    product runs per run with the shapes of a single run, so the result
-    does not depend on g; it equals the dense product up to rounding.
+    per factor and direction, and no E x E matrix is read.  ``b1`` (V, E)
+    and ``b2`` (E, T) belong to the complex the runs share, and ``k`` is
+    (g, 1, 1).  ``lower`` (g, c, V) and ``upper`` (g, c, T) hold each
+    row's d_v and d_t, zero for a term its variant drops (atc_lgmrf's
+    upper term).  Each product runs per run with the shapes of a single
+    run, so the result does not depend on g; it equals the dense product
+    up to rounding.
     """
 
     b1: np.ndarray
@@ -308,13 +330,13 @@ class _IncidenceCouplings:
     upper: np.ndarray
 
     @classmethod
-    def of(cls, incidence, k, coefficients, specs) -> "_IncidenceCouplings":
+    def of(cls, factors, k, coefficients, specs) -> "_IncidenceCouplings":
         """From the float (b1, b2), the runs' k (g, 1, 1) and (d_v, d_t),
         and the coupled rows' variants in row order."""
         d_v, d_t = (np.stack(d)[:, None] for d in zip(*coefficients))
         lower = np.array([[float(s.uses_lower_term)] for s in specs])
         upper = np.array([[float(s.uses_upper_term)] for s in specs])
-        return cls(*incidence, k, d_v * lower, d_t * upper)
+        return cls(*factors, k, d_v * lower, d_t * upper)
 
     def __call__(self, residual, residual_c):
         """As ``_DenseCouplings.__call__``; the centralized row goes last."""
@@ -322,13 +344,13 @@ class _IncidenceCouplings:
         rows = residual[:, :nm]
         if residual_c is not None:
             rows = np.concatenate([rows, residual_c[:, None]], axis=1)
-        lower = rows @ self.b1.swapaxes(-1, -2)
+        lower = rows @ self.b1.T
         lower *= self.lower
         upper = rows @ self.b2
         upper *= self.upper
         out = self.k * rows
         out -= lower @ self.b1
-        out -= upper @ self.b2.swapaxes(-1, -2)
+        out -= upper @ self.b2.T
         return out[:, :nm], None if residual_c is None else out[:, nm, :, None]
 
 
@@ -543,44 +565,11 @@ _BATCH_BYTES = 1 << 20
 _MIN_BLOCK = 16
 
 
-class _Operators(NamedTuple):
-    """What a complex lends every round of its runs.
-
-    ``combine`` is the combine operator (see ``_combine_operator``), or
-    None when no configured variant combines.  ``incidence`` is the float
-    (b1, b2) of the coupled products above the size rule, or None below
-    it or when no variant couples.
-    """
-
-    combine: np.ndarray | _IncidenceCombine | None
-    incidence: tuple[np.ndarray, np.ndarray] | None
-
-    @property
-    def nbytes(self) -> int:
-        return sum(p.nbytes for p in (self.combine, *(self.incidence or ())) if p is not None)
-
-
-def _operators(config: ExperimentConfig, sc: SimplicialComplex2, inc: IncidencePair,
-               combines: bool, couples: bool) -> _Operators:
-    """The ``_Operators`` of ``sc`` for variants that combine and couple as given."""
-    factored = _factored_couplings(sc)
-    return _Operators(
-        _combine_operator(config.combine_rule, sc, inc) if combines else None,
-        (inc.b1.astype(float), inc.b2.astype(float)) if factored and couples else None,
-    )
-
-
-def _stacked(own: Sequence[_Operators]) -> _Operators:
-    """The runs' own operators stacked along a leading run axis."""
-    combine = own[0].combine
-    if isinstance(combine, _IncidenceCombine):
-        combine = _IncidenceCombine.of(np.stack([o.combine.unsigned for o in own])[:, None])
-    elif combine is not None:
-        combine = np.stack([o.combine for o in own])[:, None]
-    incidence = own[0].incidence
-    if incidence is not None:
-        incidence = tuple(np.stack(part) for part in zip(*(o.incidence for o in own)))
-    return _Operators(combine, incidence)
+def _stacked(combines: Sequence[np.ndarray | _IncidenceCombine]):
+    """The runs' own combine operators stacked along a leading run axis."""
+    if isinstance(combines[0], _IncidenceCombine):
+        return _IncidenceCombine.of(np.stack([c.unsigned for c in combines])[:, None])
+    return np.stack(combines)[:, None]
 
 
 @dataclass(frozen=True)
@@ -588,11 +577,13 @@ class _Run:
     """One run after its set-up, its generator positioned for the stream.
 
     ``mats`` stacks the run's (E, E) matrices: the noise Cholesky factor
-    and, below the size rule (see ``_factored``), one coupling matrix per
-    slot (see ``_run_chunk``).  Above it the run keeps no coupling matrix
-    but ``coefficients``, its (d_v, d_t), and its rounds apply the
-    couplings through the incidence (``_IncidenceCouplings``).  When the
-    run drew its own complex, ``own`` holds that complex's operators.
+    and one coupling matrix per slot (see ``_slots``).  A run on a shared
+    complex above the couplings' size rule (``_factored_couplings``) keeps
+    no coupling matrix but ``coefficients``, its (d_v, d_t), and its
+    rounds apply the couplings through the shared incidence
+    (``_IncidenceCouplings``).  When the run drew its own complex and a
+    configured variant combines, ``combine`` is its own combine operator
+    (see ``_combine_operator``).
     """
 
     rng: np.random.Generator
@@ -601,7 +592,7 @@ class _Run:
     steps: dict[str, float]
     mats: np.ndarray
     coefficients: tuple[np.ndarray, np.ndarray] | None = None
-    own: _Operators | None = None
+    combine: np.ndarray | _IncidenceCombine | None = None
 
     @property
     def num_edges(self) -> int:
@@ -614,8 +605,8 @@ class _Run:
         held = self.mats.nbytes
         if self.coefficients is not None:
             held += sum(d.nbytes for d in self.coefficients)
-        if self.own is not None:
-            held += self.own.nbytes
+        if self.combine is not None:
+            held += self.combine.nbytes
         return 2 * held + _MIN_BLOCK * _row_bytes(self.num_edges, self.theta0.shape[0])
 
 
@@ -635,10 +626,12 @@ def _setup_run(
 
     The run's stream draws, in order, its complex (when resampled), its
     coefficients through draw_params and theta0; build_precision and
-    covariance_cholesky of the drawn model give its noise factor and,
-    below the size rule, its coupling matrices.  A run that draws its own
-    complex also builds that complex's operators for variants that
-    combine when ``combines`` and couple when ``slots`` is not empty.
+    covariance_cholesky of the drawn model give its noise factor and the
+    coupling matrices of ``slots``.  A run on the shared ``sc`` above the
+    couplings' size rule keeps its coefficients in place of those
+    matrices.  A run that draws its own complex keeps dense coupling
+    slots, and builds its combine operator when ``combines`` (some
+    configured variant combines).
     """
     rng = np.random.default_rng(run_seed)
     own_complex = sc is None
@@ -650,21 +643,23 @@ def _setup_run(
     prec = build_precision(inc, params)
     noise = covariance_cholesky(prec)
     theta0 = rng.standard_normal(config.dim)
-    own = _operators(config, sc, inc, combines, bool(slots)) if own_complex else None
+    combine = _combine_operator(config.combine_rule, sc, inc) if own_complex and combines else None
     coefficients = None
-    if _factored_couplings(sc):
+    if not own_complex and _factored_couplings(sc):
         mats, coefficients = noise[None], (params.d_v, params.d_t)
     else:
         mats = np.stack([noise, *(coupling_matrix(prec, spec) for spec in slots)])
     return _Run(rng=rng, theta0=theta0, k=prec.k, steps=step_sizes(prec, config),
-                mats=mats, coefficients=coefficients, own=own)
+                mats=mats, coefficients=coefficients, combine=combine)
 
 
 def _simulate_group(
     config: ExperimentConfig,
     specs: Sequence[VariantSpec],
+    slots: Sequence[VariantSpec],
     runs: Sequence[_Run],
-    shared: _Operators | None,
+    combine: np.ndarray | _IncidenceCombine | None,
+    factors: tuple[np.ndarray, np.ndarray] | None,
     out: np.ndarray,
 ) -> None:
     """Advance consecutive runs that share an edge count; write their MSD curves.
@@ -672,32 +667,34 @@ def _simulate_group(
     ``specs`` are the configured variants in ``VARIANTS`` order, so the
     first ``nm`` weigh residuals with their coupling matrix, the first
     ``nc`` combine, the first ``nd`` are distributed and a centralized
-    one may follow.  Every round is a fixed handful of numpy calls
-    whatever the number of runs and variants, with one coupled product
-    for every coupled row (see ``_DenseCouplings`` and
-    ``_IncidenceCouplings``).  Each product runs per (run, variant), or
-    above the size rule per run, with the shapes of a single run, so the
-    curves do not depend on how runs are grouped.  ``shared`` holds the
-    shared complex's operators, or None when each run carries its own.
-    ``out[j, i]`` gets the curve of ``specs[j]`` in run ``runs[i]``.
+    one may follow; ``slots`` are the runs' coupling slots (``_slots``).
+    Every round is a fixed handful of numpy calls whatever the number of
+    runs and variants, with one coupled product for every coupled row
+    (see ``_DenseCouplings`` and ``_IncidenceCouplings``).  Each product
+    runs per (run, variant), or through the incidence per run, with the
+    shapes of a single run, so the curves do not depend on how runs are
+    grouped.  ``combine`` and ``factors`` are the shared complex's combine
+    operator and float (b1, b2): None when each run carries its own
+    combine operator or none combines, and when the runs keep dense
+    coupling slots.  ``out[j, i]`` gets the curve of ``specs[j]`` in run
+    ``runs[i]``.
     """
     g, ne, m = len(runs), runs[0].num_edges, config.dim
     nd = sum(not s.is_centralized for s in specs)
     nm = sum(s.uses_lower_term or s.uses_upper_term for s in specs[:nd])
     nc = sum(s.uses_combination for s in specs[:nd])
     central = nd < len(specs)
-    ops = shared if shared is not None else _stacked([r.own for r in runs])
+    if nc and combine is None:
+        combine = _stacked([r.combine for r in runs])
     # a lone run (large complexes) is used in place, without a copy
     mats = runs[0].mats[None] if g == 1 else np.stack([r.mats for r in runs])
     chol = mats[:, 0]
     k = np.array([r.k for r in runs])[:, None, None]
-    if ops.incidence is not None:
-        couplings = _IncidenceCouplings.of(ops.incidence, k, [r.coefficients for r in runs],
+    if factors is not None:
+        couplings = _IncidenceCouplings.of(factors, k, [r.coefficients for r in runs],
                                            [*specs[:nm], *specs[nd:]])
     else:
-        # centralized_cmrf reads omega from atc_cmrf's slot, or its own after the others
-        omega = mats[:, 1 if specs[0].name == "atc_cmrf" else 1 + nm] if central else None
-        couplings = _DenseCouplings(mats[:, 1:1 + nm], omega)
+        couplings = _DenseCouplings.of(mats[:, 1:], slots, central)
     theta0 = np.stack([r.theta0 for r in runs])
     steps = np.array([[r.steps[s.name] for s in specs] for r in runs])
     dist_steps = steps[:, :nd, None, None]
@@ -718,7 +715,7 @@ def _simulate_group(
         for t in range(stop - start):
             u, y = regressors[:, t], observations[:, t]
             theta, theta_c = _round(theta, theta_c, u, y, couplings, k, dist_steps,
-                                    central_steps, ops.combine, nc)
+                                    central_steps, combine, nc)
             if nd:
                 err = theta - theta0[:, None, None]
                 msd = (err * err).reshape(g, nd, ne * m).sum(axis=-1) / ne
@@ -742,27 +739,27 @@ def _run_chunk(
     differs from the batch's.
     """
     specs = [spec for name, spec in VARIANTS.items() if name in config.variants]
-    # below the size rule, one coupling slot per matrix-coupled variant;
-    # centralized_cmrf reads omega from atc_cmrf's slot, or from its own after them
-    slots = [s for s in specs
-             if (s.uses_lower_term or s.uses_upper_term) and not s.is_centralized]
-    if specs[-1].is_centralized and specs[0].name != "atc_cmrf":
-        slots.append(specs[-1])
+    slots = _slots(specs)
     combines = any(s.uses_combination for s in specs)
-    shared = None
+    combine = factors = None
     if sc is not None:
-        shared = _operators(config, sc, incidence(sc), combines, bool(slots))
+        inc = incidence(sc)
+        if combines:
+            combine = _combine_operator(config.combine_rule, sc, inc)
+        if slots and _factored_couplings(sc):
+            factors = inc.b1.astype(float), inc.b2.astype(float)
+        del inc  # the integer incidence (0.8 MB at 400 edges) is not kept through the runs
     out = np.empty((len(specs), len(run_seeds), config.num_iterations))
     # only ``batch`` holds the runs, so each is freed once simulated
     batch: list[_Run] = []
     for i, seed in enumerate(run_seeds):
         batch.append(_setup_run(config, sc, seed, slots, combines))
         if batch[-1].num_edges != batch[0].num_edges:
-            _simulate_group(config, specs, batch[:-1], shared,
+            _simulate_group(config, specs, slots, batch[:-1], combine, factors,
                             out[:, i + 1 - len(batch):i])
             del batch[:-1]
         if sum(r.nbytes for r in batch) >= _BATCH_BYTES or i + 1 == len(run_seeds):
-            _simulate_group(config, specs, batch, shared,
+            _simulate_group(config, specs, slots, batch, combine, factors,
                             out[:, i + 1 - len(batch):i + 1])
             batch = []
     return out

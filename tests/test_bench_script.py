@@ -72,3 +72,10 @@ def test_child_measurement_gives_every_kept_field(bench, tmp_path):
             assert positive(couplings[f"g{g}"]["dense_us"])
             assert positive(couplings[f"g{g}"]["factored_us"])
             assert couplings[f"g{g}"]["max_rel_diff"] < 1e-14
+
+
+def test_child_without_an_output_directory_measures_only_the_kernels(bench, tmp_path):
+    bench.write_complexes(tmp_path)
+    reading = bench.measure(tmp_path)
+    assert not (reading["scales"] or reading["setup"] or reading["simulate"])
+    assert list(reading["kernel"]) == list(reading["couplings"]) == [SCALE]

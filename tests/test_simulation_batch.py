@@ -28,6 +28,7 @@ from cmrf import (
     save_complex,
 )
 
+import helpers
 from helpers import msd_by_run_loop
 
 
@@ -84,9 +85,9 @@ def test_batch_closes_at_an_edge_count_change(monkeypatch):
     groups = []
     simulate_group = diffusion._simulate_group
 
-    def spy(config, specs, runs, combine, out):
+    def spy(config, specs, slots, runs, *rest):
         groups.append([r.num_edges for r in runs])
-        simulate_group(config, specs, runs, combine, out)
+        simulate_group(config, specs, slots, runs, *rest)
 
     monkeypatch.setattr(diffusion, "_simulate_group", spy)
     run_seeds = np.random.SeedSequence(9).spawn(2)[1].spawn(4)
@@ -258,23 +259,19 @@ def test_incidence_couplings_equal_dense_products(shape, extras):
     rng = np.random.default_rng(ne)
     residual = rng.standard_normal((2, 2, sc.num_edges))
     residual_c = rng.standard_normal((2, sc.num_edges))
-    shared = (inc.b1.astype(float), inc.b2.astype(float))
-    # shared incidence, and each run's own stacked along the run axis
-    for incidence_of in (shared, tuple(np.stack([b, b]) for b in shared)):
-        op = diffusion._IncidenceCouplings.of(incidence_of, k, [(p.d_v, p.d_t) for p in params],
-                                              COUPLED)
-        got, got_c = op(residual, residual_c)
-        for i, prec in enumerate(precs):
-            for j, spec in enumerate(COUPLED[:2]):
-                want = coupling_matrix(prec, spec) @ residual[i, j]
-                assert np.abs(got[i, j] - want).max() <= 1e-13 * np.abs(want).max()
-            want = prec.omega @ residual_c[i]
-            assert np.abs(got_c[i, :, 0] - want).max() <= 1e-13 * np.abs(want).max()
-        # each run's rows are the bits of that run alone
-        alone, alone_c = diffusion._IncidenceCouplings.of(
-            tuple(b[1:] if b.ndim == 3 else b for b in incidence_of), k[1:],
-            [(params[1].d_v, params[1].d_t)], COUPLED)(residual[1:], residual_c[1:])
-        assert np.array_equal(alone, got[1:]) and np.array_equal(alone_c, got_c[1:])
+    factors = (inc.b1.astype(float), inc.b2.astype(float))
+    op = diffusion._IncidenceCouplings.of(factors, k, [(p.d_v, p.d_t) for p in params], COUPLED)
+    got, got_c = op(residual, residual_c)
+    for i, prec in enumerate(precs):
+        for j, spec in enumerate(COUPLED[:2]):
+            want = coupling_matrix(prec, spec) @ residual[i, j]
+            assert np.abs(got[i, j] - want).max() <= 1e-13 * np.abs(want).max()
+        want = prec.omega @ residual_c[i]
+        assert np.abs(got_c[i, :, 0] - want).max() <= 1e-13 * np.abs(want).max()
+    # each run's rows are the bits of that run alone
+    alone, alone_c = diffusion._IncidenceCouplings.of(
+        factors, k[1:], [(params[1].d_v, params[1].d_t)], COUPLED)(residual[1:], residual_c[1:])
+    assert np.array_equal(alone, got[1:]) and np.array_equal(alone_c, got_c[1:])
 
 
 def assert_close_to_oracle(config, rtol=1e-12):
@@ -319,7 +316,7 @@ def test_runs_above_the_rule_form_no_coupling_matrix(monkeypatch, large_complex_
     assert run_experiment(config).diverged == ()
     # each run keeps its noise factor and its coefficients, nothing else E x E
     assert [r.mats.shape for r in seen] == [(1, 400, 400)] * 2
-    assert all(r.coefficients is not None and r.own is None for r in seen)
+    assert all(r.coefficients is not None and r.combine is None for r in seen)
 
 
 def test_large_scale_group_size_does_not_change_bits(monkeypatch, large_complex_file):
@@ -353,10 +350,29 @@ def test_resampled_factored_combine_matches_oracle(monkeypatch):
     for v in config.variants:
         assert np.array_equal(results[0].msd_mean[v], results[1].msd_mean[v]), v
         assert np.array_equal(results[0].msd_std[v], results[1].msd_std[v]), v
-    # each run carried its own |b1|, no incidence, and its dense coupling slots
+    # each run carried its own |b1| and its dense coupling slots
     assert len(seen) == 4
-    assert all(isinstance(r.own.combine, diffusion._IncidenceCombine)
-               and r.own.incidence is None and r.mats.shape == (3, 153, 153) for r in seen)
+    assert all(isinstance(r.combine, diffusion._IncidenceCombine)
+               and r.coefficients is None and r.mats.shape == (3, 153, 153) for r in seen)
+
+
+def test_resampled_runs_above_the_rule_keep_dense_couplings(monkeypatch):
+    # With trivial homology waived, a drawn 60/400/200 complex is above the
+    # couplings' size rule; a run on its own complex still keeps dense slots.
+    def waived(*args, **kwargs):
+        return random_2sc(*args, **kwargs, require_trivial_homology=False)
+
+    monkeypatch.setattr(diffusion, "random_2sc", waived)
+    monkeypatch.setattr(helpers, "random_2sc", waived)
+    config = ExperimentConfig(
+        seed=20, num_runs=2, num_iterations=20, num_vertices=60, num_edges=400,
+        num_triangles=200, resample_complex=True,
+    )
+    assert couplings_factored(60, 400, 200)
+    seen = recorded_setups(monkeypatch)
+    assert_close_to_oracle(config)
+    assert [r.mats.shape for r in seen] == [(3, 400, 400)] * 2
+    assert all(r.coefficients is None for r in seen)
 
 
 @pytest.mark.parametrize("resample", [False, True])
