@@ -22,6 +22,11 @@ after side and read by both.  Per scale (10/21/12, 30/120/60, 60/400/200):
   model ``draw_params(inc, seed)``, seed < ``SETUP_MODELS``: ``min_valid_k``,
   ``build_precision``, ``noise_factor`` (``covariance_cholesky``) and the
   whole ``diffusion._setup_run``; ms as [q1, median, q3] per side.
+* ``generate``: the 16 complexes of one sim-paper input set,
+  ``random_2sc(10, None, 12, seed * 1000 + i, num_edges=21)`` for i < 16
+  (perfbench/workloads.py ``model_seed``), timed as one call per run seed
+  in ``GENERATE_SEEDS``; seconds per set as [q1, median, q3] per side,
+  and whether both sides drew the same complexes.
 * ``simulate``: ``cmrf simulate --complex-file C --seed 1 --runs 2
   --iterations 100``, in process, seconds as [q1, median, q3] per side;
   whether both sides wrote the same CSV bytes, and the largest relative
@@ -50,7 +55,7 @@ measure the kernels.  Each round ends with one more after-side child at
 the default threads that measures only the kernels, for their
 ``default_threads`` readings.  A figure is the median over rounds of each
 child's median of ``REPEATS`` calls;
-``setup`` and ``simulate`` pool every timed call.  The output also holds
+``setup``, ``generate`` and ``simulate`` pool every timed call.  The output also holds
 the machine record of perfbench/run.py and the run's wall time.
 """
 
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -89,6 +95,7 @@ COMBINING = 3
 SIM_RUNS, SIM_ITERATIONS = 2, 100
 SIM_ARGS = ["--seed", "1", "--runs", str(SIM_RUNS), "--iterations", str(SIM_ITERATIONS)]
 SETUP_MODELS = 5
+GENERATE_SEEDS = (7, 11, 24199, 65)
 SETUP_STAGES = ("min_valid_k", "build_precision", "noise_factor", "setup_run")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SIDES = ("before", "after")
@@ -259,6 +266,24 @@ def _setup(sc) -> dict:
     return times
 
 
+def _generate() -> dict:
+    """Seconds to draw each run seed's sim-paper complexes, and a digest of them all."""
+    import cmrf
+    import workloads
+
+    w = workloads.WORKLOADS["sim-paper"]
+    seconds, digest = [], hashlib.sha256()
+    for seed in GENERATE_SEEDS:
+        start = time.perf_counter()
+        complexes = [cmrf.random_2sc(w.vertices, None, w.triangles, workloads.model_seed(seed, i),
+                                     num_edges=w.edges)
+                     for i in range(w.models)]
+        seconds.append(time.perf_counter() - start)
+        for sc in complexes:
+            digest.update(repr((sc.vertices, sc.edges, sc.triangles)).encode())
+    return {"seconds": seconds, "digest": digest.hexdigest()}
+
+
 def _per_call_us(fn, ne: int) -> float:
     calls = max(20, 400_000 // (ne * ne))
     return 1e6 * _median_time(lambda: [fn() for _ in range(calls)]) / calls
@@ -322,8 +347,9 @@ def measure(inputs: Path, out: Path | None = None) -> dict:
     """
     import cmrf
 
-    sys.path.insert(0, str(ROOT / "perfbench"))  # for make_queries
-    doc = {"scales": {}, "setup": {}, "simulate": {}, "kernel": {}, "couplings": {}}
+    sys.path.insert(0, str(ROOT / "perfbench"))  # for make_queries and workloads
+    doc = {"scales": {}, "setup": {}, "generate": _generate() if out else {}, "simulate": {},
+           "kernel": {}, "couplings": {}}
     for name in map(_name, SCALES if out else []):
         complex_path = _file(inputs, name, ".json")
         sc = cmrf.load_complex(complex_path)
@@ -404,9 +430,18 @@ def report(readings: dict, default: dict, outs: dict) -> dict:
             "csv_identical": csv["before"].read_bytes() == csv["after"].read_bytes(),
             "max_rel_diff": _max_rel_diff(csv["before"], csv["after"]),
         }
+    old, new = ([t for r in readings[side] for t in r["generate"]["seconds"]] for side in SIDES)
+    generate = {
+        "before_s": _quartiles(old),
+        "after_s": _quartiles(new),
+        "speedup": statistics.median(old) / statistics.median(new),
+        "complexes_identical": len({r["generate"]["digest"]
+                                    for side in SIDES for r in readings[side]}) == 1,
+    }
     kernels = {section: {"default_threads": default[section], "one_thread": after[section]}
                for section in ("kernel", "couplings")}
-    return {"scales": scales, "setup": setup, "simulate": simulate, **kernels}
+    return {"scales": scales, "setup": setup, "generate": generate, "simulate": simulate,
+            **kernels}
 
 
 def main() -> int:
@@ -449,6 +484,9 @@ def main() -> int:
                         "microseconds per round",
         "couplings_shape": f"g runs, the coupled rows of {', '.join(COUPLED)}; "
                            "microseconds per round",
+        "generate_complexes": "random_2sc(10, None, 12, seed * 1000 + i, num_edges=21), "
+                              f"i < 16, seed in {list(GENERATE_SEEDS)}; "
+                              "seconds per seed as [q1, median, q3]",
         "simulate_command": "cmrf simulate --complex-file C " + " ".join(SIM_ARGS)
                             + "; seconds as [q1, median, q3]",
         "rounds": ROUNDS, "repeats": REPEATS,

@@ -18,7 +18,7 @@ where the product and inverse rules rely on b1 @ b2 == 0.  All three are
 positive definite iff k exceeds the largest eigenvalue of the subtracted
 part, lambda_max.  In double precision one rule decides whether k is
 admissible: the smallest eigenvalue of omega, k - lambda_max, must exceed
-the floor 1e-9 * k.  :func:`build_precision` applies it, and
+the floor 5e-8 * k.  :func:`build_precision` applies it, and
 :func:`min_valid_k` refuses a margin that would not clear it.
 
 Both rest on the Hodge blocks of the couplings.  With U_d = b1.T @
@@ -29,7 +29,7 @@ their ranges orthogonal.  So the spectrum of omega is
     {k - eig(G_d)} + {k - eig(G_u)} + {k},   G_d = U_d.T @ U_d,  G_u = U_u.T @ U_u
 
 lambda_max is the larger top eigenvalue of the V x V and T x T Grams,
-and the floor holds iff (1 - 1e-9) * k * I - G is positive definite on
+and the floor holds iff (1 - 5e-8) * k * I - G is positive definite on
 each side.  A Gram wider than E only adds zeros to the spectrum, so this
 holds whatever the sizes of V, E and T.
 
@@ -104,7 +104,9 @@ __all__ = [
 
 # A precision matrix counts as positive definite when its smallest
 # eigenvalue exceeds this fraction of k: the one admissibility rule for k.
-_PD_RTOL = 1e-9
+# The eigenvalues of omega, omega_d and omega_u all lie in
+# (_PD_RTOL * k, k], so it caps each condition number at 2e7.
+_PD_RTOL = 5e-8
 
 # An off-diagonal entry of omega counts as an exact cancellation when it
 # is this small relative to the coupling magnitudes that formed it.
@@ -443,7 +445,7 @@ def min_valid_k(
     Returns lambda_max(a_d + a_u) + margin, with lambda_max the larger of
     the two sides' top eigenvalues.  Raises ValueError when the complex
     has no edges, when the couplings overflow, and when a positive margin
-    does not clear the floor 1e-9 * k of build_precision, as when a huge
+    does not clear the floor 5e-8 * k of build_precision, as when a huge
     lambda_max absorbs it.  Margin 0 returns lambda_max; a negative
     margin is left for build_precision to refuse.
     """
@@ -473,8 +475,8 @@ def build_precision(inc: IncidencePair, params: SgmParams) -> EdgePrecision:
     """Verify positive definiteness and keep what answers the model's queries.
 
     Raises NotPositiveDefinite when the smallest eigenvalue of omega,
-    k - lambda_max, is not above the floor 1e-9 * k.  A Cholesky
-    factorization of (1 - 1e-9) * k * I - G on each side decides it, with
+    k - lambda_max, is not above the floor 5e-8 * k.  A Cholesky
+    factorization of (1 - 5e-8) * k * I - G on each side decides it, with
     G the side's Gram matrix; omega_d and omega_u are then positive
     definite as well.  The precision holds the Hodge blocks that answer
     inv(omega) and forms its three frozen matrices on first read (see

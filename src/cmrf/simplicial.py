@@ -35,7 +35,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -264,11 +264,14 @@ def hodge_decompose(
     return irr, sol, har
 
 
+def _rank(mat: np.ndarray) -> int:
+    """Numerical rank of a float matrix, 0 when it has no columns."""
+    return int(np.linalg.matrix_rank(mat)) if mat.shape[1] else 0
+
+
 def _incidence_ranks(inc: IncidencePair) -> tuple[int, int]:
     """(rank(b1), rank(b2)), each 0 when its matrix has no columns."""
-    rank_b1 = np.linalg.matrix_rank(inc.b1.astype(float)) if inc.b1.shape[1] else 0
-    rank_b2 = np.linalg.matrix_rank(inc.b2.astype(float)) if inc.b2.shape[1] else 0
-    return int(rank_b1), int(rank_b2)
+    return _rank(inc.b1.astype(float)), _rank(inc.b2.astype(float))
 
 
 def harmonic_dimension(inc: IncidencePair) -> int:
@@ -352,6 +355,38 @@ def _max_triangles(num_vertices: int, num_edges: int | None) -> int:
     return math.comb(a, 3) + math.comb(num_edges - math.comb(a, 2), 2)
 
 
+def _trivial_homology_test(
+    num_vertices: int,
+    edges: list[tuple[int, int]],
+    cliques: list[tuple[int, int, int]],
+    triangle_budget: int,
+) -> Callable[[np.ndarray], bool]:
+    """Whether a selection of a graph's 3-cliques fills every cycle.
+
+    Returns a predicate over ascending arrays of clique indices.  Edges
+    and cliques come in canonical order, so the columns ``pick`` of the
+    one ``b2`` over all cliques are the ``b2`` of the selection's
+    complex, and its harmonic dimension is need - rank(b2[:, pick]) with
+    need = E - rank(b1).  See random_2sc for the screens before the rank.
+    """
+    sc = SimplicialComplex2(tuple(range(num_vertices)), tuple(edges), tuple(cliques))
+    b1, b2 = (m.astype(float) for m in incidence(sc))
+    rank_b1 = _rank(b1)
+    need = len(edges) - rank_b1
+    in_clique = b2 != 0
+    on_clique = in_clique.any(axis=1)
+    # the edges in no clique are all bridges iff dropping them lowers rank(b1) by their count
+    off = len(edges) - np.count_nonzero(on_clique)
+    if need > triangle_budget or (off and _rank(b1[:, on_clique]) != rank_b1 - off):
+        return lambda pick: False
+
+    def admissible(pick: np.ndarray) -> bool:
+        covered = np.count_nonzero(in_clique[:, pick].any(axis=1))
+        return covered == len(edges) - off and _rank(b2[:, pick]) == need
+
+    return admissible
+
+
 def random_2sc(
     num_vertices: int,
     er_probability: float | None,
@@ -377,6 +412,22 @@ def random_2sc(
       signal models downstream assume it), the filled complex must have
       an empty harmonic space; up to ``_SELECTION_ATTEMPTS`` triangle
       selections are tried per graph before resampling.
+
+    The homology test forms one incidence per graph, over all its
+    3-cliques, and need = E - rank(b1), the number of independent cycles.
+    A selection has an empty harmonic space iff its T columns of b2 have
+    rank need.  Cheaper screens rule out, exactly, what cannot pass:
+
+    * the whole graph, when need > T (T columns have rank at most T), or
+      when an edge in no 3-clique is not a bridge: a cycle through it has
+      a nonzero entry there, which no triangle's boundary has;
+    * a selection that leaves an edge of some 3-clique uncovered: the
+      clique's boundary is then a cycle outside the selection's image.
+
+    Only a selection that passes pays for a rank, and only the returned
+    one for :func:`build_complex`.  Every selection is still drawn, even
+    on a graph ruled out, so a seed gives the same complex, and a shared
+    Generator the same state, as testing each selection's complex.
 
     Raises GenerationFailed when ``max_attempts`` graphs were sampled
     without success, and at once, before drawing, when no graph can meet
@@ -431,13 +482,13 @@ def random_2sc(
         cliques = _enumerate_3cliques(num_vertices, edges)
         if len(cliques) < triangle_budget:
             continue
+        admissible = (_trivial_homology_test(num_vertices, edges, cliques, triangle_budget)
+                      if require_trivial_homology else lambda pick: True)
         for _ in range(_SELECTION_ATTEMPTS):
-            pick = rng.choice(len(cliques), size=triangle_budget, replace=False)
-            sc = build_complex(
-                range(num_vertices), edges, [cliques[i] for i in sorted(pick)]
-            )
-            if not require_trivial_homology or harmonic_dimension(incidence(sc)) == 0:
-                return sc
+            # drawn even on a graph already ruled out, so the stream stays the same
+            pick = np.sort(rng.choice(len(cliques), size=triangle_budget, replace=False))
+            if admissible(pick):
+                return build_complex(range(num_vertices), edges, [cliques[i] for i in pick])
             if triangle_budget in (0, len(cliques)):
                 break  # only one possible selection, resample the graph
     raise GenerationFailed(

@@ -32,6 +32,9 @@ generated them from each face's edges.  The
 Monte Carlo oracle (msd_by_run_loop) runs the simulator one run, one
 variant and one iteration at a time with the ATC maths written out
 inline, against which the batched simulator must agree bit for bit.
+The complex-generation oracle (random_2sc_by_selection_loop) is the
+former trivial-homology loop, which builds and ranks each triangle
+selection's own complex.
 """
 
 import itertools
@@ -41,6 +44,7 @@ import numpy as np
 
 from cmrf import (
     CmrfGraph,
+    build_complex,
     build_precision,
     build_cmrf,
     combination_weights,
@@ -48,6 +52,7 @@ from cmrf import (
     covariance_cholesky,
     draw_params,
     get_variant,
+    harmonic_dimension,
     incidence,
     line_graph,
     load_complex,
@@ -58,6 +63,7 @@ from cmrf import (
 from cmrf.diffusion import _measure
 from cmrf.independence import CONDITIONAL_RTOL, MARGINAL_RTOL, IndependenceReport
 from cmrf.model import _CANCEL_RTOL, _OVERFLOW, _check_edges
+from cmrf.simplicial import _SELECTION_ATTEMPTS, _sample_er_graph
 
 
 def draw_sparse_model(inc, seed, sparsity=0.5):
@@ -317,6 +323,35 @@ def cliques_by_combinations(num_vertices, edges):
         for a, b, c in itertools.combinations(range(num_vertices), 3)
         if (a, b) in eset and (a, c) in eset and (b, c) in eset
     ]
+
+
+def random_2sc_by_selection_loop(num_vertices, er_probability, triangle_budget, seed,
+                                 *, num_edges=None, max_attempts=2000):
+    """random_2sc with trivial homology required, testing each selection's own complex.
+
+    The package's former loop: it builds every triangle selection with
+    build_complex and keeps the first whose harmonic_dimension is 0.
+    Returns None where random_2sc raises GenerationFailed after drawing.
+    """
+    if er_probability is None:
+        num_pairs = num_vertices * (num_vertices - 1) // 2
+        er_probability = num_edges / num_pairs if num_pairs else 0.0
+    rng = np.random.default_rng(seed)
+    for _ in range(max_attempts):
+        edges = _sample_er_graph(num_vertices, er_probability, rng)
+        if num_edges is not None and len(edges) != num_edges:
+            continue
+        cliques = cliques_by_combinations(num_vertices, edges)
+        if len(cliques) < triangle_budget:
+            continue
+        for _ in range(_SELECTION_ATTEMPTS):
+            pick = rng.choice(len(cliques), size=triangle_budget, replace=False)
+            sc = build_complex(range(num_vertices), edges, [cliques[i] for i in sorted(pick)])
+            if harmonic_dimension(incidence(sc)) == 0:
+                return sc
+            if triangle_budget in (0, len(cliques)):
+                break
+    return None
 
 
 def components_by_depth_first(num_nodes, links):

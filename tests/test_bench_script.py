@@ -26,7 +26,8 @@ def bench(monkeypatch):
     spec.loader.exec_module(module)
     monkeypatch.setattr(sys, "path", list(sys.path))  # measure() adds perfbench/
     for name, value in [("SCALES", [(10, 21, 12)]), ("KERNEL_SHAPES", [(10, 21, 12)]),
-                        ("REPEATS", 1), ("SETUP_MODELS", 1), ("LOOPS", 1)]:
+                        ("REPEATS", 1), ("SETUP_MODELS", 1), ("LOOPS", 1),
+                        ("GENERATE_SEEDS", (7, 11))]:
         monkeypatch.setattr(module, name, value)
     return module
 
@@ -55,6 +56,12 @@ def test_child_measurement_gives_every_kept_field(bench, tmp_path):
             assert len(quartiles) == 3 and all(map(positive, quartiles))
     assert scale["num_pairs"] == 20 and scale["after"]["conditional_queries"] == 200
 
+    generate = doc["generate"]
+    for side in ("before", "after"):
+        assert len(generate[f"{side}_s"]) == 3 and all(map(positive, generate[f"{side}_s"]))
+    assert positive(generate["speedup"]) and generate["complexes_identical"] is True
+    assert len(reading["generate"]["seconds"]) == 2
+
     simulate = doc["simulate"][SCALE]
     assert all(map(positive, simulate["before_s"] + simulate["after_s"]))
     assert all(map(positive, simulate["mc_rounds_per_s"]))
@@ -77,5 +84,6 @@ def test_child_measurement_gives_every_kept_field(bench, tmp_path):
 def test_child_without_an_output_directory_measures_only_the_kernels(bench, tmp_path):
     bench.write_complexes(tmp_path)
     reading = bench.measure(tmp_path)
-    assert not (reading["scales"] or reading["setup"] or reading["simulate"])
+    assert not (reading["scales"] or reading["setup"] or reading["generate"]
+                or reading["simulate"])
     assert list(reading["kernel"]) == list(reading["couplings"]) == [SCALE]

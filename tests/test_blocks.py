@@ -6,7 +6,7 @@ simulator's noise factor) work in vertex and triangle space, each side
 of the couplings through its V x V or T x T Gram matrix.  Every check here
 compares them with the dense quantities built from couplings_dense:
 the couplings themselves, lambda_max of a_d + a_u, a Cholesky of
-omega - 1e-9 * k * I, inv(omega) and the condition numbers of omega_d
+omega - _PD_RTOL * k * I, inv(omega) and the condition numbers of omega_d
 and omega_u.  The complexes put each side's width on both sides of E:
 the three benchmark scales (V, T < E), K18 with every triangle filled
 (T > E), a forest-like complex (V > E) and K5 beside isolated vertices
@@ -127,7 +127,7 @@ def test_lambda_max_matches_dense(coefficients):
 
 @pytest.mark.parametrize("shift, accepted", [(1e-7, True), (1e-11, False), (-1e-6, False)])
 def test_gate_decides_as_the_dense_cholesky(coefficients, shift, accepted):
-    # the floor is k = lambda_max / (1 - 1e-9); each k lies well clear of it
+    # the floor is k = lambda_max / (1 - 5e-8); each k lies at least twofold clear of it
     inc, d_v, d_t = coefficients
     params = SgmParams(k=_dense_lambda_max(inc, d_v, d_t) * (1 + shift), d_v=d_v, d_t=d_t)
     assert _dense_accepts(inc, params) == accepted

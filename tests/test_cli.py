@@ -13,6 +13,7 @@ from cmrf import (
     load_model,
     min_valid_k,
     model,
+    random_2sc,
     save_complex,
     save_model,
 )
@@ -159,20 +160,27 @@ class TestModelCommands:
                                   "--dv", "1e200", "--dt", "1e200", "-o", str(out))
         assert code == 2 and text == "" and not out.exists()
         assert err == ("error: coefficients too large for the margin: lambda_max=3e+200 "
-                       "needs a margin above the floor 1e-09*k = 3e+191, got 0.1\n")
+                       "needs a margin above the floor 5e-08*k = 1.5e+193, got 0.1\n")
 
     @pytest.mark.parametrize("flags, message", [
-        # k = lambda_max + 0.1 exceeds lambda_max, but by less than 1e-9 * k
+        # k = lambda_max + 0.1 exceeds lambda_max, but by less than 5e-8 * k;
+        # from 1e6 up a factor's condition number would pass 2e7
+        (["--dv", "1e6", "--dt", "1e6"],
+         "coefficients too large for the margin: lambda_max=3e+06 "
+         "needs a margin above the floor 5e-08*k = 0.15, got 0.1"),
+        (["--dv", "1e7", "--dt", "1e7"],
+         "coefficients too large for the margin: lambda_max=3e+07 "
+         "needs a margin above the floor 5e-08*k = 1.5, got 0.1"),
         (["--dv", "1e8", "--dt", "1e8"],
          "coefficients too large for the margin: lambda_max=3e+08 "
-         "needs a margin above the floor 1e-09*k = 0.3, got 0.1"),
+         "needs a margin above the floor 5e-08*k = 15, got 0.1"),
         (["--dv", "1e10", "--dt", "1e10"],
          "coefficients too large for the margin: lambda_max=3e+10 "
-         "needs a margin above the floor 1e-09*k = 30, got 0.1"),
+         "needs a margin above the floor 5e-08*k = 1.5e+03, got 0.1"),
         # a negative margin reaches build_precision with k below lambda_max
         (["--dv", "0", "--dt", "1", "--margin", "-1"],
          "k=2 gives smallest eigenvalue -1.000e+00; need k > 3"),
-    ], ids=["1e8", "1e10", "negative-margin"])
+    ], ids=["1e6", "1e7", "1e8", "1e10", "negative-margin"])
     def test_build_refuses_a_k_under_the_floor(self, tmp_path, capsys, triangle_doc,
                                                flags, message):
         out = tmp_path / "model.json"
@@ -182,12 +190,39 @@ class TestModelCommands:
         assert err == f"error: {message}\n"
 
     def test_build_keeps_a_margin_above_the_floor(self, tmp_path, capsys, triangle_doc):
-        # the floor is 1e-9 * 3e7 = 0.03, below the default margin 0.1
+        # the floor is 5e-8 * 3e5 = 0.015, below the default margin 0.1
         out = tmp_path / "model.json"
         code, text, err = run_cli(capsys, "model", "build", str(triangle_doc),
-                                  "--dv", "1e7", "--dt", "1e7", "-o", str(out))
+                                  "--dv", "1e5", "--dt", "1e5", "-o", str(out))
         assert code == 0 and err == "" and out.exists()
-        assert "k=3e+07" in text
+        assert "k=300000" in text
+        # the factors' condition numbers are about 3e6, and the model checks
+        code, text, _ = run_cli(capsys, "model", "check", str(out))
+        assert code == 0 and "FAIL" not in text
+
+    @pytest.mark.parametrize("shape, margin, built", [
+        ((10, 21, 12), "1e-5", True), ((10, 21, 12), "1e-6", False),
+        ((10, 21, 12), "1e-7", False),
+        ((30, 120, 60), "1e-3", True), ((30, 120, 60), "1e-7", False),
+        ((60, 400, 200), "1e-3", True), ((60, 400, 200), "1e-7", False),
+    ])
+    def test_small_margins_build_a_model_that_checks_or_are_refused(
+        self, tmp_path, capsys, shape, margin, built
+    ):
+        nv, ne, nt = shape
+        sc = random_2sc(nv, None, nt, 3, num_edges=ne, require_trivial_homology=ne == 21)
+        cpath, out = tmp_path / "complex.json", tmp_path / "model.json"
+        save_complex(sc, cpath)
+        code, _, err = run_cli(capsys, "model", "build", str(cpath), "--seed", "3",
+                               "--margin", margin, "-o", str(out))
+        if not built:
+            assert code == 2 and not out.exists()
+            assert err.startswith("error: coefficients too large for the margin: ")
+            assert "needs a margin above the floor 5e-08*k" in err
+            return
+        assert code == 0 and err == ""
+        code, text, _ = run_cli(capsys, "model", "check", str(out))
+        assert code == 0 and "FAIL" not in text
 
     def test_build_and_check(self, tmp_path, capsys, triangle_doc):
         out = tmp_path / "model.json"
@@ -216,18 +251,18 @@ class TestModelCommands:
             assert got == pytest.approx(np.linalg.cond(factor), rel=1e-9) and got > 1.0
 
     def test_check_json_reports_ill_conditioned_factors(self, tmp_path, capsys, triangle_doc):
-        # a_d + a_u = 3e7 * I, so omega is well conditioned while omega_d
-        # and omega_u have eigenvalues k - 3e7 and k (or k - 0)
+        # a_d + a_u = 3e5 * I, so omega is well conditioned while omega_d
+        # and omega_u have eigenvalues k - 3e5 and k (or k - 0)
         out = tmp_path / "model.json"
-        run_cli(capsys, "model", "build", str(triangle_doc), "--dv", "1e7", "--dt", "1e7",
+        run_cli(capsys, "model", "build", str(triangle_doc), "--dv", "1e5", "--dt", "1e5",
                 "-o", str(out))
         code, text, _ = run_cli(capsys, "model", "check", str(out), "--json")
         doc = json.loads(text)
         assert doc["condition_number"] == pytest.approx(1.0, rel=1e-9)
         # np.linalg.cond and the blocks each carry an error of about
-        # 1e-16 * 3e8 here; compare with the exact value instead
-        exact = doc["k"] / (doc["k"] - 3e7)
-        assert 2.99e8 < exact < 3.01e8
+        # 1e-16 * 3e6 here; compare with the exact value instead
+        exact = doc["k"] / (doc["k"] - 3e5)
+        assert 2.99e6 < exact < 3.01e6
         assert doc["condition_number_lower"] == pytest.approx(exact, rel=1e-7)
         assert doc["condition_number_upper"] == pytest.approx(exact, rel=1e-7)
 

@@ -21,6 +21,7 @@ from cmrf import (
     save_model,
 )
 from cmrf import model
+from cmrf.model import _PD_RTOL
 
 from helpers import cancellations_by_loop, draw_sparse_model
 
@@ -57,10 +58,10 @@ class TestPrecisionConstruction:
     @pytest.mark.parametrize("scale", [1.0, 1e7, 1e8, 1e10, 1e200])
     @pytest.mark.parametrize("margin", [1e-12, 1e-8, 0.1, 10.0])
     def test_min_valid_k_gives_only_a_k_that_builds(self, filled_triangle, scale, margin):
-        # one floor for both: k - lambda_max must exceed 1e-9 * k
+        # one floor for both: k - lambda_max must exceed _PD_RTOL * k
         inc = incidence(filled_triangle)
         d_v, d_t = np.full(3, scale), np.array([scale])  # lambda_max = 3 * scale
-        if margin <= 1e-9 * 3 * scale:
+        if margin <= _PD_RTOL * 3 * scale:
             with pytest.raises(ValueError, match="needs a margin above the floor"):
                 min_valid_k(inc, d_v, d_t, margin)
         else:
@@ -74,7 +75,7 @@ class TestPrecisionConstruction:
             build_precision(inc, params)
         message = str(info.value)
         assert message.startswith("k=3e+10 gives smallest eigenvalue ")
-        assert message.endswith("; need it above the floor 1e-09*k = 3.000e+01")
+        assert message.endswith("; need it above the floor 5e-08*k = 1.500e+03")
 
     def test_rejects_k_at_threshold(self, filled_triangle):
         inc = incidence(filled_triangle)

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from cmrf import (
 )
 from cmrf.simplicial import _enumerate_3cliques, _max_triangles
 
-from helpers import incidence_by_loops
+from helpers import incidence_by_loops, random_2sc_by_selection_loop
 
 
 def random_complexes(count, allow_holes=True):
@@ -315,6 +316,47 @@ class TestRandom2sc:
         # the extremal graph is reached: a 4-clique minus one edge
         sc = random_2sc(4, None, 2, 0, num_edges=5, require_trivial_homology=False)
         assert sc.num_triangles == 2
+
+    @pytest.mark.parametrize("nv, p, nt, ne, max_attempts, seeds", [
+        (10, None, 12, 21, 2000, range(200)),
+        # T = 0: only forests pass, with and without an edge count
+        (8, None, 0, 5, 2000, range(30)),
+        (6, 0.5, 0, None, 2000, range(30)),
+        # many graphs disconnected; seeds 22 and 29 fail after drawing
+        (8, 0.3, 2, None, 30, range(20, 35)),
+        (18, 1.0, 153, None, 2000, [17]),
+    ], ids=["paper-scale", "spanning-forests", "forests", "sparse", "K18"])
+    def test_matches_selection_loop_oracle(self, nv, p, nt, ne, max_attempts, seeds):
+        for seed in seeds:
+            want = random_2sc_by_selection_loop(nv, p, nt, seed, num_edges=ne,
+                                                max_attempts=max_attempts)
+            if want is None:
+                with pytest.raises(GenerationFailed, match="no admissible complex"):
+                    random_2sc(nv, p, nt, seed, num_edges=ne, max_attempts=max_attempts)
+            else:
+                assert random_2sc(nv, p, nt, seed, num_edges=ne,
+                                  max_attempts=max_attempts) == want, seed
+
+    def test_shared_generator_ends_in_the_oracle_state(self):
+        ours, oracle = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(8):
+            want = random_2sc_by_selection_loop(10, None, 12, oracle, num_edges=21)
+            assert random_2sc(10, None, 12, ours, num_edges=21) == want
+        # a failure after drawing leaves the same state too
+        assert random_2sc_by_selection_loop(8, 0.3, 2, oracle, max_attempts=3) is None
+        with pytest.raises(GenerationFailed):
+            random_2sc(8, 0.3, 2, ours, max_attempts=3)
+        assert ours.bit_generator.state == oracle.bit_generator.state
+
+    def test_improbable_trivial_homology_fails_after_every_attempt(self):
+        # most of the 150 edges lie in no chosen triangle; testing each
+        # selection's own complex took about 36 s to give up here
+        start = time.perf_counter()
+        with pytest.raises(GenerationFailed) as info:
+            random_2sc(20, None, 150, 0, num_edges=160)
+        assert time.perf_counter() - start < 10.0
+        assert str(info.value) == ("no admissible complex after 2000 attempts "
+                                   "(n=20, p=0.842, edges=160, triangles=150)")
 
     def test_homology_requirement_can_be_waived(self):
         # A sparse graph with no triangles almost surely has cycles left
