@@ -10,7 +10,9 @@ with trivial homology required only at 10/21/12, are written once by the
 after side and read by both.  Per scale (10/21/12, 30/120/60, 60/400/200):
 
 * ``scales``, per side, on the model ``draw_params(inc, 5, sparsity=0.5)``:
-  in-process ``cmrf verify --scan-singletons`` (``cli_scan_s``) and
+  in-process ``cmrf verify --scan-singletons --json`` (``cli_scan_s``)
+  and without ``--json`` (``cli_scan_text_s``; their difference, before
+  and after, is ``scan_json_s``),
   ``--set-a i --set-b j`` calls on color-separated pairs (``cli_pair_ms``,
   as the benchmark's ``marginal_checks_per_s``; ``pair_stages_ms`` times
   each stage alone), ``build_cmrf``, ``find_cancellations`` and one
@@ -226,6 +228,7 @@ def _verify(sc, complex_path: Path, model_path: Path) -> dict:
     return {
         "num_pairs": len(pairs),
         "cli_scan_s": _median_time(lambda: _cli("verify", path, "--scan-singletons", "--json")),
+        "cli_scan_text_s": _median_time(lambda: _cli("verify", path, "--scan-singletons")),
         "cli_pair_ms": 1e3 * _median_time(pair_commands) / len(sample) if sample else None,
         "pair_stages_ms": _pair_stages(path, sample) if sample else None,
         "build_cmrf_ms": 1e3 * _median_time(lambda: cmrf.build_cmrf(inc, params)),
@@ -411,8 +414,9 @@ def report(readings: dict, default: dict, outs: dict) -> dict:
         scales[name] = {"num_pairs": new["num_pairs"], "before": old, "after": new}
         for speedup, field in (("conditional", "conditional_ms_per_query"),
                                ("separation", "separation_us_per_query"),
-                               ("cli_pair", "cli_pair_ms")):
+                               ("cli_pair", "cli_pair_ms"), ("cli_scan", "cli_scan_s")):
             scales[name][f"{speedup}_speedup"] = old[field] / new[field] if new[field] else None
+        scales[name]["scan_json_s"] = [r["cli_scan_s"] - r["cli_scan_text_s"] for r in (old, new)]
         setup[name] = {
             stage: {f"{side}_ms": _quartiles([ms for r in readings[side]
                                                for ms in r["setup"][name][stage]])

@@ -9,15 +9,17 @@ A JSON config file with one section per subcommand can preload any
 option (``--config settings.json``); explicit flags override file
 values.  Randomized subcommands require a seed, either as a flag or in
 the config file.  All subcommands accept ``--json`` for machine
-readable output.  Exit status is 0 when requested checks pass, 1 when a
-check fails (for ``simulate``: a variant diverged), 2 on errors.
+readable output, the bytes of ``json.dumps(payload, indent=2)``.  Exit
+status is 0 when requested checks pass, 1 when a check fails (for
+``simulate``: a variant diverged), 2 on errors, 141 when the reader
+closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import os
 import sys
 
 import numpy as np
@@ -71,7 +73,7 @@ def _seed(args, section: str):
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(simplicial._json_text(payload))
     else:
         for line in text_lines:
             print(line)
@@ -183,7 +185,7 @@ def cmd_model_build(args) -> int:
         "num_lower_nonzero": int(np.count_nonzero(params.d_v)),
         "num_upper_nonzero": int(np.count_nonzero(params.d_t)),
         "omega_is_k_identity": diag_const,
-        "cancellations": [list(p) for p in cancels],
+        "cancellations": cancels,
     }
     lines = [f"wrote {args.out}", f"k={params.k:.6g}"]
     if diag_const:
@@ -227,7 +229,7 @@ def cmd_model_check(args) -> int:
         "condition_number_upper": cond_upper,
         "residuals": {k_: r for k_, (r, _) in checks.items()},
         "tolerances": {k_: tol for k_, (_, tol) in checks.items()},
-        "cancellations": [list(p) for p in cancels],
+        "cancellations": cancels,
     }
     lines = [f"positive definite: smallest eigenvalue {lam_min:.6g} (k={params.k:.6g})"]
     for name, (r, tol) in checks.items():
@@ -255,7 +257,7 @@ def cmd_verify(args) -> int:
         payload = {
             "passed": scan.passed,
             "num_pairs": len(scan.pairs),
-            "pairs": [list(p) for p in scan.pairs],
+            "pairs": scan.pairs,
             "max_residual": scan.max_residual,
             "tolerance": scan.tolerance,
         }
@@ -477,7 +479,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # what stdout still buffers goes to devnull, so the flush at exit
+        # reports nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a writer the closed pipe ended
     except (CmrfError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -72,7 +72,6 @@ stay on the dense ``np.linalg.inv(omega)``.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -83,7 +82,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 from .simplicial import IncidencePair, SimplicialComplex2, load_complex
-from .simplicial import _is_list_of, _is_number, _read_document, _shared_face_pairs
+from .simplicial import _is_list_of, _is_number, _json_text, _read_document, _shared_face_pairs
 
 __all__ = [
     "SgmParams",
@@ -782,7 +781,7 @@ def save_model(
         "d_t": [float(x) for x in params.d_t],
         "complex_file": str(complex_file),
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(_json_text(doc) + "\n")
 
 
 def load_model(path: str | Path) -> tuple[SimplicialComplex2, SgmParams]:

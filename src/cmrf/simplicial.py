@@ -545,14 +545,42 @@ def _read_document(path: str | Path, fields: dict, optional=()) -> dict:
     return doc
 
 
+_ARRAYS = {list, tuple}
+
+
+def _json_text(value, pad: str = "") -> str:
+    """Exactly ``json.dumps(value, indent=2)``, with index lists rendered fast.
+
+    Any ``indent`` sends ``json`` to its pure-Python encoder, which spends
+    most of a scan's ``--json`` output on its pairs.  A list or tuple of
+    rows, each a list or tuple of exact ``int`` (not ``bool``, not a numpy
+    integer) and all of one length >= 1, is rendered by one ``%``-format
+    of every number instead.  An object with string keys and a list or
+    tuple among its values renders its members one by one; everything
+    else goes to ``json.dumps`` as a whole, so what it refuses is still
+    refused.  ``pad`` is the indentation of the line the value starts on.
+    """
+    if (type(value) in _ARRAYS and value and set(map(type, value)) <= _ARRAYS
+            and len(widths := set(map(len, value))) == 1 and 0 not in widths):
+        flat = tuple(itertools.chain.from_iterable(value))
+        if set(map(type, flat)) == {int}:
+            (width,) = widths
+            row = f"{pad}  [\n" + ",\n".join([f"{pad}    %d"] * width) + f"\n{pad}  ]"
+            return ("[\n" + ",\n".join([row] * len(value)) + f"\n{pad}]") % flat
+    if (type(value) is dict and not _ARRAYS.isdisjoint(map(type, value.values()))
+            and set(map(type, value)) == {str}):
+        inner = pad + "  "
+        members = ",\n".join(f"{inner}{json.dumps(key)}: {_json_text(item, inner)}"
+                             for key, item in value.items())
+        return "{\n" + members + "\n" + pad + "}"
+    text = json.dumps(value, indent=2)
+    return text.replace("\n", "\n" + pad) if pad else text  # strings hold no raw newline
+
+
 def save_complex(sc: SimplicialComplex2, path: str | Path) -> None:
     """Write a complex to a JSON document."""
-    doc = {
-        "vertices": list(sc.vertices),
-        "edges": [list(e) for e in sc.edges],
-        "triangles": [list(t) for t in sc.triangles],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    doc = {"vertices": sc.vertices, "edges": sc.edges, "triangles": sc.triangles}
+    Path(path).write_text(_json_text(doc) + "\n")
 
 
 def load_complex(path: str | Path) -> SimplicialComplex2:

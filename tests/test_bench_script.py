@@ -10,8 +10,8 @@ import pytest
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
 SCALE = "10/21/12"
 SCALE_FIELDS = (
-    "num_pairs", "cli_scan_s", "cli_pair_ms", "build_cmrf_ms", "find_cancellations_ms",
-    "assemble_ms", "conditional_queries", "conditional_separated",
+    "num_pairs", "cli_scan_s", "cli_scan_text_s", "cli_pair_ms", "build_cmrf_ms",
+    "find_cancellations_ms", "assemble_ms", "conditional_queries", "conditional_separated",
     "conditional_ms_per_query", "separation_us_per_query",
 )
 PAIR_STAGES = ("parser", "load_model", "incidence", "build_precision", "build_cmrf",
@@ -55,6 +55,8 @@ def test_child_measurement_gives_every_kept_field(bench, tmp_path):
             quartiles = doc["setup"][SCALE][stage][f"{side}_ms"]
             assert len(quartiles) == 3 and all(map(positive, quartiles))
     assert scale["num_pairs"] == 20 and scale["after"]["conditional_queries"] == 200
+    assert positive(scale["cli_scan_speedup"])
+    assert len(scale["scan_json_s"]) == 2 and all(map(math.isfinite, scale["scan_json_s"]))
 
     generate = doc["generate"]
     for side in ("before", "after"):

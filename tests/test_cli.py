@@ -911,6 +911,22 @@ def test_module_entry_point_missing_model_exits_2(tmp_path):
     assert proc.stdout == "" and proc.stderr.startswith("error:")
 
 
+def test_module_entry_point_closed_stdout_exits_141_quietly(tmp_path):
+    # 38,304 pairs, over a megabyte: far more output than a pipe holds unread
+    sc = random_2sc(60, None, 200, seed=5, num_edges=400, require_trivial_homology=False)
+    save_complex(sc, tmp_path / "c.json")
+    save_model(model.draw_params(incidence(sc), 5, sparsity=0.5), "c.json", tmp_path / "m.json")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cmrf.cli", "verify", str(tmp_path / "m.json"),
+         "--scan-singletons", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(12) == b'{\n  "passed"'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141 and err == b""
+
+
 def _session(capsys, argvs):
     """(exit code, stdout, stderr) of each main(argv), one after the other in this process."""
     out = []
